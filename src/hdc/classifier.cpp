@@ -2,8 +2,12 @@
 
 #include <cmath>
 
+#include "tensor/ops.hpp"
+#include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/simd.hpp"
+#include "util/workspace.hpp"
 
 namespace fhdnn::hdc {
 
@@ -13,6 +17,57 @@ void check_batch(const Tensor& h, std::int64_t d) {
   FHDNN_CHECK(h.ndim() == 2 && h.dim(1) == d,
               "expected (N, " << d << ") hypervectors, got "
                               << shape_to_string(h.shape()));
+  FHDNN_CHECKED_TENSOR(h);
+}
+
+/// Validates every label before the caller mutates anything, so a bad
+/// label leaves the prototypes untouched.
+void check_labels(const std::vector<std::int64_t>& labels, std::int64_t n,
+                  std::int64_t k, const char* op) {
+  FHDNN_CHECK(static_cast<std::int64_t>(labels.size()) == n,
+              op << " labels size mismatch");
+  for (const std::int64_t y : labels) {
+    FHDNN_CHECK(y >= 0 && y < k, "label " << y << " out of range " << k);
+  }
+}
+
+double squared_norm(const float* x, std::int64_t d) {
+  double s;
+  ops::dot_rows(x, x, 1, d, &s);
+  return s;
+}
+
+/// Cosine similarities of n query rows against k prototype rows, written
+/// as floats to sim (n x k). `row_at(i, scratch)` returns query row i (of
+/// length d), using `scratch` (d floats) if it must build it. Rows are
+/// split across the pool; each row is private output, so the result is the
+/// same at any thread count.
+template <typename RowAt>
+void cosine_rows(std::int64_t n, const RowAt& row_at, const float* c,
+                 std::int64_t k, std::int64_t d, float* sim) {
+  util::Workspace& ws = util::tls_workspace();
+  const util::Workspace::Scope scope(ws);
+  double* cnorm = ws.doubles(k);
+  for (std::int64_t r = 0; r < k; ++r) {
+    cnorm[r] = std::sqrt(squared_norm(c + r * d, d));
+  }
+  parallel::parallel_for(0, n, parallel::grain_for(k * d),
+                         [&](std::int64_t i0, std::int64_t i1) {
+    util::Workspace& tws = util::tls_workspace();
+    const util::Workspace::Scope chunk_scope(tws);
+    double* dot = tws.doubles(k);
+    float* scratch = tws.floats(d);
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const float* x = row_at(i, scratch);
+      const double hnorm = std::sqrt(squared_norm(x, d));
+      ops::dot_rows(x, c, k, d, dot);
+      for (std::int64_t r = 0; r < k; ++r) {
+        const double denom = hnorm * cnorm[r];
+        sim[i * k + r] =
+            denom > 0.0 ? static_cast<float>(dot[r] / denom) : 0.0F;
+      }
+    }
+  });
 }
 
 }  // namespace
@@ -26,43 +81,25 @@ HdClassifier::HdClassifier(std::int64_t num_classes, std::int64_t hd_dim)
 void HdClassifier::bundle(const Tensor& h,
                           const std::vector<std::int64_t>& labels) {
   check_batch(h, d_);
-  FHDNN_CHECK(static_cast<std::int64_t>(labels.size()) == h.dim(0),
-              "bundle labels size mismatch");
+  check_labels(labels, h.dim(0), k_, "bundle");
+  FHDNN_CHECKED_TENSOR(c_);
+  const float* ph = h.data().data();
+  float* pc = c_.data().data();
   for (std::int64_t i = 0; i < h.dim(0); ++i) {
-    const std::int64_t y = labels[static_cast<std::size_t>(i)];
-    FHDNN_CHECK(y >= 0 && y < k_, "label " << y << " out of range " << k_);
-    for (std::int64_t j = 0; j < d_; ++j) c_(y, j) += h(i, j);
+    const float* x = ph + i * d_;
+    float* cy = pc + labels[static_cast<std::size_t>(i)] * d_;
+    for (std::int64_t j = 0; j < d_; ++j) cy[j] += x[j];
   }
 }
 
 Tensor HdClassifier::similarities(const Tensor& h) const {
   check_batch(h, d_);
-  const std::int64_t n = h.dim(0);
-  // Precompute prototype norms.
-  std::vector<double> cnorm(static_cast<std::size_t>(k_));
-  for (std::int64_t k = 0; k < k_; ++k) {
-    double s = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      s += static_cast<double>(c_(k, j)) * c_(k, j);
-    }
-    cnorm[static_cast<std::size_t>(k)] = std::sqrt(s);
-  }
-  Tensor sim(Shape{n, k_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    double hnorm = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      hnorm += static_cast<double>(h(i, j)) * h(i, j);
-    }
-    hnorm = std::sqrt(hnorm);
-    for (std::int64_t k = 0; k < k_; ++k) {
-      double dot = 0.0;
-      for (std::int64_t j = 0; j < d_; ++j) {
-        dot += static_cast<double>(h(i, j)) * c_(k, j);
-      }
-      const double denom = hnorm * cnorm[static_cast<std::size_t>(k)];
-      sim(i, k) = denom > 0.0 ? static_cast<float>(dot / denom) : 0.0F;
-    }
-  }
+  FHDNN_CHECKED_TENSOR(c_);
+  const float* ph = h.data().data();
+  Tensor sim(Shape{h.dim(0), k_});
+  cosine_rows(
+      h.dim(0), [&](std::int64_t i, float*) { return ph + i * d_; },
+      c_.data().data(), k_, d_, sim.data().data());
   return sim;
 }
 
@@ -71,48 +108,45 @@ Tensor HdClassifier::masked_similarities(const Tensor& h,
   check_batch(h, d_);
   FHDNN_CHECK(static_cast<std::int64_t>(mask.size()) == d_,
               "mask size " << mask.size() << " != d " << d_);
-  const std::int64_t n = h.dim(0);
-  std::vector<double> cnorm(static_cast<std::size_t>(k_));
-  for (std::int64_t k = 0; k < k_; ++k) {
-    double s = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      if (!mask[static_cast<std::size_t>(j)]) continue;
-      s += static_cast<double>(c_(k, j)) * c_(k, j);
-    }
-    cnorm[static_cast<std::size_t>(k)] = std::sqrt(s);
+  FHDNN_CHECKED_TENSOR(c_);
+  // Dropping the masked-out columns of h and C leaves every norm and dot a
+  // sum over the kept dimensions in ascending order, exactly as skipping
+  // them in place would, so the dense kernel gives the same bits.
+  util::Workspace& ws = util::tls_workspace();
+  const util::Workspace::Scope scope(ws);
+  std::int64_t kept = 0;
+  std::int64_t* cols = ws.indices(d_);
+  for (std::int64_t j = 0; j < d_; ++j) {
+    if (mask[static_cast<std::size_t>(j)]) cols[kept++] = j;
   }
-  Tensor sim(Shape{n, k_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    double hnorm = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      if (!mask[static_cast<std::size_t>(j)]) continue;
-      hnorm += static_cast<double>(h(i, j)) * h(i, j);
-    }
-    hnorm = std::sqrt(hnorm);
-    for (std::int64_t k = 0; k < k_; ++k) {
-      double dot = 0.0;
-      for (std::int64_t j = 0; j < d_; ++j) {
-        if (!mask[static_cast<std::size_t>(j)]) continue;
-        dot += static_cast<double>(h(i, j)) * c_(k, j);
-      }
-      const double denom = hnorm * cnorm[static_cast<std::size_t>(k)];
-      sim(i, k) = denom > 0.0 ? static_cast<float>(dot / denom) : 0.0F;
-    }
+  const auto gather = [&](const float* row, float* dst) {
+    for (std::int64_t t = 0; t < kept; ++t) dst[t] = row[cols[t]];
+    return dst;
+  };
+  float* ck = ws.floats(k_ * kept);
+  for (std::int64_t r = 0; r < k_; ++r) {
+    gather(c_.data().data() + r * d_, ck + r * kept);
   }
+  const float* ph = h.data().data();
+  Tensor sim(Shape{h.dim(0), k_});
+  cosine_rows(
+      h.dim(0),
+      [&](std::int64_t i, float* scratch) {
+        return gather(ph + i * d_, scratch);
+      },
+      ck, k_, kept, sim.data().data());
   return sim;
 }
 
 std::vector<std::int64_t> HdClassifier::predict(const Tensor& h) const {
   const Tensor sim = similarities(h);
+  const float* ps = sim.data().data();
   std::vector<std::int64_t> out(static_cast<std::size_t>(sim.dim(0)));
   for (std::int64_t i = 0; i < sim.dim(0); ++i) {
+    const float* row = ps + i * k_;
     std::int64_t best = 0;
-    float best_v = sim(i, 0);
     for (std::int64_t k = 1; k < k_; ++k) {
-      if (sim(i, k) > best_v) {
-        best_v = sim(i, k);
-        best = k;
-      }
+      if (row[k] > row[best]) best = k;
     }
     out[static_cast<std::size_t>(i)] = best;
   }
@@ -123,35 +157,46 @@ std::int64_t HdClassifier::refine_epoch(const Tensor& h,
                                         const std::vector<std::int64_t>& labels,
                                         float lr) {
   check_batch(h, d_);
-  FHDNN_CHECK(static_cast<std::int64_t>(labels.size()) == h.dim(0),
-              "refine labels size mismatch");
+  check_labels(labels, h.dim(0), k_, "refine");
+  FHDNN_CHECKED_TENSOR(c_);
+  const float* ph = h.data().data();
+  float* pc = c_.data().data();
+  util::Workspace& ws = util::tls_workspace();
+  const util::Workspace::Scope scope(ws);
+  // Squared prototype norms, kept current across updates: an update
+  // recomputes only the two rows it touched, with the same sum.
+  double* cn = ws.doubles(k_);
+  double* dot = ws.doubles(k_);
+  for (std::int64_t k = 0; k < k_; ++k) cn[k] = squared_norm(pc + k * d_, d_);
   std::int64_t updates = 0;
   // Sequential (online) refinement: each update immediately affects later
   // predictions, as in standard HD retraining.
   for (std::int64_t i = 0; i < h.dim(0); ++i) {
     const std::int64_t y = labels[static_cast<std::size_t>(i)];
-    FHDNN_CHECK(y >= 0 && y < k_, "label " << y << " out of range " << k_);
-    // Predict this single row against current prototypes.
+    const float* x = ph + i * d_;
+    ops::dot_rows(x, pc, k_, d_, dot);
     std::int64_t best = 0;
     double best_sim = -2.0;
     for (std::int64_t k = 0; k < k_; ++k) {
-      double dot = 0.0, cn = 0.0;
-      for (std::int64_t j = 0; j < d_; ++j) {
-        dot += static_cast<double>(h(i, j)) * c_(k, j);
-        cn += static_cast<double>(c_(k, j)) * c_(k, j);
-      }
-      const double sim = cn > 0.0 ? dot / std::sqrt(cn) : 0.0;
+      const double sim = cn[k] > 0.0 ? dot[k] / std::sqrt(cn[k]) : 0.0;
       if (sim > best_sim) {
         best_sim = sim;
         best = k;
       }
     }
     if (best != y) {
+      float* cy = pc + y * d_;
+      float* cb = pc + best * d_;
+      double ny = 0.0, nb = 0.0;
       for (std::int64_t j = 0; j < d_; ++j) {
-        const float v = lr * h(i, j);
-        c_(y, j) += v;
-        c_(best, j) -= v;
+        const float v = lr * x[j];
+        cy[j] += v;
+        cb[j] -= v;
+        ny += static_cast<double>(cy[j]) * cy[j];
+        nb += static_cast<double>(cb[j]) * cb[j];
       }
+      cn[y] = ny;
+      cn[best] = nb;
       ++updates;
     }
   }
@@ -161,28 +206,27 @@ std::int64_t HdClassifier::refine_epoch(const Tensor& h,
 std::int64_t HdClassifier::refine_epoch_adaptive(
     const Tensor& h, const std::vector<std::int64_t>& labels, float lr) {
   check_batch(h, d_);
-  FHDNN_CHECK(static_cast<std::int64_t>(labels.size()) == h.dim(0),
-              "refine labels size mismatch");
+  check_labels(labels, h.dim(0), k_, "refine");
+  FHDNN_CHECKED_TENSOR(c_);
+  const float* ph = h.data().data();
+  float* pc = c_.data().data();
+  util::Workspace& ws = util::tls_workspace();
+  const util::Workspace::Scope scope(ws);
+  double* cn = ws.doubles(k_);  // squared prototype norms, as in refine_epoch
+  double* dot = ws.doubles(k_);
+  for (std::int64_t k = 0; k < k_; ++k) cn[k] = squared_norm(pc + k * d_, d_);
   std::int64_t updates = 0;
   for (std::int64_t i = 0; i < h.dim(0); ++i) {
     const std::int64_t y = labels[static_cast<std::size_t>(i)];
-    FHDNN_CHECK(y >= 0 && y < k_, "label " << y << " out of range " << k_);
+    const float* x = ph + i * d_;
     // Cosine similarity of this row against every prototype.
-    double hnorm = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      hnorm += static_cast<double>(h(i, j)) * h(i, j);
-    }
-    hnorm = std::sqrt(hnorm);
+    const double hnorm = std::sqrt(squared_norm(x, d_));
+    ops::dot_rows(x, pc, k_, d_, dot);
     std::int64_t best = 0;
     double best_sim = -2.0, y_sim = 0.0;
     for (std::int64_t k = 0; k < k_; ++k) {
-      double dot = 0.0, cn = 0.0;
-      for (std::int64_t j = 0; j < d_; ++j) {
-        dot += static_cast<double>(h(i, j)) * c_(k, j);
-        cn += static_cast<double>(c_(k, j)) * c_(k, j);
-      }
-      const double denom = hnorm * std::sqrt(cn);
-      const double sim = denom > 0.0 ? dot / denom : 0.0;
+      const double denom = hnorm * std::sqrt(cn[k]);
+      const double sim = denom > 0.0 ? dot[k] / denom : 0.0;
       if (sim > best_sim) {
         best_sim = sim;
         best = k;
@@ -192,10 +236,17 @@ std::int64_t HdClassifier::refine_epoch_adaptive(
     if (best != y) {
       const float gain_y = lr * static_cast<float>(1.0 - y_sim);
       const float gain_b = lr * static_cast<float>(1.0 - best_sim);
+      float* cy = pc + y * d_;
+      float* cb = pc + best * d_;
+      double ny = 0.0, nb = 0.0;
       for (std::int64_t j = 0; j < d_; ++j) {
-        c_(y, j) += gain_y * h(i, j);
-        c_(best, j) -= gain_b * h(i, j);
+        cy[j] += gain_y * x[j];
+        cb[j] -= gain_b * x[j];
+        ny += static_cast<double>(cy[j]) * cy[j];
+        nb += static_cast<double>(cb[j]) * cb[j];
       }
+      cn[y] = ny;
+      cn[best] = nb;
       ++updates;
     }
   }

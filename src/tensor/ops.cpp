@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -117,6 +118,22 @@ void accumulate(TensorView y, ConstTensorView x) {
 
 namespace {
 
+/// out[b] = sum over j of double(x[j]) * rows[b * len + j], for each b in
+/// the pack. Each output is one sequential double sum in ascending j; the
+/// chains are independent, so blocking them only adds instruction-level
+/// parallelism and never changes a bit. The fold unrolls the block at
+/// compile time so the accumulators stay in registers.
+template <std::size_t... B>
+void dot_block(const float* x, const float* rows, std::int64_t len,
+               double* out, std::index_sequence<B...> /*rows*/) {
+  double acc[sizeof...(B)] = {};
+  for (std::int64_t j = 0; j < len; ++j) {
+    const double xj = x[j];
+    ((acc[B] += xj * rows[static_cast<std::int64_t>(B) * len + j]), ...);
+  }
+  ((out[B] = acc[B]), ...);
+}
+
 /// c += a * b, ikj order. Callers must pre-zero c for a plain product.
 void matmul_accumulate(const float* pa, const float* pb, float* pc,
                        std::int64_t m, std::int64_t k, std::int64_t n) {
@@ -140,6 +157,29 @@ void matmul_accumulate(const float* pa, const float* pb, float* pc,
 }
 
 }  // namespace
+
+void dot_rows(const float* x, const float* rows, std::int64_t nrows,
+              std::int64_t len, double* out) {
+  using std::make_index_sequence;
+  std::int64_t r = 0;
+  for (; r + 4 <= nrows; r += 4) {
+    dot_block(x, rows + r * len, len, out + r, make_index_sequence<4>{});
+  }
+  const float* tail = rows + r * len;
+  switch (nrows - r) {
+    case 3:
+      dot_block(x, tail, len, out + r, make_index_sequence<3>{});
+      break;
+    case 2:
+      dot_block(x, tail, len, out + r, make_index_sequence<2>{});
+      break;
+    case 1:
+      dot_block(x, tail, len, out + r, make_index_sequence<1>{});
+      break;
+    default:
+      break;
+  }
+}
 
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   checked_entry("matmul", a, b, out);
@@ -185,21 +225,21 @@ void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   const float* pb = b.data();
   float* pc = out.data();
   // Deliberately NOT dispatched: each output element is one sequential
-  // double-precision accumulation, and no lane-parallel kernel can
-  // reproduce that op-for-op (any widening splits the sum order). The
-  // hexfloat goldens pin this exact reduction, so it stays scalar.
+  // double-precision sum in ascending kk (see dot_rows). Blocking four
+  // output columns keeps four such chains in flight without splitting or
+  // widening any one of them, so the hexfloat goldens hold on every tier.
   parallel::parallel_for(0, m, parallel::grain_for(k * n),
                          [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       const float* arow = pa + i * k;
       float* crow = pc + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float* brow = pb + j * k;
-        double acc = 0.0;
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          acc += static_cast<double>(arow[kk]) * brow[kk];
+      for (std::int64_t j = 0; j < n; j += 4) {
+        const std::int64_t cols = std::min<std::int64_t>(4, n - j);
+        double acc[4];
+        dot_rows(arow, pb + j * k, cols, k, acc);
+        for (std::int64_t c = 0; c < cols; ++c) {
+          crow[j + c] = static_cast<float>(acc[c]);
         }
-        crow[j] = static_cast<float>(acc);
       }
     }
   });
@@ -382,12 +422,8 @@ Tensor sum_rows(const Tensor& a) {
 
 double dot(const Tensor& a, const Tensor& b) {
   FHDNN_CHECK(a.numel() == b.numel(), "dot numel mismatch");
-  double s = 0.0;
-  auto ad = a.data();
-  auto bd = b.data();
-  for (std::size_t i = 0; i < ad.size(); ++i) {
-    s += static_cast<double>(ad[i]) * bd[i];
-  }
+  double s;
+  dot_rows(a.data().data(), b.data().data(), 1, a.numel(), &s);
   return s;
 }
 

@@ -57,9 +57,20 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// Matrix product with b transposed: a (m x k) * b^T where b is (n x k).
+/// Each output element is one sequential double sum over kk ascending,
+/// rounded to float once (the reduction the hexfloat goldens pin).
 /// Aliasing: out must not overlap a or b (throws on overlap).
 Tensor matmul_bt(const Tensor& a, const Tensor& b);
 void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out);
+
+/// out[r] = sum over j of double(x[j]) * rows[r * len + j], r < nrows: the
+/// dot products of one vector with each row of a row-major (nrows x len)
+/// matrix, unrounded. Each output is exactly matmul_bt_into's per-element
+/// sum (one sequential double chain, j ascending); rows go four at a time
+/// so four independent chains are in flight. len == 0 gives all +0.0.
+/// Raw-pointer kernel for callers that have validated their shapes.
+void dot_rows(const float* x, const float* rows, std::int64_t nrows,
+              std::int64_t len, double* out);
 
 /// Matrix product with a transposed: a^T * b where a is (k x m), b is (k x n).
 /// The `_into` form zero-fills out first.

@@ -65,6 +65,12 @@ std::int64_t* Workspace::indices(std::int64_t n) {
       allocate(static_cast<std::size_t>(n) * sizeof(std::int64_t)));
 }
 
+double* Workspace::doubles(std::int64_t n) {
+  FHDNN_CHECK(n >= 0, "workspace doubles(" << n << ")");
+  return static_cast<double*>(
+      allocate(static_cast<std::size_t>(n) * sizeof(double)));
+}
+
 void Workspace::reset() {
   FHDNN_CHECKED_ASSERT(scope_depth_ == 0,
                        "workspace reset() with "

@@ -14,9 +14,9 @@
 // coalesces any fragmented growth into one block so the steady state bumps
 // through contiguous memory.
 //
-// Pointers returned by `floats()` / `indices()` are valid until the
-// innermost enclosing Scope is destroyed (or until reset()); they are never
-// valid across those boundaries.
+// Pointers returned by `floats()` / `indices()` / `doubles()` are valid
+// until the innermost enclosing Scope is destroyed (or until reset()); they
+// are never valid across those boundaries.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +34,7 @@ struct WorkspaceStats {
   std::uint64_t capacity_bytes = 0;    ///< total backing capacity
   std::uint64_t bytes_in_use = 0;      ///< currently bumped-out bytes
   std::uint64_t high_water_bytes = 0;  ///< max bytes_in_use ever
-  std::uint64_t alloc_calls = 0;       ///< floats()/indices() calls
+  std::uint64_t alloc_calls = 0;       ///< floats()/indices()/doubles() calls
   std::uint64_t resets = 0;            ///< reset() calls
 };
 
@@ -50,6 +50,10 @@ class Workspace {
 
   /// Scratch array of `n` int64 indices (maxpool argmax and friends).
   std::int64_t* indices(std::int64_t n);
+
+  /// Scratch array of `n` doubles (the HD classifier's norm and dot
+  /// accumulators).
+  double* doubles(std::int64_t n);
 
   /// Rewind everything and coalesce fragmented growth into one block so
   /// steady-state bumping is contiguous. Call at a batch/client boundary

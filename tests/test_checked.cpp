@@ -8,9 +8,11 @@
 // -DFHDNN_CHECKED=ON plus ASan/UBSan.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "hdc/classifier.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -123,6 +125,30 @@ TEST(Checked, BrokenInvariantCaughtAtAccess) {
   EXPECT_THROW((void)t.at(0), Error);
   const Tensor& ct = t;
   EXPECT_THROW((void)ct.at(0), Error);
+}
+
+TEST(Checked, BrokenInvariantCaughtAtClassifierEntry) {
+  if (!util::checked_build()) {
+    GTEST_SKIP() << "classifier entry re-validation is FHDNN_CHECKED-only";
+  }
+  // The classifier loops run on raw row pointers with no per-element
+  // bounds checks, so checked builds re-validate h and the prototypes on
+  // entry instead.
+  const std::vector<std::int64_t> labels = {0, 1};
+  const Tensor h(Shape{2, 8});
+  hdc::HdClassifier clf(2, 8);
+  clf.prototypes().vec().resize(4);
+  EXPECT_THROW(clf.bundle(h, labels), Error);
+  EXPECT_THROW((void)clf.similarities(h), Error);
+  EXPECT_THROW((void)clf.predict(h), Error);
+  EXPECT_THROW((void)clf.refine_epoch(h, labels), Error);
+  EXPECT_THROW((void)clf.refine_epoch_adaptive(h, labels), Error);
+
+  hdc::HdClassifier ok(2, 8);
+  Tensor broken(Shape{2, 8});
+  broken.vec().resize(3);
+  EXPECT_THROW((void)ok.similarities(broken), Error);
+  EXPECT_THROW((void)ok.refine_epoch(broken, labels), Error);
 }
 
 // ---- FP-environment guard ------------------------------------------------

@@ -3,14 +3,18 @@
 // error (paper Eq. 5) and quantizer bitwidths.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/quantizer.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -250,6 +254,311 @@ TEST(Classifier, ValidatesInputs) {
   EXPECT_THROW(HdClassifier(1, 64), Error);
   std::vector<bool> short_mask(32, true);
   EXPECT_THROW(clf.masked_similarities(Tensor(Shape{1, 64}), short_mask), Error);
+}
+
+TEST(Classifier, BadLastLabelLeavesPrototypesUntouched) {
+  // Labels are validated before any prototype changes, so a bad label at
+  // the end of a batch cannot leave a half-applied update behind.
+  Rng rng(27);
+  const Tensor h = Tensor::randn(Shape{4, 64}, rng);
+  const std::vector<std::int64_t> bad = {0, 1, 2, 3};  // K = 3
+  HdClassifier clf(3, 64);
+  clf.set_prototypes(Tensor::randn(Shape{3, 64}, rng));
+  const std::vector<float> before = clf.prototypes().vec();
+  const auto unchanged = [&] {
+    return std::memcmp(before.data(), clf.prototypes().data().data(),
+                       before.size() * sizeof(float)) == 0;
+  };
+  EXPECT_THROW(clf.bundle(h, bad), Error);
+  EXPECT_TRUE(unchanged());
+  EXPECT_THROW(clf.refine_epoch(h, bad), Error);
+  EXPECT_TRUE(unchanged());
+  EXPECT_THROW(clf.refine_epoch_adaptive(h, bad), Error);
+  EXPECT_TRUE(unchanged());
+}
+
+// ------------------------------------------- bit-exactness vs. reference
+//
+// The classifier runs on raw row pointers with four class chains in flight
+// and cached prototype norms. These references are the plain per-element
+// loops it replaced; every result must match them bit for bit.
+
+namespace ref {
+
+Tensor similarities(const Tensor& c, const Tensor& h,
+                    const std::vector<bool>* mask = nullptr) {
+  const std::int64_t k_n = c.dim(0), d = c.dim(1), n = h.dim(0);
+  const auto keep = [&](std::int64_t j) {
+    return mask == nullptr || (*mask)[static_cast<std::size_t>(j)];
+  };
+  std::vector<double> cnorm(static_cast<std::size_t>(k_n));
+  for (std::int64_t k = 0; k < k_n; ++k) {
+    double s = 0.0;
+    for (std::int64_t j = 0; j < d; ++j) {
+      if (keep(j)) s += static_cast<double>(c(k, j)) * c(k, j);
+    }
+    cnorm[static_cast<std::size_t>(k)] = std::sqrt(s);
+  }
+  Tensor sim(Shape{n, k_n});
+  for (std::int64_t i = 0; i < n; ++i) {
+    double hnorm = 0.0;
+    for (std::int64_t j = 0; j < d; ++j) {
+      if (keep(j)) hnorm += static_cast<double>(h(i, j)) * h(i, j);
+    }
+    hnorm = std::sqrt(hnorm);
+    for (std::int64_t k = 0; k < k_n; ++k) {
+      double dot = 0.0;
+      for (std::int64_t j = 0; j < d; ++j) {
+        if (keep(j)) dot += static_cast<double>(h(i, j)) * c(k, j);
+      }
+      const double denom = hnorm * cnorm[static_cast<std::size_t>(k)];
+      sim(i, k) = denom > 0.0 ? static_cast<float>(dot / denom) : 0.0F;
+    }
+  }
+  return sim;
+}
+
+std::vector<std::int64_t> predict(const Tensor& c, const Tensor& h) {
+  const Tensor sim = similarities(c, h);
+  std::vector<std::int64_t> out(static_cast<std::size_t>(sim.dim(0)));
+  for (std::int64_t i = 0; i < sim.dim(0); ++i) {
+    std::int64_t best = 0;
+    float best_v = sim(i, 0);
+    for (std::int64_t k = 1; k < sim.dim(1); ++k) {
+      if (sim(i, k) > best_v) {
+        best_v = sim(i, k);
+        best = k;
+      }
+    }
+    out[static_cast<std::size_t>(i)] = best;
+  }
+  return out;
+}
+
+std::int64_t refine_epoch(Tensor& c, const Tensor& h,
+                          const std::vector<std::int64_t>& labels, float lr,
+                          bool adaptive) {
+  const std::int64_t k_n = c.dim(0), d = c.dim(1);
+  std::int64_t updates = 0;
+  for (std::int64_t i = 0; i < h.dim(0); ++i) {
+    const std::int64_t y = labels[static_cast<std::size_t>(i)];
+    double hnorm = 0.0;
+    for (std::int64_t j = 0; j < d; ++j) {
+      hnorm += static_cast<double>(h(i, j)) * h(i, j);
+    }
+    hnorm = std::sqrt(hnorm);
+    std::int64_t best = 0;
+    double best_sim = -2.0, y_sim = 0.0;
+    for (std::int64_t k = 0; k < k_n; ++k) {
+      double dot = 0.0, cn = 0.0;
+      for (std::int64_t j = 0; j < d; ++j) {
+        dot += static_cast<double>(h(i, j)) * c(k, j);
+        cn += static_cast<double>(c(k, j)) * c(k, j);
+      }
+      double sim = 0.0;
+      if (adaptive) {
+        const double denom = hnorm * std::sqrt(cn);
+        sim = denom > 0.0 ? dot / denom : 0.0;
+      } else {
+        sim = cn > 0.0 ? dot / std::sqrt(cn) : 0.0;
+      }
+      if (sim > best_sim) {
+        best_sim = sim;
+        best = k;
+      }
+      if (k == y) y_sim = sim;
+    }
+    if (best == y) continue;
+    if (adaptive) {
+      const float gain_y = lr * static_cast<float>(1.0 - y_sim);
+      const float gain_b = lr * static_cast<float>(1.0 - best_sim);
+      for (std::int64_t j = 0; j < d; ++j) {
+        c(y, j) += gain_y * h(i, j);
+        c(best, j) -= gain_b * h(i, j);
+      }
+    } else {
+      for (std::int64_t j = 0; j < d; ++j) {
+        const float v = lr * h(i, j);
+        c(y, j) += v;
+        c(best, j) -= v;
+      }
+    }
+    ++updates;
+  }
+  return updates;
+}
+
+}  // namespace ref
+
+class ThreadCount {
+ public:
+  explicit ThreadCount(int n) : saved_(parallel::num_threads()) {
+    parallel::set_num_threads(n);
+  }
+  ~ThreadCount() { parallel::set_num_threads(saved_); }
+  ThreadCount(const ThreadCount&) = delete;
+  ThreadCount& operator=(const ThreadCount&) = delete;
+
+ private:
+  int saved_;
+};
+
+/// Bitwise equality (so +0 and -0 differ), except that any two NaNs
+/// match: when two NaNs meet in one addition IEEE 754 leaves the result's
+/// payload to the implementation, and the compiler may commute operands.
+void expect_hexfloat_eq(const Tensor& got, const Tensor& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    const bool both_nan = std::isnan(got.at(i)) && std::isnan(want.at(i));
+    ASSERT_TRUE(both_nan || std::bit_cast<std::uint32_t>(got.at(i)) ==
+                                std::bit_cast<std::uint32_t>(want.at(i)))
+        << what << " at flat " << i << ": " << std::hexfloat << got.at(i)
+        << " vs reference " << want.at(i);
+  }
+}
+
+// kCancelling makes every dot product cancel exactly in real arithmetic
+// (see cancel_in_pairs), so what the kernel returns is the rounding residue
+// of its summation order: a split or reordered sum changes the float
+// results, not only the low bits of a double.
+enum class Payload { kNormal, kZeroPrototypes, kSpecials, kCancelling };
+
+/// Spreads magnitudes over 2^0..2^40, then pairs up random columns (p, q)
+/// with h(:, q) = h(:, p) and c(:, q) = -c(:, p): each pair's products
+/// cancel, so every dot is zero in real arithmetic.
+void cancel_in_pairs(Tensor& h, Tensor& c, Rng& rng) {
+  for (Tensor* t : {&h, &c}) {
+    for (float& v : t->data()) {
+      v = std::ldexp(v, static_cast<int>(rng.randint(0, 40)));
+    }
+  }
+  const std::int64_t d = h.dim(1);
+  std::vector<std::int64_t> cols(static_cast<std::size_t>(d));
+  for (std::int64_t j = 0; j < d; ++j) cols[static_cast<std::size_t>(j)] = j;
+  rng.shuffle(cols);
+  for (std::size_t t = 0; t + 1 < cols.size(); t += 2) {
+    const std::int64_t p = cols[t], q = cols[t + 1];
+    for (std::int64_t i = 0; i < h.dim(0); ++i) h(i, q) = h(i, p);
+    for (std::int64_t k = 0; k < c.dim(0); ++k) c(k, q) = -c(k, p);
+  }
+}
+
+/// Writes ±0, ±Inf and NaN over a few spread-out entries.
+void sprinkle_specials(Tensor& t, std::uint64_t salt) {
+  const float specials[] = {0.0F, -0.0F, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  auto v = t.data();
+  for (std::size_t i = salt % 11; i < v.size(); i += 37) {
+    v[i] = specials[(i / 37 + salt) % 5];
+  }
+}
+
+struct BitExactCase {
+  std::int64_t k, d;
+  Payload payload;
+};
+
+std::string case_name(const BitExactCase& c, int threads) {
+  const char* p = c.payload == Payload::kNormal           ? "normal"
+                  : c.payload == Payload::kZeroPrototypes ? "zero-prototypes"
+                  : c.payload == Payload::kSpecials       ? "specials"
+                                                          : "cancelling";
+  return "K=" + std::to_string(c.k) + " d=" + std::to_string(c.d) + " " + p +
+         " threads=" + std::to_string(threads);
+}
+
+std::vector<BitExactCase> bit_exact_cases() {
+  std::vector<BitExactCase> out;
+  for (const std::int64_t k : {2, 3, 4, 5, 26}) {
+    for (const std::int64_t d : {1, 63, 10001}) {
+      for (const Payload p : {Payload::kNormal, Payload::kZeroPrototypes,
+                              Payload::kSpecials, Payload::kCancelling}) {
+        out.push_back({k, d, p});
+      }
+    }
+  }
+  return out;
+}
+
+struct CaseData {
+  Tensor c, h;
+  std::vector<std::int64_t> labels;
+  std::vector<bool> mask;
+};
+
+CaseData make_case(const BitExactCase& bc) {
+  Rng rng(static_cast<std::uint64_t>(1000 * bc.k + bc.d));
+  const std::int64_t n = 9;
+  CaseData out;
+  out.h = Tensor::randn(Shape{n, bc.d}, rng);
+  out.c = bc.payload == Payload::kZeroPrototypes
+              ? Tensor(Shape{bc.k, bc.d})
+              : Tensor::randn(Shape{bc.k, bc.d}, rng);
+  // One all-zero query row exercises hnorm == 0.
+  for (std::int64_t j = 0; j < bc.d; ++j) out.h(n - 1, j) = 0.0F;
+  if (bc.payload == Payload::kSpecials) {
+    sprinkle_specials(out.h, 1);
+    sprinkle_specials(out.c, 2);
+  }
+  if (bc.payload == Payload::kCancelling) cancel_in_pairs(out.h, out.c, rng);
+  for (std::int64_t i = 0; i < n; ++i) {
+    out.labels.push_back(rng.randint(0, bc.k - 1));
+  }
+  out.mask.resize(static_cast<std::size_t>(bc.d));
+  for (std::int64_t j = 0; j < bc.d; ++j) {
+    out.mask[static_cast<std::size_t>(j)] = rng.bernoulli(0.6);
+  }
+  return out;
+}
+
+TEST(ClassifierBitExact, InferenceMatchesReference) {
+  for (const int threads : {1, 4}) {
+    const ThreadCount tc(threads);
+    for (const auto& bc : bit_exact_cases()) {
+      const std::string name = case_name(bc, threads);
+      const CaseData data = make_case(bc);
+      HdClassifier clf(bc.k, bc.d);
+      clf.set_prototypes(data.c);
+      expect_hexfloat_eq(clf.similarities(data.h),
+                         ref::similarities(data.c, data.h),
+                         "similarities " + name);
+      expect_hexfloat_eq(clf.masked_similarities(data.h, data.mask),
+                         ref::similarities(data.c, data.h, &data.mask),
+                         "masked_similarities " + name);
+      EXPECT_EQ(clf.predict(data.h), ref::predict(data.c, data.h))
+          << "predict " << name;
+    }
+  }
+}
+
+TEST(ClassifierBitExact, RefinementMatchesReference) {
+  for (const int threads : {1, 4}) {
+    const ThreadCount tc(threads);
+    for (const auto& bc : bit_exact_cases()) {
+      for (const bool adaptive : {false, true}) {
+        const std::string name = std::string(adaptive ? "refine_epoch_adaptive "
+                                                      : "refine_epoch ") +
+                                 case_name(bc, threads);
+        const CaseData data = make_case(bc);
+        HdClassifier clf(bc.k, bc.d);
+        clf.set_prototypes(data.c);
+        Tensor want = data.c;
+        // Two epochs: the second starts from prototypes the first updated.
+        for (int e = 0; e < 2; ++e) {
+          const std::int64_t got_updates =
+              adaptive ? clf.refine_epoch_adaptive(data.h, data.labels, 0.5F)
+                       : clf.refine_epoch(data.h, data.labels, 0.5F);
+          const std::int64_t want_updates =
+              ref::refine_epoch(want, data.h, data.labels, 0.5F, adaptive);
+          EXPECT_EQ(got_updates, want_updates) << name << " epoch " << e;
+          expect_hexfloat_eq(clf.prototypes(), want,
+                             name + " epoch " + std::to_string(e));
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ quantizer

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "features/extractor.hpp"
+#include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -437,6 +438,39 @@ TEST(ZeroAlloc, HdEncodeSteadyState) {
   }
   const auto spy1 = util::alloc_spy_snapshot();
   EXPECT_EQ(spy1.count - spy0.count, 0U);
+}
+
+void expect_refine_allocation_free(int threads) {
+  const ThreadCountGuard guard(threads);
+  Rng rng(912);
+  const Tensor h = Tensor::randn(Shape{32, 1000}, rng);
+  std::vector<std::int64_t> labels(32);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int64_t>(i) % 10;
+  }
+  hdc::HdClassifier clf(10, 1000);
+  clf.bundle(h, labels);
+  (void)clf.refine_epoch(h, labels);  // warmup grows the arena
+
+  const auto spy0 = util::alloc_spy_snapshot();
+  for (int i = 0; i < 3; ++i) {
+    (void)clf.refine_epoch(h, labels);
+    (void)clf.refine_epoch_adaptive(h, labels);
+  }
+  const auto spy1 = util::alloc_spy_snapshot();
+  EXPECT_EQ(spy1.count - spy0.count, 0U)
+      << "steady-state refine_epoch allocated " << (spy1.bytes - spy0.bytes)
+      << " bytes in " << (spy1.count - spy0.count) << " calls";
+}
+
+TEST(ZeroAlloc, HdRefineEpochSerial) {
+  SKIP_IF_SANITIZED();
+  expect_refine_allocation_free(1);
+}
+
+TEST(ZeroAlloc, HdRefineEpochFourThreads) {
+  SKIP_IF_SANITIZED();
+  expect_refine_allocation_free(4);
 }
 
 TEST(ZeroAlloc, FeatureExtractSteadyState) {

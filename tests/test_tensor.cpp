@@ -1,12 +1,16 @@
 // Tests for src/tensor: Tensor container + ops.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace fhdnn {
@@ -293,6 +297,111 @@ TEST(Ops, MatmulRandomAgainstNaive) {
       double acc = 0.0;
       for (std::int64_t kk = 0; kk < k; ++kk) acc += a(i, kk) * b(kk, j);
       EXPECT_NEAR(c(i, j), acc, 1e-4);
+    }
+  }
+}
+
+
+// matmul_bt_into blocks four output columns at a time; each output must
+// still be the one sequential double sum of the naive loop, bit for bit.
+// n runs over every residue mod 4 on both sides of one block. Payload 1
+// writes ±0, ±Inf and NaN. Payload 2 spreads magnitudes over 2^0..2^40 and
+// pairs up random columns (p, q) with a(:, q) = a(:, p), b(:, q) = -b(:, p),
+// so every output cancels in real arithmetic and what is left is the
+// rounding residue of the summation order: a reordered sum changes the
+// float result, not only the double's low bits.
+TEST(Ops, MatmulBtBitExactAgainstNaive) {
+  const float specials[] = {0.0F, -0.0F, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  struct RestoreThreads {
+    int n;
+    ~RestoreThreads() { parallel::set_num_threads(n); }
+  } restore{parallel::num_threads()};
+  for (const int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    for (const std::int64_t k : {1, 7, 4096}) {
+      for (std::int64_t n = 1; n <= 9; ++n) {
+        for (const int payload : {0, 1, 2}) {
+          Rng rng(static_cast<std::uint64_t>(100 * k + n));
+          const std::int64_t m = 5;
+          Tensor a = Tensor::randn(Shape{m, k}, rng);
+          Tensor b = Tensor::randn(Shape{n, k}, rng);
+          if (payload == 1) {
+            for (std::size_t i = 3; i < a.vec().size(); i += 29) {
+              a.vec()[i] = specials[i % 5];
+            }
+            for (std::size_t i = 5; i < b.vec().size(); i += 31) {
+              b.vec()[i] = specials[(i + 2) % 5];
+            }
+          }
+          if (payload == 2) {
+            for (std::vector<float>* t : {&a.vec(), &b.vec()}) {
+              for (float& v : *t) {
+                v = std::ldexp(v, static_cast<int>(rng.randint(0, 40)));
+              }
+            }
+            std::vector<std::int64_t> cols(static_cast<std::size_t>(k));
+            for (std::int64_t kk = 0; kk < k; ++kk) {
+              cols[static_cast<std::size_t>(kk)] = kk;
+            }
+            rng.shuffle(cols);
+            for (std::size_t t = 0; t + 1 < cols.size(); t += 2) {
+              const std::int64_t p = cols[t], q = cols[t + 1];
+              for (std::int64_t i = 0; i < m; ++i) a(i, q) = a(i, p);
+              for (std::int64_t j = 0; j < n; ++j) b(j, q) = -b(j, p);
+            }
+          }
+          Tensor c(Shape{m, n});
+          ops::matmul_bt_into(a, b, c);
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              double acc = 0.0;
+              for (std::int64_t kk = 0; kk < k; ++kk) {
+                acc += static_cast<double>(a(i, kk)) * b(j, kk);
+              }
+              const float want = static_cast<float>(acc);
+              // Any two NaNs match: IEEE 754 leaves the payload of NaN + NaN
+              // to the implementation, and the compiler may commute it.
+              const bool both_nan = std::isnan(c(i, j)) && std::isnan(want);
+              ASSERT_TRUE(both_nan || std::bit_cast<std::uint32_t>(c(i, j)) ==
+                                          std::bit_cast<std::uint32_t>(want))
+                  << "k=" << k << " n=" << n << " payload=" << payload
+                  << " threads=" << threads
+                  << " at (" << i << ", " << j << "): " << std::hexfloat
+                  << c(i, j) << " vs naive " << want;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// dot_rows is matmul_bt's reduction without the final rounding to float:
+// exact double sums for any row count, and +0.0 for an empty inner dim
+// (views cannot express k = 0, so this is where that edge is pinned).
+TEST(Ops, DotRowsBitExactAgainstNaive) {
+  Rng rng(6);
+  for (const std::int64_t len : {0, 1, 63, 1000}) {
+    for (std::int64_t nrows = 0; nrows <= 9; ++nrows) {
+      std::vector<float> x(static_cast<std::size_t>(len));
+      std::vector<float> rows(static_cast<std::size_t>(nrows * len));
+      rng.fill_normal(x, 0.0F, 1.0F);
+      rng.fill_normal(rows, 0.0F, 1.0F);
+      std::vector<double> out(static_cast<std::size_t>(nrows), -1.0);
+      ops::dot_rows(x.data(), rows.data(), nrows, len, out.data());
+      for (std::int64_t r = 0; r < nrows; ++r) {
+        double want = 0.0;
+        for (std::int64_t j = 0; j < len; ++j) {
+          want += static_cast<double>(x[static_cast<std::size_t>(j)]) *
+                  rows[static_cast<std::size_t>(r * len + j)];
+        }
+        const double got = out[static_cast<std::size_t>(r)];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "len=" << len << " nrows=" << nrows << " row " << r;
+      }
     }
   }
 }
