@@ -83,19 +83,6 @@ struct TierResult {
   double bundle_ms;
 };
 
-/// The tiers this CPU can actually run, lowest first (set_simd_tier clamps
-/// unsupported requests, so a tier is available iff the request sticks).
-std::vector<SimdTier> available_tiers() {
-  const SimdTier restore = fhdnn::util::active_simd();
-  std::vector<SimdTier> tiers;
-  for (SimdTier t : {SimdTier::Scalar, SimdTier::Neon, SimdTier::Avx2,
-                     SimdTier::Avx512}) {
-    if (fhdnn::util::set_simd_tier(t) == t) tiers.push_back(t);
-  }
-  fhdnn::util::set_simd_tier(restore);
-  return tiers;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,7 +150,7 @@ int main(int argc, char** argv) {
 
   // Packed backend per available tier.
   std::vector<TierResult> tier_results;
-  for (SimdTier t : available_tiers()) {
+  for (SimdTier t : fhdnn::util::available_simd_tiers()) {
     fhdnn::util::set_simd_tier(t);
     TierResult r;
     r.name = std::string(fhdnn::util::simd_tier_name(t));

@@ -82,7 +82,9 @@ void conv2d_backward_into(ConstTensorView grad_out, ConstTensorView x,
 
 /// 2x2 (or kxk) max pooling with stride == kernel.
 /// Returns pooled output and the flat argmax index per output element
-/// (into the input tensor) for the backward pass.
+/// (into the input tensor) for the backward pass. Ties go to the first
+/// maximum in row-major window order; a window holding NaN outputs NaN
+/// with its first NaN as argmax.
 /// Aliasing: out must not overlap x.
 struct MaxPoolResult {
   Tensor output;

@@ -49,16 +49,19 @@ void scale_into(ConstTensorView a, float alpha, TensorView out);
 /// primitive; bit-identical to Tensor::axpy(1.0F, x).
 void accumulate(TensorView y, ConstTensorView x);
 
-/// Matrix product of a (m x k) and b (k x n) -> (m x n). Cache-blocked ikj
-/// loop order; the NN layers route all their heavy lifting through here.
-/// The `_into` form zero-fills out first (the accumulation identity).
+/// Matrix product of a (m x k) and b (k x n) -> (m x n). Each output is one
+/// float chain c = c + a * b from +0.0F in ascending k, run on the
+/// dispatched lane-mapped GEMM kernel (util/simd.hpp), so every SIMD tier
+/// and thread count gives the same bits.
 /// Aliasing: out must not overlap a or b (throws on overlap).
 Tensor matmul(const Tensor& a, const Tensor& b);
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// Matrix product with b transposed: a (m x k) * b^T where b is (n x k).
 /// Each output element is one sequential double sum over kk ascending,
-/// rounded to float once (the reduction the hexfloat goldens pin).
+/// rounded to float once (the reduction the hexfloat goldens pin). The
+/// smaller of a and b is packed into the calling thread's workspace for
+/// the lane-mapped kernel (DESIGN.md §11).
 /// Aliasing: out must not overlap a or b (throws on overlap).
 Tensor matmul_bt(const Tensor& a, const Tensor& b);
 void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out);
@@ -73,7 +76,7 @@ void dot_rows(const float* x, const float* rows, std::int64_t nrows,
               std::int64_t len, double* out);
 
 /// Matrix product with a transposed: a^T * b where a is (k x m), b is (k x n).
-/// The `_into` form zero-fills out first.
+/// Same per-output float chain as matmul.
 /// Aliasing: out must not overlap a or b (throws on overlap).
 Tensor matmul_at(const Tensor& a, const Tensor& b);
 void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out);

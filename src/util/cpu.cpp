@@ -81,6 +81,15 @@ SimdTier set_simd_tier(SimdTier tier) {
   return clamped;
 }
 
+std::vector<SimdTier> available_simd_tiers() {
+  std::vector<SimdTier> out;
+  for (const SimdTier t : {SimdTier::Scalar, SimdTier::Neon, SimdTier::Avx2,
+                           SimdTier::Avx512}) {
+    if (clamp_to_detected(t, detected_simd()) == t) out.push_back(t);
+  }
+  return out;
+}
+
 SimdTier parse_simd_tier(std::string_view name) {
   if (name == "scalar") return SimdTier::Scalar;
   if (name == "neon") return SimdTier::Neon;

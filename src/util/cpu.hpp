@@ -24,6 +24,7 @@
 #pragma once
 
 #include <string_view>
+#include <vector>
 
 namespace fhdnn::util {
 
@@ -44,6 +45,10 @@ SimdTier active_simd();
 /// supports are clamped to `detected_simd()`; returns the tier actually
 /// activated.
 SimdTier set_simd_tier(SimdTier tier);
+
+/// Every tier set_simd_tier() would activate unclamped on this CPU, lowest
+/// first; scalar is always among them. Changes no state.
+std::vector<SimdTier> available_simd_tiers();
 
 /// Parse `scalar` / `neon` / `avx2` / `avx512` / `native` (case-sensitive).
 /// `native` means "best detected". Throws fhdnn::Error on anything else.

@@ -1,5 +1,6 @@
 #include "util/simd.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 
@@ -31,6 +32,36 @@ void sub_scalar(float* out, const float* a, const float* b, std::int64_t n) {
 void mul_scalar(float* out, const float* a, const float* b, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
+
+// GEMM oracles. Lanes go eight at a time so eight independent chains are
+// in flight; each output is still its own chain in ascending kk, which is
+// all the contract fixes.
+constexpr std::int64_t kScalarLanes = 8;
+
+template <typename Acc, typename Panel>
+void gemm_scalar(const GemmArgs<Panel>& g) {
+  for (std::int64_t r = 0; r < g.rows; ++r) {
+    const float* xr = g.x + r * g.x_rs;
+    for (std::int64_t l0 = 0; l0 < g.lanes; l0 += kScalarLanes) {
+      const std::int64_t nl = std::min(kScalarLanes, g.lanes - l0);
+      Acc acc[kScalarLanes] = {};
+      for (std::int64_t kk = 0; kk < g.k; ++kk) {
+        const Acc xv = xr[kk * g.x_ks];
+        const Panel* pk = g.p + kk * g.p_ks + l0;
+        for (std::int64_t l = 0; l < nl; ++l) acc[l] += xv * pk[l];
+      }
+      for (std::int64_t l = 0; l < nl; ++l) {
+        g.c[r * g.c_rs + (l0 + l) * g.c_ls] = static_cast<float>(acc[l]);
+      }
+    }
+  }
+}
+
+void gemm_dot_f64_scalar(const GemmArgs<double>& g) {
+  gemm_scalar<double>(g);
+}
+
+void gemm_axpy_f32_scalar(const GemmArgs<float>& g) { gemm_scalar<float>(g); }
 
 void pack_signs_scalar(const float* src, std::uint64_t* dst,
                        std::int64_t nbits) {
@@ -75,10 +106,10 @@ std::uint64_t hamming_words_scalar(const std::uint64_t* a,
 }
 
 constexpr Kernels kScalar = {
-    axpy_scalar,         scale_scalar,        add_scalar,
-    sub_scalar,          mul_scalar,          pack_signs_scalar,
-    unpack_signs_scalar, xor_words_scalar,    popcount_words_scalar,
-    hamming_words_scalar,
+    axpy_scalar,         scale_scalar,          add_scalar,
+    sub_scalar,          mul_scalar,            gemm_dot_f64_scalar,
+    gemm_axpy_f32_scalar, pack_signs_scalar,    unpack_signs_scalar,
+    xor_words_scalar,    popcount_words_scalar, hamming_words_scalar,
 };
 
 /// Overlay `tier` onto `base`: non-null tier entries win.
@@ -90,6 +121,8 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
   if (tier->add_f32 != nullptr) out.add_f32 = tier->add_f32;
   if (tier->sub_f32 != nullptr) out.sub_f32 = tier->sub_f32;
   if (tier->mul_f32 != nullptr) out.mul_f32 = tier->mul_f32;
+  if (tier->gemm_dot_f64 != nullptr) out.gemm_dot_f64 = tier->gemm_dot_f64;
+  if (tier->gemm_axpy_f32 != nullptr) out.gemm_axpy_f32 = tier->gemm_axpy_f32;
   if (tier->pack_signs != nullptr) out.pack_signs = tier->pack_signs;
   if (tier->unpack_signs != nullptr) out.unpack_signs = tier->unpack_signs;
   if (tier->xor_words != nullptr) out.xor_words = tier->xor_words;

@@ -20,6 +20,11 @@
 // tests/test_packed.cpp pins every tier's output against the scalar tier
 // bit-for-bit, including NaN/Inf/-0.0 payloads.
 //
+// The two GEMM microkernels extend the same contract to whole matrix
+// products: each output element owns one lane of a register tile and keeps
+// its scalar chain (same operands, same order), so blocking only changes
+// how many chains are in flight.
+//
 // These kernels take raw pointers, not Tensor views: they are the innermost
 // building blocks underneath the `_into` layer and must stay free of any
 // per-call shape machinery.
@@ -30,6 +35,27 @@
 #include "util/cpu.hpp"
 
 namespace fhdnn::simd {
+
+/// One lane-mapped GEMM call (DESIGN.md §11). Output element (r, l), for
+/// r < rows and l < lanes, is the inner product over kk < k of
+///   x[r * x_rs + kk * x_ks]   (the broadcast operand, streamed)
+///   p[kk * p_ks + l]          (the k-major lane panel)
+/// stored at c[r * c_rs + l * c_ls]. One SIMD lane is one output element:
+/// the strides let the same kernel write a C tile (lanes over columns,
+/// c_ls = 1) or a C^T tile (lanes over rows, c_rs = 1). Kernels read only
+/// the listed elements, so a panel needs no padding; c must not overlap x
+/// or p. Every kk contributes, zeros included: 0 * Inf and 0 * NaN must
+/// give NaN as IEEE 754 says (the channel models rely on it).
+template <typename Panel>
+struct GemmArgs {
+  const float* x;
+  std::int64_t x_rs, x_ks;
+  const Panel* p;
+  std::int64_t p_ks;
+  float* c;
+  std::int64_t c_rs, c_ls;
+  std::int64_t rows, lanes, k;
+};
 
 /// One tier's kernel table. Null entries in a tier table mean "no
 /// accelerated version"; the dispatcher fills them from lower tiers.
@@ -47,6 +73,15 @@ struct Kernels {
   void (*sub_f32)(float* out, const float* a, const float* b, std::int64_t n);
   /// out[i] = a[i] * b[i]. out may alias a and/or b.
   void (*mul_f32)(float* out, const float* a, const float* b, std::int64_t n);
+  /// matmul_bt's reduction: each output is one sequential double sum
+  /// acc = acc + double(x) * p from +0.0 in ascending kk, rounded to float
+  /// once. The panel is pre-widened to double (the product of two floats
+  /// is exact in double, so widening either operand first changes nothing).
+  void (*gemm_dot_f64)(const GemmArgs<double>& g);
+  /// matmul / matmul_at's reduction: each output is one float chain
+  /// c = c + x * p from +0.0F in ascending kk, multiply and add rounded
+  /// separately.
+  void (*gemm_axpy_f32)(const GemmArgs<float>& g);
 
   // ---- bit kernels over packed hypervector words (integer-exact) ----
   /// Pack nbits sign bits: bit i of dst = (src[i] >= 0.0f), the library's

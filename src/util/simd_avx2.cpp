@@ -17,6 +17,8 @@
 
 #include <bit>
 
+#include "util/simd_gemm.hpp"
+
 namespace fhdnn::simd::detail {
 
 namespace {
@@ -185,9 +187,56 @@ std::uint64_t hamming_words_avx2(const std::uint64_t* a,
   return total;
 }
 
+// GEMM traits for simd_gemm.hpp. 4 x 2 tiles: eight accumulators plus two
+// panel registers and a broadcast stay within the 16 ymm registers.
+struct DotF64 {
+  using Panel = double;
+  using Vec = __m256d;
+  using Mask = __m256i;
+  static constexpr int W = 4, kRows = 4, kVecs = 2;
+  static Vec zero() { return _mm256_setzero_pd(); }
+  static Mask mask(std::int64_t n) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+  }
+  static Vec load(const double* p) { return _mm256_loadu_pd(p); }
+  static Vec load(const double* p, Mask m) { return _mm256_maskload_pd(p, m); }
+  static Vec bcast(float x) { return _mm256_set1_pd(static_cast<double>(x)); }
+  static Vec step(Vec acc, Vec x, Vec p) {
+    return _mm256_add_pd(acc, _mm256_mul_pd(x, p));
+  }
+  static void store(float* out, Vec v) {
+    _mm_storeu_ps(out, _mm256_cvtpd_ps(v));
+  }
+};
+
+struct AxpyF32 {
+  using Panel = float;
+  using Vec = __m256;
+  using Mask = __m256i;
+  static constexpr int W = 8, kRows = 4, kVecs = 2;
+  static Vec zero() { return _mm256_setzero_ps(); }
+  static Mask mask(std::int64_t n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static Vec load(const float* p) { return _mm256_loadu_ps(p); }
+  static Vec load(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
+  static Vec bcast(float x) { return _mm256_set1_ps(x); }
+  static Vec step(Vec acc, Vec x, Vec p) {
+    return _mm256_add_ps(acc, _mm256_mul_ps(x, p));
+  }
+  static void store(float* out, Vec v) { _mm256_storeu_ps(out, v); }
+};
+
+void gemm_dot_f64_avx2(const GemmArgs<double>& g) { gemm<DotF64>(g); }
+
+void gemm_axpy_f32_avx2(const GemmArgs<float>& g) { gemm<AxpyF32>(g); }
+
 constexpr Kernels kAvx2 = {
     axpy_avx2,         scale_avx2,     add_avx2,
-    sub_avx2,          mul_avx2,       pack_signs_avx2,
+    sub_avx2,          mul_avx2,       gemm_dot_f64_avx2,
+    gemm_axpy_f32_avx2, pack_signs_avx2,
     unpack_signs_avx2, xor_words_avx2, popcount_words_avx2,
     hamming_words_avx2,
 };

@@ -14,6 +14,8 @@
 
 #include <immintrin.h>
 
+#include "util/simd_gemm.hpp"
+
 namespace fhdnn::simd::detail {
 
 namespace {
@@ -105,9 +107,60 @@ void unpack_signs_avx512(const std::uint64_t* src, float* dst,
   }
 }
 
+// GEMM traits for simd_gemm.hpp. 4 x 4 tiles: 16 accumulators plus four
+// panel registers and a broadcast fit in the 32 zmm registers.
+struct DotF64 {
+  using Panel = double;
+  using Vec = __m512d;
+  using Mask = __mmask8;
+  static constexpr int W = 8, kRows = 4, kVecs = 4;
+  static Vec zero() { return _mm512_setzero_pd(); }
+  static Mask mask(std::int64_t n) {
+    return static_cast<Mask>((1U << n) - 1U);
+  }
+  static Vec load(const double* p) { return _mm512_loadu_pd(p); }
+  static Vec load(const double* p, Mask m) {
+    return _mm512_maskz_loadu_pd(m, p);
+  }
+  static Vec bcast(float x) { return _mm512_set1_pd(static_cast<double>(x)); }
+  static Vec step(Vec acc, Vec x, Vec p) {
+    return _mm512_add_pd(acc, _mm512_mul_pd(x, p));
+  }
+  // The all-lanes maskz form is the same conversion; GCC 12's plain
+  // _mm512_cvtpd_ps trips -Wmaybe-uninitialized inside its own header.
+  static void store(float* out, Vec v) {
+    _mm256_storeu_ps(out, _mm512_maskz_cvtpd_ps(0xFF, v));
+  }
+};
+
+struct AxpyF32 {
+  using Panel = float;
+  using Vec = __m512;
+  using Mask = __mmask16;
+  static constexpr int W = 16, kRows = 4, kVecs = 4;
+  static Vec zero() { return _mm512_setzero_ps(); }
+  static Mask mask(std::int64_t n) {
+    return static_cast<Mask>((1U << n) - 1U);
+  }
+  static Vec load(const float* p) { return _mm512_loadu_ps(p); }
+  static Vec load(const float* p, Mask m) {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
+  static Vec bcast(float x) { return _mm512_set1_ps(x); }
+  static Vec step(Vec acc, Vec x, Vec p) {
+    return _mm512_add_ps(acc, _mm512_mul_ps(x, p));
+  }
+  static void store(float* out, Vec v) { _mm512_storeu_ps(out, v); }
+};
+
+void gemm_dot_f64_avx512(const GemmArgs<double>& g) { gemm<DotF64>(g); }
+
+void gemm_axpy_f32_avx512(const GemmArgs<float>& g) { gemm<AxpyF32>(g); }
+
 constexpr Kernels kAvx512 = {
     axpy_avx512, scale_avx512,      add_avx512,
-    sub_avx512,  mul_avx512,        pack_signs_avx512,
+    sub_avx512,  mul_avx512,        gemm_dot_f64_avx512,
+    gemm_axpy_f32_avx512,           pack_signs_avx512,
     unpack_signs_avx512, nullptr /*xor_words: AVX2*/,
     nullptr /*popcount_words: AVX2*/, nullptr /*hamming_words: AVX2*/,
 };

@@ -1,0 +1,116 @@
+// Register-tile driver for the lane-mapped GEMM kernels (simd.hpp
+// GemmArgs), shared by the SIMD tier translation units and included only
+// by them. It is generic over a tier's vector traits `T`:
+//   Panel, Vec, Mask       panel element type, register type, lane mask
+//   W, kRows, kVecs        lanes per Vec; tile height and width in Vecs
+//   zero()                 all-+0.0 register
+//   mask(n)                mask of the first n lanes, 1 <= n <= W
+//   load(p), load(p, m)    W panel elements; the masked form reads only
+//                          the lanes in m and zeroes the others
+//   bcast(x)               x widened to the accumulator type in every lane
+//   step(acc, x, p)        acc + x * p, multiply and add rounded apart
+//   store(out, v)          v rounded to float into out[0..W)
+// Each TU instantiates the driver with its own traits types, which live in
+// an anonymous namespace, so every instantiation is local to that TU and
+// compiled with its target flags.
+//
+// A full tile is kRows rows by kVecs registers. Each lane of each
+// accumulator is one output element and sees exactly the scalar oracle's
+// chain (+0.0, then step() in ascending kk); tiling only decides how many
+// chains are in flight. Partial tiles at the row and lane edges run smaller
+// instantiations and a masked panel load; they store through a small
+// buffer, as do transposed tiles (c_ls != 1).
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+
+#include "util/simd.hpp"
+
+namespace fhdnn::simd::detail {
+
+template <typename T, int MR, int NV>
+void gemm_tile(const GemmArgs<typename T::Panel>& g, std::int64_t r0,
+               std::int64_t l0, std::int64_t nl) {
+  using Vec = typename T::Vec;
+  const typename T::Mask tail = T::mask(nl - (NV - 1) * T::W);
+  const std::int64_t k = g.k, x_ks = g.x_ks, p_ks = g.p_ks;
+  // Every index into acc must be a compile-time constant after unrolling,
+  // or the tile is kept in memory instead of registers.
+  Vec acc[MR][NV];
+  const float* xr[MR];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+    xr[r] = g.x + (r0 + r) * g.x_rs;
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) acc[r][v] = T::zero();
+  }
+  const typename T::Panel* pk = g.p + l0;
+  for (std::int64_t kk = 0; kk < k; ++kk, pk += p_ks) {
+    Vec pv[NV];
+#pragma GCC unroll 8
+    for (int v = 0; v + 1 < NV; ++v) pv[v] = T::load(pk + v * T::W);
+    pv[NV - 1] = T::load(pk + (NV - 1) * T::W, tail);
+    const std::int64_t xo = kk * x_ks;
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      const Vec xv = T::bcast(xr[r][xo]);
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) acc[r][v] = T::step(acc[r][v], xv, pv[v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      const std::int64_t lane = l0 + v * T::W;
+      const std::int64_t n = std::min<std::int64_t>(T::W, l0 + nl - lane);
+      float* out = g.c + (r0 + r) * g.c_rs + lane * g.c_ls;
+      if (g.c_ls == 1 && n == T::W) {
+        T::store(out, acc[r][v]);
+        continue;
+      }
+      float staged[T::W];
+      T::store(staged, acc[r][v]);
+      for (std::int64_t l = 0; l < n; ++l) out[l * g.c_ls] = staged[l];
+    }
+  }
+}
+
+/// Rows [r0, r0 + rows) in tiles of MR, then one smaller tile for the rest.
+template <typename T, int NV, int MR>
+void gemm_rows(const GemmArgs<typename T::Panel>& g, std::int64_t r0,
+               std::int64_t rows, std::int64_t l0, std::int64_t nl) {
+  for (; rows >= MR; r0 += MR, rows -= MR) gemm_tile<T, MR, NV>(g, r0, l0, nl);
+  if constexpr (MR > 1) {
+    if (rows > 0) gemm_rows<T, NV, MR - 1>(g, r0, rows, l0, nl);
+  }
+}
+
+/// One lane block of nl lanes, covered by the fewest registers that hold
+/// it. A one-register block gets twice the rows, so it still has as many
+/// independent chains in flight as a full tile.
+template <typename T, int NV = 1>
+void gemm_block(const GemmArgs<typename T::Panel>& g, std::int64_t l0,
+                std::int64_t nl) {
+  if constexpr (NV < T::kVecs) {
+    if (nl > NV * T::W) {
+      gemm_block<T, NV + 1>(g, l0, nl);
+      return;
+    }
+  }
+  constexpr int mr = NV == 1 ? 2 * T::kRows : T::kRows;
+  gemm_rows<T, NV, mr>(g, 0, g.rows, l0, nl);
+}
+
+/// Lane blocks outermost, so one block's panel columns stay cache-resident
+/// while every row streams past them.
+template <typename T>
+void gemm(const GemmArgs<typename T::Panel>& g) {
+  constexpr std::int64_t block = std::int64_t{T::W} * T::kVecs;
+  for (std::int64_t l0 = 0; l0 < g.lanes; l0 += block) {
+    gemm_block<T>(g, l0, std::min(block, g.lanes - l0));
+  }
+}
+
+}  // namespace fhdnn::simd::detail

@@ -108,7 +108,8 @@ std::uint64_t hamming_words_neon(const std::uint64_t* a,
 
 constexpr Kernels kNeon = {
     axpy_neon, scale_neon, add_neon,
-    sub_neon,  mul_neon,   nullptr /*pack_signs: scalar*/,
+    sub_neon,  mul_neon,   nullptr /*gemm_dot_f64: scalar*/,
+    nullptr /*gemm_axpy_f32: scalar*/, nullptr /*pack_signs: scalar*/,
     nullptr /*unpack_signs: scalar*/, xor_words_neon,
     popcount_words_neon, hamming_words_neon,
 };

@@ -43,7 +43,8 @@ void* Workspace::allocate(std::size_t bytes) {
   const std::size_t size =
       std::max({need, static_cast<std::size_t>(stats_.capacity_bytes),
                 kMinBlock});
-  blocks_.push_back(Block{std::make_unique<std::byte[]>(size), size, need});
+  blocks_.push_back(
+      Block{std::make_unique_for_overwrite<std::byte[]>(size), size, need});
   active_ = blocks_.size() - 1;
   ++stats_.heap_allocations;
   stats_.capacity_bytes += size;
@@ -83,7 +84,8 @@ void Workspace::reset() {
     // steady state never needs to hop blocks again.
     const auto total = static_cast<std::size_t>(stats_.capacity_bytes);
     blocks_.clear();
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(total), total, 0});
+    blocks_.push_back(
+        Block{std::make_unique_for_overwrite<std::byte[]>(total), total, 0});
     ++stats_.heap_allocations;
   } else if (!blocks_.empty()) {
     blocks_.front().used = 0;

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "tensor/conv.hpp"
 #include "tensor/tensor.hpp"
@@ -195,6 +196,40 @@ TEST(MaxPool, BackwardScattersToArgmax) {
   const Tensor gx = ops::maxpool2d_backward(g, res.argmax, x.shape());
   EXPECT_EQ(gx(0, 0, 1, 1), 2.5F);
   EXPECT_EQ(gx.sum(), 2.5);
+}
+
+// An all -inf window has no element above the old -inf seed; its argmax
+// must still be its own first element, not flat index 0 (image 0's pixel),
+// or backward adds image 1's gradient to image 0.
+TEST(MaxPool, AllNegInfWindowKeepsGradientInItsImage) {
+  const float ninf = -std::numeric_limits<float>::infinity();
+  Tensor x(Shape{2, 1, 2, 2}, {1, 2, 3, 4, ninf, ninf, ninf, ninf});
+  const auto res = ops::maxpool2d_forward(x, 2);
+  EXPECT_EQ(res.output(1, 0, 0, 0), ninf);
+  EXPECT_EQ(res.argmax[0], 3);
+  EXPECT_EQ(res.argmax[1], 4);
+  Tensor g(Shape{2, 1, 1, 1}, {1.0F, 10.0F});
+  const Tensor gx = ops::maxpool2d_backward(g, res.argmax, x.shape());
+  EXPECT_EQ(gx(0, 0, 0, 0), 0.0F);
+  EXPECT_EQ(gx(0, 0, 1, 1), 1.0F);
+  EXPECT_EQ(gx(1, 0, 0, 0), 10.0F);
+  EXPECT_EQ(gx.sum(), 11.0);
+}
+
+// A NaN in a window propagates to the output and takes the gradient: the
+// first NaN wins, wherever it sits and whatever surrounds it.
+TEST(MaxPool, NanWindowPropagates) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x(Shape{1, 3, 2, 2}, {nan, nan, nan, nan,     //
+                               5, nan, 9, nan,         //
+                               -1, -2, -3, -4});
+  const auto res = ops::maxpool2d_forward(x, 2);
+  EXPECT_TRUE(std::isnan(res.output(0, 0, 0, 0)));
+  EXPECT_EQ(res.argmax[0], 0);
+  EXPECT_TRUE(std::isnan(res.output(0, 1, 0, 0)));
+  EXPECT_EQ(res.argmax[1], 5);
+  EXPECT_EQ(res.output(0, 2, 0, 0), -1.0F);
+  EXPECT_EQ(res.argmax[2], 8);
 }
 
 TEST(MaxPool, RequiresDivisibleShape) {

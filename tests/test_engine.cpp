@@ -23,21 +23,44 @@
 #include "fl/fedhd.hpp"
 #include "hdc/encoder.hpp"
 #include "nn/resnet.hpp"
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace fhdnn {
 namespace {
 
-/// Restores the configured thread count when a test exits.
+/// Restores the configured thread count and SIMD tier when a test exits.
 class ThreadGuard {
  public:
-  ThreadGuard() : saved_(parallel::num_threads()) {}
-  ~ThreadGuard() { parallel::set_num_threads(saved_); }
+  ThreadGuard()
+      : saved_(parallel::num_threads()), tier_(util::active_simd()) {}
+  ~ThreadGuard() {
+    parallel::set_num_threads(saved_);
+    util::set_simd_tier(tier_);
+  }
 
  private:
   int saved_;
+  util::SimdTier tier_;
 };
+
+/// Runs `check` under every available tier at 1 and 4 threads: the golden
+/// histories are the same bits whichever kernels produced them.
+template <typename Check>
+void at_every_tier_and_thread_count(Check check) {
+  ThreadGuard guard;
+  for (const auto tier : util::available_simd_tiers()) {
+    util::set_simd_tier(tier);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string("tier=") +
+                   std::string(util::simd_tier_name(tier)) +
+                   " threads=" + std::to_string(threads));
+      parallel::set_num_threads(threads);
+      check();
+    }
+  }
+}
 
 // ------------------------------------------------------- golden histories
 
@@ -130,7 +153,7 @@ void expect_matches_golden(const fl::TrainingHistory& h,
   }
 }
 
-TEST(GoldenHistory, FedAvgMatchesPreRefactorRunAtEveryThreadCount) {
+TEST(GoldenHistory, FedAvgMatchesPreRefactorRunAtEveryTierAndThreadCount) {
   const std::vector<GoldenRound> golden = {
       {0x1.1111111111111p-2, 0x1.577e9c6aaaaabp+1, 3, 1240608, 19864512, 0,
        3925},
@@ -139,27 +162,20 @@ TEST(GoldenHistory, FedAvgMatchesPreRefactorRunAtEveryThreadCount) {
       {0x1.3333333333333p-2, 0x1.227d686d55556p+1, 2, 828192, 13243008, 0,
        2544},
   };
-  ThreadGuard guard;
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    parallel::set_num_threads(threads);
+  at_every_tier_and_thread_count([&] {
     const auto chan = channel::make_packet_loss(0.2, 1024);
     expect_matches_golden(run_golden_fedavg(chan.get()), golden);
-  }
+  });
 }
 
-TEST(GoldenHistory, FedHdMatchesPreRefactorRunAtEveryThreadCount) {
+TEST(GoldenHistory, FedHdMatchesPreRefactorRunAtEveryTierAndThreadCount) {
   const std::vector<GoldenRound> golden = {
       {0x1.6666666666666p-1, 0x1.948b0fcd6e9ep-8, 3, 12288, 98304, 12, 0},
       {0x1.8666666666666p-1, 0x1.68a7725080ce1p-5, 3, 12288, 98304, 11, 0},
       {0x1.8p-1, 0x1.cfb2b78c13522p-6, 2, 8192, 65536, 9, 0},
   };
-  ThreadGuard guard;
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    parallel::set_num_threads(threads);
-    expect_matches_golden(run_golden_fedhd(), golden);
-  }
+  at_every_tier_and_thread_count(
+      [&] { expect_matches_golden(run_golden_fedhd(), golden); });
 }
 
 // ------------------------------------- sampling/dropout stream prediction

@@ -377,26 +377,27 @@ class ThreadCountGuard {
   int saved_;
 };
 
-void expect_cnn_step_allocation_free(int threads) {
+/// Warm up, then require three more training steps to make no heap
+/// allocation and to leave the arena's capacity and high-water mark flat.
+void expect_step_allocation_free(nn::Module& net, const Shape& input,
+                                 int threads) {
   const ThreadCountGuard guard(threads);
-  Rng rng(808);
-  auto net = nn::make_mini_resnet(1, 10, 4, rng);
   nn::CrossEntropyLoss loss;
-  nn::Sgd opt(*net, {0.05F, 0.9F, 0.0F});
+  nn::Sgd opt(net, {0.05F, 0.9F, 0.0F});
   Rng data_rng(809);
-  const Tensor x = Tensor::randn(Shape{8, 1, 16, 16}, data_rng);
-  std::vector<std::int64_t> labels(8);
+  const Tensor x = Tensor::randn(input, data_rng);
+  std::vector<std::int64_t> labels(static_cast<std::size_t>(input[0]));
   for (std::size_t i = 0; i < labels.size(); ++i) {
     labels[i] = static_cast<std::int64_t>(i) % 10;
   }
 
   // Warmup: grows layer buffers, the arena, and (threaded) the pool.
-  training_step(*net, loss, opt, x, labels);
-  training_step(*net, loss, opt, x, labels);
+  training_step(net, loss, opt, x, labels);
+  training_step(net, loss, opt, x, labels);
 
   const auto ws_warm = util::tls_workspace().stats();
   const auto spy0 = util::alloc_spy_snapshot();
-  for (int i = 0; i < 3; ++i) training_step(*net, loss, opt, x, labels);
+  for (int i = 0; i < 3; ++i) training_step(net, loss, opt, x, labels);
   const auto spy1 = util::alloc_spy_snapshot();
   const auto ws_steady = util::tls_workspace().stats();
 
@@ -406,6 +407,22 @@ void expect_cnn_step_allocation_free(int threads) {
       << (spy1.count - spy0.count) << " calls";
   EXPECT_EQ(ws_steady.heap_allocations, ws_warm.heap_allocations);
   EXPECT_EQ(ws_steady.high_water_bytes, ws_warm.high_water_bytes);
+}
+
+void expect_cnn_step_allocation_free(int threads) {
+  Rng rng(808);
+  auto net = nn::make_mini_resnet(1, 10, 4, rng);
+  expect_step_allocation_free(*net, Shape{8, 1, 16, 16}, threads);
+}
+
+/// The paper's Cnn2 at the benchmark's minibatch (B = 10, 28x28). Its
+/// matmul_bt calls pack both ways: the convolutions and fc2 pack weight^T
+/// (lanes over output channels), fc1 packs its input^T (lanes over the
+/// batch of 10, fewer than its 128 outputs).
+void expect_cnn2_step_allocation_free(int threads) {
+  Rng rng(808);
+  auto net = nn::make_cnn2(1, 28, 10, rng);
+  expect_step_allocation_free(*net, Shape{10, 1, 28, 28}, threads);
 }
 
 }  // namespace
@@ -418,6 +435,16 @@ TEST(ZeroAlloc, CnnTrainingStepSerial) {
 TEST(ZeroAlloc, CnnTrainingStepFourThreads) {
   SKIP_IF_SANITIZED();
   expect_cnn_step_allocation_free(4);
+}
+
+TEST(ZeroAlloc, Cnn2TrainingStepSerial) {
+  SKIP_IF_SANITIZED();
+  expect_cnn2_step_allocation_free(1);
+}
+
+TEST(ZeroAlloc, Cnn2TrainingStepFourThreads) {
+  SKIP_IF_SANITIZED();
+  expect_cnn2_step_allocation_free(4);
 }
 
 TEST(ZeroAlloc, HdEncodeSteadyState) {

@@ -4,10 +4,12 @@
 // the dispatched kernels — including NaN/Inf/-0.0 payloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "hdc/binary_model.hpp"
@@ -233,18 +235,16 @@ TEST(SimdDispatch, SetTierClampsToDetected) {
   EXPECT_EQ(util::set_simd_tier(det), det);
   EXPECT_LE(static_cast<int>(util::set_simd_tier(util::SimdTier::Avx512)),
             static_cast<int>(det));
-  util::set_simd_tier(before);
-}
-
-/// All tiers the current CPU (and build) can actually run.
-std::vector<util::SimdTier> available_tiers() {
-  std::vector<util::SimdTier> out{util::SimdTier::Scalar};
-  for (const auto t : {util::SimdTier::Neon, util::SimdTier::Avx2,
-                       util::SimdTier::Avx512}) {
-    if (util::set_simd_tier(t) == t) out.push_back(t);
+  // available_simd_tiers() lists exactly the requests that stick.
+  const auto avail = util::available_simd_tiers();
+  for (const auto t :
+       {util::SimdTier::Scalar, util::SimdTier::Neon, util::SimdTier::Avx2,
+        util::SimdTier::Avx512}) {
+    EXPECT_EQ(std::find(avail.begin(), avail.end(), t) != avail.end(),
+              util::set_simd_tier(t) == t)
+        << util::simd_tier_name(t);
   }
-  util::set_simd_tier(util::detected_simd());
-  return out;
+  util::set_simd_tier(before);
 }
 
 /// Float payload mixing ordinary values with the IEEE-754 specials that
@@ -285,7 +285,7 @@ TEST(SimdKernels, FloatKernelsBitExactAcrossTiers) {
   std::vector<float> y0(n);
   rng.fill_normal(y0, 1.0F, 3.0F);
   const auto& scalar = simd::detail::scalar_table();
-  for (const auto tier : available_tiers()) {
+  for (const auto tier : util::available_simd_tiers()) {
     const auto& k = simd::kernels_for(tier);
     for (const float a : {0.5F, -1.25F, 0.0F, 1.0F}) {
       std::vector<float> want = y0, got = y0;
@@ -328,7 +328,7 @@ TEST(SimdKernels, BitKernelsExactAcrossTiers) {
     other[w] = rng.next_u64();
   }
   other.back() &= tail_mask(nbits);
-  for (const auto tier : available_tiers()) {
+  for (const auto tier : util::available_simd_tiers()) {
     const auto& k = simd::kernels_for(tier);
     std::vector<std::uint64_t> got_bits(static_cast<std::size_t>(nwords));
     k.pack_signs(src.data(), got_bits.data(), nbits);
@@ -355,6 +355,167 @@ TEST(SimdKernels, BitKernelsExactAcrossTiers) {
   }
 }
 
+// The GEMM microkernels against per-element oracles written here: a double
+// chain from +0.0 rounded once (gemm_dot_f64) and a float chain from +0.0F
+// (gemm_axpy_f32), each in ascending kk. Rows and lanes each sweep 1..35,
+// past every register-tile edge of every tier, in the three layouts the
+// matmul family uses: contiguous x rows, strided x columns (matmul_at),
+// and transposed stores (matmul_bt with lanes over rows). Panel padding
+// holds NaN and unwritten output holds a sentinel, so a kernel that reads
+// or writes outside its listed elements fails too. Payloads: normal, the
+// IEEE specials, and "cancelling" pairs of kk whose products cancel
+// exactly, so any reordered chain changes the rounded result.
+enum class GemmPayload { kNormal, kSpecial, kCancelling };
+
+struct GemmCase {
+  std::int64_t rows, lanes, k;
+  int layout;  // 0: x rows, 1: x columns, 2: transposed out
+  GemmPayload payload;
+};
+
+template <typename Panel>
+struct GemmBuffers {
+  std::vector<float> x;
+  std::vector<Panel> p;
+  simd::GemmArgs<Panel> args(std::vector<float>& c, const GemmCase& gc) {
+    const std::int64_t r = gc.rows, l = gc.lanes, k = gc.k;
+    simd::GemmArgs<Panel> g{.x = x.data(), .x_rs = k, .x_ks = 1,
+                            .p = p.data(), .p_ks = l + 3, .c = c.data(),
+                            .c_rs = l + 2, .c_ls = 1, .rows = r, .lanes = l,
+                            .k = k};
+    if (gc.layout == 1) {
+      g.x_rs = 1;
+      g.x_ks = r;
+    }
+    if (gc.layout == 2) {
+      g.c_rs = 1;
+      g.c_ls = r;
+    }
+    return g;
+  }
+};
+
+constexpr float kSentinel = 12345.0F;
+
+template <typename Panel>
+GemmBuffers<Panel> make_gemm_buffers(const GemmCase& gc, Rng& rng) {
+  const std::int64_t r = gc.rows, l = gc.lanes, k = gc.k;
+  const std::int64_t p_ks = l + 3;
+  // x holds (row, kk) at row * x_rs + kk * x_ks, as args() lays it out;
+  // pf is the dense (k x lanes) panel before padding.
+  const std::int64_t x_rs = gc.layout == 1 ? 1 : k;
+  const std::int64_t x_ks = gc.layout == 1 ? r : 1;
+  std::vector<float> x(static_cast<std::size_t>(r * k));
+  std::vector<float> pf(static_cast<std::size_t>(k * l));
+  if (gc.payload == GemmPayload::kSpecial) {
+    x = special_payload(x.size(), rng);
+    pf = special_payload(pf.size(), rng);
+  } else {
+    rng.fill_normal(x, 0.0F, 1.0F);
+    rng.fill_normal(pf, 0.0F, 1.0F);
+  }
+  if (gc.payload == GemmPayload::kCancelling) {
+    for (std::vector<float>* t : {&x, &pf}) {
+      for (float& v : *t) {
+        v = std::ldexp(v, static_cast<int>(rng.randint(0, 40)));
+      }
+    }
+    std::vector<std::int64_t> order(static_cast<std::size_t>(k));
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      order[static_cast<std::size_t>(kk)] = kk;
+    }
+    rng.shuffle(order);
+    for (std::size_t t = 0; t + 1 < order.size(); t += 2) {
+      const std::int64_t a = order[t], b = order[t + 1];
+      for (std::int64_t row = 0; row < r; ++row) {
+        x[static_cast<std::size_t>(row * x_rs + b * x_ks)] =
+            x[static_cast<std::size_t>(row * x_rs + a * x_ks)];
+      }
+      for (std::int64_t lane = 0; lane < l; ++lane) {
+        pf[static_cast<std::size_t>(b * l + lane)] =
+            -pf[static_cast<std::size_t>(a * l + lane)];
+      }
+    }
+  }
+  GemmBuffers<Panel> out{std::move(x), {}};
+  out.p.assign(static_cast<std::size_t>(k * p_ks),
+               std::numeric_limits<Panel>::quiet_NaN());
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    for (std::int64_t lane = 0; lane < l; ++lane) {
+      out.p[static_cast<std::size_t>(kk * p_ks + lane)] =
+          pf[static_cast<std::size_t>(kk * l + lane)];
+    }
+  }
+  return out;
+}
+
+/// Per-element oracle, then every tier's kernel, compared bit for bit (any
+/// NaN matches any NaN: IEEE 754 leaves NaN + NaN's payload open).
+template <typename Acc, typename Panel>
+void expect_gemm_kernel_bit_exact(
+    void (*const simd::Kernels::*kernel)(const simd::GemmArgs<Panel>&),
+    const GemmCase& gc, Rng& rng) {
+  GemmBuffers<Panel> buf = make_gemm_buffers<Panel>(gc, rng);
+  const std::int64_t c_size = gc.rows * (gc.lanes + 2);
+  std::vector<float> want(static_cast<std::size_t>(c_size), kSentinel);
+  std::vector<float> c = want;
+  const simd::GemmArgs<Panel> g = buf.args(want, gc);
+  for (std::int64_t r = 0; r < g.rows; ++r) {
+    for (std::int64_t l = 0; l < g.lanes; ++l) {
+      Acc acc = 0;
+      for (std::int64_t kk = 0; kk < g.k; ++kk) {
+        acc += static_cast<Acc>(g.x[r * g.x_rs + kk * g.x_ks]) *
+               g.p[kk * g.p_ks + l];
+      }
+      want[static_cast<std::size_t>(r * g.c_rs + l * g.c_ls)] =
+          static_cast<float>(acc);
+    }
+  }
+  for (const auto tier : util::available_simd_tiers()) {
+    std::fill(c.begin(), c.end(), kSentinel);
+    (simd::kernels_for(tier).*kernel)(buf.args(c, gc));
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      const bool both_nan = std::isnan(c[i]) && std::isnan(want[i]);
+      ASSERT_TRUE(both_nan || std::bit_cast<std::uint32_t>(c[i]) ==
+                                  std::bit_cast<std::uint32_t>(want[i]))
+          << util::simd_tier_name(tier) << " rows=" << gc.rows
+          << " lanes=" << gc.lanes << " k=" << gc.k
+          << " layout=" << gc.layout
+          << " payload=" << static_cast<int>(gc.payload) << " at " << i
+          << ": " << std::hexfloat << c[i] << " vs oracle " << want[i];
+    }
+  }
+}
+
+TEST(SimdKernels, GemmKernelsBitExactAcrossTiers) {
+  Rng rng(54);
+  std::vector<GemmCase> cases;
+  for (const auto payload : {GemmPayload::kNormal, GemmPayload::kSpecial,
+                             GemmPayload::kCancelling}) {
+    for (int layout = 0; layout < 3; ++layout) {
+      for (const std::int64_t k : {1, 9, 144}) {
+        for (std::int64_t t = 1; t <= 35; ++t) {
+          for (const std::int64_t other : {1, 9, 35}) {
+            cases.push_back({t, other, k, layout, payload});
+            cases.push_back({other, t, k, layout, payload});
+          }
+        }
+      }
+      for (const std::int64_t rows : {1, 9, 35}) {
+        for (const std::int64_t lanes : {1, 9, 35}) {
+          cases.push_back({rows, lanes, 1568, layout, payload});
+        }
+      }
+    }
+  }
+  for (const GemmCase& gc : cases) {
+    expect_gemm_kernel_bit_exact<double, double>(
+        &simd::Kernels::gemm_dot_f64, gc, rng);
+    expect_gemm_kernel_bit_exact<float, float>(&simd::Kernels::gemm_axpy_f32,
+                                               gc, rng);
+  }
+}
+
 TEST(SimdKernels, PackedPipelineIdenticalUnderEveryTier) {
   // End-to-end: the packed classify pipeline produces identical bits and
   // predictions whichever tier is active.
@@ -365,7 +526,7 @@ TEST(SimdKernels, PackedPipelineIdenticalUnderEveryTier) {
   std::vector<std::int64_t> first;
   std::vector<std::uint64_t> first_words;
   bool have_first = false;
-  for (const auto tier : available_tiers()) {
+  for (const auto tier : util::available_simd_tiers()) {
     util::set_simd_tier(tier);
     const PackedModel pp = pack_rows(protos);
     const auto preds = classify_packed(pp, pack_rows(queries));

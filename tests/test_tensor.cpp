@@ -1,14 +1,17 @@
 // Tests for src/tensor: Tensor container + ops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -302,75 +305,183 @@ TEST(Ops, MatmulRandomAgainstNaive) {
 }
 
 
-// matmul_bt_into blocks four output columns at a time; each output must
-// still be the one sequential double sum of the naive loop, bit for bit.
-// n runs over every residue mod 4 on both sides of one block. Payload 1
-// writes ±0, ±Inf and NaN. Payload 2 spreads magnitudes over 2^0..2^40 and
-// pairs up random columns (p, q) with a(:, q) = a(:, p), b(:, q) = -b(:, p),
-// so every output cancels in real arithmetic and what is left is the
-// rounding residue of the summation order: a reordered sum changes the
-// float result, not only the double's low bits.
-TEST(Ops, MatmulBtBitExactAgainstNaive) {
-  const float specials[] = {0.0F, -0.0F, std::numeric_limits<float>::infinity(),
-                            -std::numeric_limits<float>::infinity(),
-                            std::numeric_limits<float>::quiet_NaN()};
-  struct RestoreThreads {
-    int n;
-    ~RestoreThreads() { parallel::set_num_threads(n); }
-  } restore{parallel::num_threads()};
-  for (const int threads : {1, 4}) {
-    parallel::set_num_threads(threads);
-    for (const std::int64_t k : {1, 7, 4096}) {
-      for (std::int64_t n = 1; n <= 9; ++n) {
-        for (const int payload : {0, 1, 2}) {
-          Rng rng(static_cast<std::uint64_t>(100 * k + n));
-          const std::int64_t m = 5;
-          Tensor a = Tensor::randn(Shape{m, k}, rng);
-          Tensor b = Tensor::randn(Shape{n, k}, rng);
-          if (payload == 1) {
-            for (std::size_t i = 3; i < a.vec().size(); i += 29) {
-              a.vec()[i] = specials[i % 5];
-            }
-            for (std::size_t i = 5; i < b.vec().size(); i += 31) {
-              b.vec()[i] = specials[(i + 2) % 5];
-            }
+// The matmul family against per-element oracles: matmul and matmul_at keep
+// one float chain per output (c = c + a * b from +0.0F, kk ascending),
+// matmul_bt one double chain rounded once. Every available SIMD tier at 1
+// and 4 threads must give those bits. m and n each sweep 1..35, so both
+// matmul_bt packing directions (lanes over the smaller side) and every
+// tile edge are hit; k runs over {1, 9, 144} there and 1568 at a few
+// corner shapes; the Cnn2 layer shapes at the benchmark's batch of 10 and
+// the HD encoder's 20 x 512 -> 10000 projection run as well. Payload 1
+// writes ±0, ±Inf, NaN and subnormals. Payload 2 spreads magnitudes over
+// 2^0..2^40 and pairs up random kk (p, q) with a(:, q) = a(:, p) and
+// b(q, :) = -b(p, :), so every output cancels in real arithmetic and what
+// is left is the rounding residue of the summation order: a reordered
+// chain changes the float result, not only a double's low bits.
+enum class MatmulOp { kMatmul, kMatmulBt, kMatmulAt };
+
+struct MatmulProblem {
+  MatmulOp op;
+  std::int64_t m, k, n;
+  Tensor a, b;
+
+  MatmulProblem(MatmulOp o, std::int64_t m_, std::int64_t k_, std::int64_t n_,
+                int payload, Rng& rng)
+      : op(o), m(m_), k(k_), n(n_),
+        a(Tensor::randn(o == MatmulOp::kMatmulAt ? Shape{k, m} : Shape{m, k},
+                        rng)),
+        b(Tensor::randn(o == MatmulOp::kMatmulBt ? Shape{n, k} : Shape{k, n},
+                        rng)) {
+    const float specials[] = {
+        0.0F, -0.0F, std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::denorm_min(), -1e-39F};
+    if (payload == 1) {
+      for (std::size_t i = 3; i < a.vec().size(); i += 29) {
+        a.vec()[i] = specials[i % 7];
+      }
+      for (std::size_t i = 5; i < b.vec().size(); i += 31) {
+        b.vec()[i] = specials[(i + 2) % 7];
+      }
+    }
+    if (payload == 2) {
+      for (std::vector<float>* t : {&a.vec(), &b.vec()}) {
+        for (float& v : *t) {
+          v = std::ldexp(v, static_cast<int>(rng.randint(0, 40)));
+        }
+      }
+      std::vector<std::int64_t> cols(static_cast<std::size_t>(k));
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        cols[static_cast<std::size_t>(kk)] = kk;
+      }
+      rng.shuffle(cols);
+      for (std::size_t t = 0; t + 1 < cols.size(); t += 2) {
+        const std::int64_t p = cols[t], q = cols[t + 1];
+        for (std::int64_t i = 0; i < m; ++i) lhs(i, q) = lhs(i, p);
+        for (std::int64_t j = 0; j < n; ++j) rhs(q, j) = -rhs(p, j);
+      }
+    }
+  }
+
+  /// The (i, kk) factor of output row i and the (kk, j) factor of column j.
+  float& lhs(std::int64_t i, std::int64_t kk) {
+    float* pa = a.data().data();
+    return op == MatmulOp::kMatmulAt ? pa[kk * m + i] : pa[i * k + kk];
+  }
+  float& rhs(std::int64_t kk, std::int64_t j) {
+    float* pb = b.data().data();
+    return op == MatmulOp::kMatmulBt ? pb[j * k + kk] : pb[kk * n + j];
+  }
+
+  std::vector<float> naive() {
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        float out = 0.0F;
+        if (op == MatmulOp::kMatmulBt) {
+          double acc = 0.0;
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            acc += static_cast<double>(lhs(i, kk)) * rhs(kk, j);
           }
-          if (payload == 2) {
-            for (std::vector<float>* t : {&a.vec(), &b.vec()}) {
-              for (float& v : *t) {
-                v = std::ldexp(v, static_cast<int>(rng.randint(0, 40)));
-              }
-            }
-            std::vector<std::int64_t> cols(static_cast<std::size_t>(k));
-            for (std::int64_t kk = 0; kk < k; ++kk) {
-              cols[static_cast<std::size_t>(kk)] = kk;
-            }
-            rng.shuffle(cols);
-            for (std::size_t t = 0; t + 1 < cols.size(); t += 2) {
-              const std::int64_t p = cols[t], q = cols[t + 1];
-              for (std::int64_t i = 0; i < m; ++i) a(i, q) = a(i, p);
-              for (std::int64_t j = 0; j < n; ++j) b(j, q) = -b(j, p);
-            }
+          out = static_cast<float>(acc);
+        } else {
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            out += lhs(i, kk) * rhs(kk, j);
           }
-          Tensor c(Shape{m, n});
-          ops::matmul_bt_into(a, b, c);
-          for (std::int64_t i = 0; i < m; ++i) {
-            for (std::int64_t j = 0; j < n; ++j) {
-              double acc = 0.0;
-              for (std::int64_t kk = 0; kk < k; ++kk) {
-                acc += static_cast<double>(a(i, kk)) * b(j, kk);
-              }
-              const float want = static_cast<float>(acc);
-              // Any two NaNs match: IEEE 754 leaves the payload of NaN + NaN
-              // to the implementation, and the compiler may commute it.
-              const bool both_nan = std::isnan(c(i, j)) && std::isnan(want);
-              ASSERT_TRUE(both_nan || std::bit_cast<std::uint32_t>(c(i, j)) ==
-                                          std::bit_cast<std::uint32_t>(want))
-                  << "k=" << k << " n=" << n << " payload=" << payload
-                  << " threads=" << threads
-                  << " at (" << i << ", " << j << "): " << std::hexfloat
-                  << c(i, j) << " vs naive " << want;
-            }
+        }
+        c[static_cast<std::size_t>(i * n + j)] = out;
+      }
+    }
+    return c;
+  }
+
+  void run(Tensor& c) const {
+    switch (op) {
+      case MatmulOp::kMatmul:
+        ops::matmul_into(a, b, c);
+        break;
+      case MatmulOp::kMatmulBt:
+        ops::matmul_bt_into(a, b, c);
+        break;
+      case MatmulOp::kMatmulAt:
+        ops::matmul_at_into(a, b, c);
+        break;
+    }
+  }
+};
+
+TEST(Ops, MatmulFamilyBitExactAgainstNaive) {
+  struct Restore {
+    int threads;
+    util::SimdTier tier;
+    ~Restore() {
+      parallel::set_num_threads(threads);
+      util::set_simd_tier(tier);
+    }
+  } restore{parallel::num_threads(), util::active_simd()};
+  struct Dims {
+    std::int64_t m, k, n;
+  };
+  std::vector<Dims> dims;
+  for (const std::int64_t k : {1, 9, 144}) {
+    for (std::int64_t t = 1; t <= 35; ++t) {
+      for (const std::int64_t other : {1, 9, 35}) {
+        dims.push_back({t, k, other});
+        dims.push_back({other, k, t});
+      }
+    }
+  }
+  for (const std::int64_t m : {1, 9, 35}) {
+    for (const std::int64_t n : {1, 9, 35}) dims.push_back({m, 1568, n});
+  }
+  const std::vector<std::pair<MatmulOp, Dims>> layer_shapes = {
+      {MatmulOp::kMatmulBt, {7840, 9, 16}},     // conv1 forward
+      {MatmulOp::kMatmulAt, {16, 7840, 9}},     // conv1 weight grad
+      {MatmulOp::kMatmul, {7840, 16, 9}},       // conv1 input grad
+      {MatmulOp::kMatmulBt, {1960, 144, 32}},   // conv2 forward
+      {MatmulOp::kMatmulAt, {32, 1960, 144}},   // conv2 weight grad
+      {MatmulOp::kMatmul, {1960, 32, 144}},     // conv2 input grad
+      {MatmulOp::kMatmulBt, {10, 1568, 128}},   // fc1 forward
+      {MatmulOp::kMatmulAt, {128, 10, 1568}},   // fc1 weight grad
+      {MatmulOp::kMatmul, {10, 128, 1568}},     // fc1 input grad
+      {MatmulOp::kMatmulBt, {10, 128, 10}},     // fc2 forward
+      {MatmulOp::kMatmulBt, {20, 512, 10000}},  // HD encoder
+  };
+  std::vector<std::pair<MatmulOp, Dims>> problems;
+  for (const Dims& d : dims) {
+    for (const auto op :
+         {MatmulOp::kMatmul, MatmulOp::kMatmulBt, MatmulOp::kMatmulAt}) {
+      problems.push_back({op, d});
+    }
+  }
+  problems.insert(problems.end(), layer_shapes.begin(), layer_shapes.end());
+  const std::vector<util::SimdTier> tiers = util::available_simd_tiers();
+  std::uint64_t seed = 100;
+  for (const auto& [op, d] : problems) {
+    for (const int payload : {0, 1, 2}) {
+      Rng rng(++seed);
+      MatmulProblem prob(op, d.m, d.k, d.n, payload, rng);
+      const std::vector<float> want = prob.naive();
+      Tensor c(Shape{d.m, d.n});
+      for (const auto tier : tiers) {
+        util::set_simd_tier(tier);
+        for (const int threads : {1, 4}) {
+          parallel::set_num_threads(threads);
+          std::fill(c.vec().begin(), c.vec().end(), 12345.0F);
+          prob.run(c);
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            const float got = c.vec()[i];
+            // Any two NaNs match: IEEE 754 leaves the payload of NaN + NaN
+            // to the implementation, and the compiler may commute it.
+            const bool both_nan = std::isnan(got) && std::isnan(want[i]);
+            ASSERT_TRUE(both_nan || std::bit_cast<std::uint32_t>(got) ==
+                                        std::bit_cast<std::uint32_t>(want[i]))
+                << "op=" << static_cast<int>(op) << " m=" << d.m
+                << " k=" << d.k << " n=" << d.n << " payload=" << payload
+                << " tier=" << util::simd_tier_name(tier)
+                << " threads=" << threads << " at " << i << ": "
+                << std::hexfloat << got << " vs naive " << want[i];
           }
         }
       }
