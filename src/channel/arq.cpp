@@ -9,16 +9,6 @@
 
 namespace fhdnn::channel {
 
-std::uint32_t crc32(const void* data, std::size_t len) {
-  // One CRC-32 in the codebase: the snapshot subsystem owns the table
-  // (util/snapshot.cpp); ARQ frames and snapshot chunks share it.
-  return util::crc32(data, len);
-}
-
-std::uint32_t crc32(const float* data, std::size_t count) {
-  return crc32(static_cast<const void*>(data), count * sizeof(float));
-}
-
 double arq_backoff_seconds(const ArqConfig& config, int retry) {
   FHDNN_CHECK(retry >= 1, "ARQ backoff retry " << retry);
   double backoff = config.initial_backoff_seconds;
@@ -59,7 +49,9 @@ TransportStats ReliableChannel::apply_scaled(std::vector<float>& payload,
     const std::size_t end =
         std::min(payload.size(), begin + floats_per_frame);
     const std::size_t len = end - begin;
-    const std::uint32_t sent_crc = crc32(payload.data() + begin, len);
+    const std::size_t len_bytes = len * sizeof(float);
+    const std::uint32_t sent_crc =
+        util::crc32(payload.data() + begin, len_bytes);
     const std::uint64_t frame_bits = len * 32 + 32;  // payload + CRC field
 
     for (int attempt = 0;; ++attempt) {
@@ -81,7 +73,7 @@ TransportStats ReliableChannel::apply_scaled(std::vector<float>& payload,
       }
       // The receiver only has the CRC: a corrupted frame whose CRC happens
       // to collide is accepted corrupted (probability ~2^-32 per frame).
-      const bool accepted = crc32(frame.data(), len) == sent_crc;
+      const bool accepted = util::crc32(frame.data(), len_bytes) == sent_crc;
       const bool out_of_retries = attempt >= config_.max_retries;
       if (accepted || out_of_retries) {
         if (!accepted) ++stats.residual_errors;  // delivered corrupted

@@ -31,13 +31,6 @@
 
 namespace fhdnn::channel {
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over raw bytes.
-/// crc32("123456789") == 0xCBF43926 (the standard check value).
-std::uint32_t crc32(const void* data, std::size_t len);
-
-/// CRC-32 over the IEEE-754 byte representation of a float span.
-std::uint32_t crc32(const float* data, std::size_t count);
-
 /// How the sender schedules retransmissions.
 enum class ArqMode {
   StopAndWait,      ///< one frame in flight; every frame waits for its ACK

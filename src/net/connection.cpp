@@ -5,10 +5,9 @@
 namespace fhdnn::net {
 
 void MessageChannel::send(const wire::Frame& frame) {
-  const std::vector<std::uint8_t> encoded =
-      wire::encode_frame(frame.type, frame.payload);
-  bytes_sent_ += encoded.size();
-  tx_.insert(tx_.end(), encoded.begin(), encoded.end());
+  const std::size_t queued = tx_.size();
+  wire::append_frame(tx_, frame.type, frame.payload);
+  bytes_sent_ += tx_.size() - queued;
   flush();
 }
 

@@ -16,11 +16,11 @@ namespace {
 /// part of the baseline ISA so no runtime probe is needed.
 SimdTier probe() {
 #if defined(__x86_64__) || defined(_M_X64)
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
-    return SimdTier::Avx512;
-  }
-  if (__builtin_cpu_supports("avx2")) return SimdTier::Avx2;
-  return SimdTier::Scalar;
+  return x86_tier({.avx2 = __builtin_cpu_supports("avx2") != 0,
+                   .popcnt = __builtin_cpu_supports("popcnt") != 0,
+                   .pclmul = __builtin_cpu_supports("pclmul") != 0,
+                   .avx512f = __builtin_cpu_supports("avx512f") != 0,
+                   .avx512bw = __builtin_cpu_supports("avx512bw") != 0});
 #elif defined(__aarch64__)
   return SimdTier::Neon;
 #else
@@ -65,6 +65,16 @@ std::atomic<SimdTier>& active_tier_storage() {
 }
 
 }  // namespace
+
+SimdTier x86_tier(const X86Features& f) {
+  // Each tier TU is compiled with every flag listed here (see
+  // src/util/CMakeLists.txt); missing any one of them would fault on the
+  // first kernel that uses it. Avx512 overlays the Avx2 table, so it needs
+  // the Avx2 set as well.
+  const bool avx2 = f.avx2 && f.popcnt && f.pclmul;
+  if (avx2 && f.avx512f && f.avx512bw) return SimdTier::Avx512;
+  return avx2 ? SimdTier::Avx2 : SimdTier::Scalar;
+}
 
 SimdTier detected_simd() {
   static const SimdTier tier = probe();

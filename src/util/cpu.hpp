@@ -6,7 +6,8 @@
 // x86-64) compiled into dedicated translation units with the matching
 // target flags. Which tier actually runs is a *runtime* decision:
 //   * `detected_simd()` probes the executing CPU once (cpuid on x86-64,
-//     architecture macros on aarch64) and caches the best supported tier;
+//     architecture macros on aarch64) and caches the best tier whose every
+//     compiled-in ISA extension the CPU reports;
 //   * `active_simd()` is the tier kernels dispatch on — the detected tier,
 //     optionally lowered by the FHDNN_SIMD environment variable
 //     (`scalar`, `neon`, `avx2`, `avx512`, or `native`) or by
@@ -32,6 +33,21 @@ namespace fhdnn::util {
 /// Scalar is always available; Neon exists only on aarch64, Avx2/Avx512
 /// only on x86-64.
 enum class SimdTier { Scalar = 0, Neon = 1, Avx2 = 2, Avx512 = 3 };
+
+/// The x86-64 ISA extensions the AVX2 and AVX-512 tier TUs are compiled
+/// for.
+struct X86Features {
+  bool avx2 = false;
+  bool popcnt = false;
+  bool pclmul = false;
+  bool avx512f = false;
+  bool avx512bw = false;
+};
+
+/// Widest x86-64 tier whose every compiled-in extension `f` reports:
+/// Avx2 needs avx2 + popcnt + pclmul, Avx512 needs that plus avx512f +
+/// avx512bw; anything less is Scalar. detected_simd() applies it to cpuid.
+SimdTier x86_tier(const X86Features& f);
 
 /// Best tier the executing CPU supports (probed once, cached).
 SimdTier detected_simd();

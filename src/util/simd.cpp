@@ -105,11 +105,61 @@ std::uint64_t hamming_words_scalar(const std::uint64_t* a,
   return total;
 }
 
+// CRC-32 slicing-by-8 (Kounavis & Berry, ISCC 2005). kCrcTables[0] is the
+// classic byte table; kCrcTables[k][b] is the register contribution of byte
+// b followed by k zero bytes, so one step retires eight bytes with eight
+// independent lookups instead of a serial chain of eight.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8U) ^ t[0][prev & 0xFFU];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian 32-bit load, independent of the host byte order.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8U |
+         static_cast<std::uint32_t>(p[2]) << 16U |
+         static_cast<std::uint32_t>(p[3]) << 24U;
+}
+
+std::uint32_t crc32_update_scalar(std::uint32_t crc, const std::uint8_t* data,
+                                  std::size_t n) {
+  const auto& t = kCrcTables;
+  for (; n >= 8; n -= 8, data += 8) {
+    const std::uint32_t lo = load_le32(data) ^ crc;
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFU] ^ t[6][(lo >> 8U) & 0xFFU] ^
+          t[5][(lo >> 16U) & 0xFFU] ^ t[4][lo >> 24U] ^ t[3][hi & 0xFFU] ^
+          t[2][(hi >> 8U) & 0xFFU] ^ t[1][(hi >> 16U) & 0xFFU] ^
+          t[0][hi >> 24U];
+  }
+  for (; n > 0; --n, ++data) crc = t[0][(crc ^ *data) & 0xFFU] ^ (crc >> 8U);
+  return crc;
+}
+
 constexpr Kernels kScalar = {
     axpy_scalar,         scale_scalar,          add_scalar,
     sub_scalar,          mul_scalar,            gemm_dot_f64_scalar,
     gemm_axpy_f32_scalar, pack_signs_scalar,    unpack_signs_scalar,
     xor_words_scalar,    popcount_words_scalar, hamming_words_scalar,
+    crc32_update_scalar,
 };
 
 /// Overlay `tier` onto `base`: non-null tier entries win.
@@ -130,12 +180,14 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
     out.popcount_words = tier->popcount_words;
   }
   if (tier->hamming_words != nullptr) out.hamming_words = tier->hamming_words;
+  if (tier->crc32_update != nullptr) out.crc32_update = tier->crc32_update;
   return out;
 }
 
 /// Fully-resolved table per tier. Higher tiers inherit everything a lower
 /// tier accelerates that they do not override (e.g. AVX-512 reuses the AVX2
-/// bit kernels — an AVX-512 CPU always supports AVX2).
+/// bit and CRC kernels; util::detected_simd() grants Avx512 only to CPUs
+/// that also pass the Avx2 probe).
 std::array<Kernels, 4> build_tables() {
   std::array<Kernels, 4> t{};
   t[static_cast<std::size_t>(util::SimdTier::Scalar)] = kScalar;

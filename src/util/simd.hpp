@@ -1,6 +1,7 @@
-// Runtime-dispatched SIMD kernels for the two hot data representations
-// (DESIGN.md §11): float rows (tensor elementwise / matmul inner loops) and
-// bit-packed hypervector words (pack, XOR-bind, popcount hamming).
+// Runtime-dispatched SIMD kernels for the hot data representations
+// (DESIGN.md §11): float rows (tensor elementwise / matmul inner loops),
+// bit-packed hypervector words (pack, XOR-bind, popcount hamming) and raw
+// bytes (the CRC-32 behind every snapshot chunk and wire frame).
 //
 // Dispatch model: `kernels()` returns a table of function pointers resolved
 // against util::active_simd(). Each tier's implementations live in their
@@ -25,11 +26,16 @@
 // its scalar chain (same operands, same order), so blocking only changes
 // how many chains are in flight.
 //
+// The CRC-32 kernel is integer-exact like the bit kernels: every tier
+// computes the same polynomial remainder, so the checksum on disk and on
+// the wire does not depend on the tier that produced it.
+//
 // These kernels take raw pointers, not Tensor views: they are the innermost
 // building blocks underneath the `_into` layer and must stay free of any
 // per-call shape machinery.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/cpu.hpp"
@@ -100,6 +106,14 @@ struct Kernels {
   /// popcount(a ^ b) across nwords words — the packed hamming primitive.
   std::uint64_t (*hamming_words)(const std::uint64_t* a,
                                  const std::uint64_t* b, std::int64_t nwords);
+
+  // ---- byte kernels (integer-exact) ----
+  /// Advance the reflected CRC-32 register (polynomial 0xEDB88320) over n
+  /// bytes and return it. The register is the un-inverted running value:
+  /// util::crc32 seeds it with 0xFFFFFFFF and inverts the result, so a
+  /// message may be fed in pieces. data may be null when n == 0.
+  std::uint32_t (*crc32_update)(std::uint32_t crc, const std::uint8_t* data,
+                                std::size_t n);
 };
 
 /// Kernel table for util::active_simd() — re-resolved on every call, so

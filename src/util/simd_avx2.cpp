@@ -1,10 +1,12 @@
-// AVX2 kernel tier. Compiled with -mavx2 -mpopcnt -mno-fma
+// AVX2 kernel tier. Compiled with -mavx2 -mpopcnt -mpclmul -mno-fma
 // -ffp-contract=off (see src/util/CMakeLists.txt): the float kernels must
 // emit separate multiply and add instructions so every output element sees
 // the exact IEEE-754 operation sequence of the scalar oracle — FMA
 // contraction would change results in the last ulp and break the golden
 // histories. The bit kernels (sign-pack via compare+movemask, Muła
-// nibble-LUT popcount) are integer-exact by construction.
+// nibble-LUT popcount) and the PCLMULQDQ CRC-32 fold are integer-exact by
+// construction. util::detected_simd() grants this tier only to CPUs with
+// AVX2, POPCNT and PCLMULQDQ, the three extensions the flags enable.
 //
 // The entire file is guarded by __AVX2__: on non-x86 targets (or when the
 // build system did not pass the flags) the table resolver returns null and
@@ -233,12 +235,73 @@ void gemm_dot_f64_avx2(const GemmArgs<double>& g) { gemm<DotF64>(g); }
 
 void gemm_axpy_f32_avx2(const GemmArgs<float>& g) { gemm<AxpyF32>(g); }
 
+/// Carry-less multiply a's 64-bit halves by k's and fold the two products
+/// into b: the "fold by 128 bits" step of Gopal et al.
+__m128i crc_fold(__m128i a, __m128i k, __m128i b) {
+  const __m128i lo = _mm_clmulepi64_si128(a, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(a, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(hi, lo), b);
+}
+
+/// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC computation
+/// for generic polynomials using PCLMULQDQ", Intel 2009), the scheme of
+/// zlib/Chromium's crc32_sse42_simd_: fold four 128-bit lanes in parallel
+/// 64 bytes at a time, fold the four into one, fold single 16-byte blocks,
+/// then reduce 128 -> 64 -> 32 bits with a Barrett reduction. The constants
+/// are x^n mod P(x) for the reflected polynomial, shifted left by one:
+/// k1/k2 fold across 512 bits, k3/k4 across 128, k5 folds 64 -> 32, and
+/// mu/P' drive the Barrett step. Inputs shorter than 64 bytes, and the
+/// final tail shorter than 16 bytes, go to the scalar slicing-by-8 kernel.
+std::uint32_t crc32_update_avx2(std::uint32_t crc, const std::uint8_t* data,
+                                std::size_t n) {
+  const auto scalar = scalar_table().crc32_update;
+  if (n < 64) return scalar(crc, data, n);
+  const auto load = [](const std::uint8_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  const __m128i k1k2 = _mm_set_epi64x(0x01C6E41596, 0x0154442BD4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00CCAA009E, 0x01751997D0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163CD6124);
+  const __m128i poly = _mm_set_epi64x(0x01F7011641, 0x01DB710641);
+  const __m128i mask32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  __m128i x1 = _mm_xor_si128(load(data),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = load(data + 16);
+  __m128i x3 = load(data + 32);
+  __m128i x4 = load(data + 48);
+  data += 64;
+  n -= 64;
+  for (; n >= 64; data += 64, n -= 64) {
+    x1 = crc_fold(x1, k1k2, load(data));
+    x2 = crc_fold(x2, k1k2, load(data + 16));
+    x3 = crc_fold(x3, k1k2, load(data + 32));
+    x4 = crc_fold(x4, k1k2, load(data + 48));
+  }
+  x1 = crc_fold(x1, k3k4, x2);
+  x1 = crc_fold(x1, k3k4, x3);
+  x1 = crc_fold(x1, k3k4, x4);
+  for (; n >= 16; data += 16, n -= 16) x1 = crc_fold(x1, k3k4, load(data));
+
+  // 128 -> 64 bits, then 64 -> 32 bits.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k5, 0x00));
+  // Barrett reduction to the 32-bit remainder.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly, 0x00);
+  x1 = _mm_xor_si128(x1, t);
+  crc = static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
+  return scalar(crc, data, n);
+}
+
 constexpr Kernels kAvx2 = {
     axpy_avx2,         scale_avx2,     add_avx2,
     sub_avx2,          mul_avx2,       gemm_dot_f64_avx2,
     gemm_axpy_f32_avx2, pack_signs_avx2,
     unpack_signs_avx2, xor_words_avx2, popcount_words_avx2,
-    hamming_words_avx2,
+    hamming_words_avx2, crc32_update_avx2,
 };
 
 }  // namespace

@@ -3,11 +3,12 @@
 // for the same bit-exactness contract as the AVX2 tier — separate multiply
 // and add per element, no reassociated reductions.
 //
-// The bit kernels are deliberately absent from this table: the dispatcher
-// overlays AVX-512 on top of the resolved AVX2 table (an AVX-512 CPU
-// always supports AVX2), and the Muła popcount there already saturates
-// load bandwidth; the VPOPCNTDQ extension that would beat it is not part
-// of the avx512f+bw baseline this TU targets.
+// The bit kernels and the CRC-32 fold are deliberately absent from this
+// table: the dispatcher overlays AVX-512 on top of the resolved AVX2 table
+// (util::detected_simd() grants Avx512 only to CPUs that pass the Avx2
+// probe too), and the Muła popcount there already saturates load
+// bandwidth; the VPOPCNTDQ and VPCLMULQDQ extensions that would beat the
+// AVX2 kernels are not part of the avx512f+bw baseline this TU targets.
 #include "util/simd.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__)
@@ -163,6 +164,7 @@ constexpr Kernels kAvx512 = {
     gemm_axpy_f32_avx512,           pack_signs_avx512,
     unpack_signs_avx512, nullptr /*xor_words: AVX2*/,
     nullptr /*popcount_words: AVX2*/, nullptr /*hamming_words: AVX2*/,
+    nullptr /*crc32_update: AVX2*/,
 };
 
 }  // namespace

@@ -112,6 +112,7 @@ constexpr Kernels kNeon = {
     nullptr /*gemm_axpy_f32: scalar*/, nullptr /*pack_signs: scalar*/,
     nullptr /*unpack_signs: scalar*/, xor_words_neon,
     popcount_words_neon, hamming_words_neon,
+    nullptr /*crc32_update: scalar*/,
 };
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -11,25 +10,10 @@
 #include <sstream>
 #include <utility>
 
+#include "util/simd.hpp"
+
 namespace fhdnn::util {
 namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
-}
 
 const char* kind_name(SnapshotErrorKind kind) {
   switch (kind) {
@@ -83,13 +67,8 @@ void fsync_parent_dir(const std::string& path) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len) {
-  const auto& table = crc_table();
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint32_t crc = 0xFFFFFFFFU;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFU] ^ (crc >> 8U);
-  }
-  return crc ^ 0xFFFFFFFFU;
+  return ~simd::kernels().crc32_update(
+      0xFFFFFFFFU, static_cast<const std::uint8_t*>(data), len);
 }
 
 SnapshotError::SnapshotError(SnapshotErrorKind kind, std::size_t byte_offset,

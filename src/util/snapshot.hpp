@@ -40,8 +40,9 @@
 
 namespace fhdnn::util {
 
-/// Reflected CRC-32 (polynomial 0xEDB88320), the same function the ARQ
-/// channel frames use; channel::crc32 delegates here.
+/// Reflected CRC-32 (polynomial 0xEDB88320), the one checksum of the
+/// codebase: snapshot chunks, wire frames and ARQ channel frames all use
+/// it. Runs the active tier's simd::Kernels::crc32_update.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len);
 
 /// Current snapshot format version.  Bump on any layout change; readers

@@ -122,7 +122,7 @@ struct ShutdownMsg {
 struct ArqFrameMsg {
   std::uint64_t seq = 0;
   std::uint8_t is_last = 0;
-  std::uint32_t payload_crc = 0;  ///< channel::crc32 over the float bits
+  std::uint32_t payload_crc = 0;  ///< util::crc32 over the float bits
   std::vector<float> payload;
 
   [[nodiscard]] Frame to_frame() const;

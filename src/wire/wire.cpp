@@ -100,18 +100,23 @@ WireError::WireError(WireErrorKind kind, std::size_t byte_offset,
       kind_(kind),
       byte_offset_(byte_offset) {}
 
-std::vector<std::uint8_t> encode_frame(
-    MsgType type, const std::vector<std::uint8_t>& payload) {
+void append_frame(std::vector<std::uint8_t>& out, MsgType type,
+                  const std::vector<std::uint8_t>& payload) {
   FHDNN_CHECK(payload.size() <= kMaxFrameBytes,
               "frame payload of " << payload.size() << " bytes exceeds cap");
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderSize + payload.size());
   out.insert(out.end(), kMagic, kMagic + 4);
   put<std::uint16_t>(out, kWireVersion);
   put<std::uint16_t>(out, static_cast<std::uint16_t>(type));
   put<std::uint64_t>(out, payload.size());
   put<std::uint32_t>(out, util::crc32(payload.data(), payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
+}
+
+std::vector<std::uint8_t> encode_frame(
+    MsgType type, const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kFrameHeaderSize + payload.size());
+  append_frame(out, type, payload);
   return out;
 }
 

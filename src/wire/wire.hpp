@@ -92,7 +92,12 @@ struct Frame {
 /// Frame header size in bytes (magic + version + type + length + CRC).
 inline constexpr std::size_t kFrameHeaderSize = 4 + 2 + 2 + 8 + 4;
 
-/// Encode one frame (header + payload) ready to write to a Connection.
+/// Append one encoded frame (header + payload) to `out` in place, the way
+/// MessageChannel::send queues a frame without a full-frame temporary.
+void append_frame(std::vector<std::uint8_t>& out, MsgType type,
+                  const std::vector<std::uint8_t>& payload);
+
+/// Encode one frame (header + payload) into a fresh buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     MsgType type, const std::vector<std::uint8_t>& payload);
 

@@ -1,18 +1,23 @@
 // Tests for the reliable-delivery layer (channel/arq.hpp): CRC-32 known-
-// answer vectors, backoff schedule, ARQ framing/retransmission/residual
+// answer vectors and every SIMD tier's CRC-32 kernel against a bytewise
+// oracle, backoff schedule, ARQ framing/retransmission/residual
 // behavior and its determinism, plus the channel/LTE edge cases that the
 // deadline-round machinery leans on (packet_error_rate, LteLinkModel).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "channel/arq.hpp"
 #include "channel/channel.hpp"
 #include "channel/lte.hpp"
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
+#include "util/snapshot.hpp"
 
 namespace fhdnn::channel {
 namespace {
@@ -21,29 +26,123 @@ namespace {
 
 TEST(Crc32, MatchesStandardCheckValues) {
   // The IEEE 802.3 reflected CRC-32 check value and friends.
-  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926U);
-  EXPECT_EQ(crc32("", 0), 0x00000000U);
-  EXPECT_EQ(crc32("a", 1), 0xE8B7BE43U);
-  EXPECT_EQ(crc32("abc", 3), 0x352441C2U);
-  EXPECT_EQ(crc32("The quick brown fox jumps over the lazy dog", 43),
+  EXPECT_EQ(util::crc32("123456789", 9), 0xCBF43926U);
+  EXPECT_EQ(util::crc32("", 0), 0x00000000U);
+  EXPECT_EQ(util::crc32("a", 1), 0xE8B7BE43U);
+  EXPECT_EQ(util::crc32("abc", 3), 0x352441C2U);
+  EXPECT_EQ(util::crc32("The quick brown fox jumps over the lazy dog", 43),
             0x414FA339U);
-}
-
-TEST(Crc32, FloatOverloadHashesTheByteRepresentation) {
-  const std::vector<float> payload{1.5F, -2.25F, 0.0F, 3.0e7F};
-  EXPECT_EQ(crc32(payload.data(), payload.size()),
-            crc32(static_cast<const void*>(payload.data()),
-                  payload.size() * sizeof(float)));
 }
 
 TEST(Crc32, DetectsSingleBitFlips) {
   std::vector<float> payload(64, 1.0F);
-  const std::uint32_t clean = crc32(payload.data(), payload.size());
+  const std::size_t bytes = payload.size() * sizeof(float);
+  const std::uint32_t clean = util::crc32(payload.data(), bytes);
   std::uint32_t bits = 0;
   std::memcpy(&bits, &payload[17], sizeof(bits));
   bits ^= 1U << 13U;
   std::memcpy(&payload[17], &bits, sizeof(bits));
-  EXPECT_NE(crc32(payload.data(), payload.size()), clean);
+  EXPECT_NE(util::crc32(payload.data(), bytes), clean);
+}
+
+// ------------------------------------------- CRC-32 kernels across tiers
+
+/// The bytewise reference: one lookup per byte in a table built bit by bit
+/// from the polynomial. Each tier's kernel (slicing-by-8, the PCLMULQDQ
+/// fold) must agree with it on every input.
+class Crc32Oracle {
+ public:
+  Crc32Oracle() {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
+      }
+      table_[i] = c;
+    }
+  }
+  /// Advance the un-inverted register over one byte.
+  [[nodiscard]] std::uint32_t step(std::uint32_t crc, std::uint8_t b) const {
+    return table_[(crc ^ b) & 0xFFU] ^ (crc >> 8U);
+  }
+  [[nodiscard]] std::uint32_t crc(const std::vector<std::uint8_t>& v) const {
+    std::uint32_t c = 0xFFFFFFFFU;
+    for (const std::uint8_t b : v) c = step(c, b);
+    return ~c;
+  }
+
+ private:
+  std::uint32_t table_[256] = {};
+};
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.next_u64() >> 56U);
+  return v;
+}
+
+/// Runs `check` once under every SIMD tier this CPU can execute, then
+/// restores the active tier.
+template <typename Check>
+void for_each_tier(const Check& check) {
+  const util::SimdTier before = util::active_simd();
+  for (const util::SimdTier tier : util::available_simd_tiers()) {
+    ASSERT_EQ(util::set_simd_tier(tier), tier);
+    SCOPED_TRACE(std::string(util::simd_tier_name(tier)));
+    check(tier);
+  }
+  util::set_simd_tier(before);
+}
+
+TEST(Crc32, EveryTierMatchesBytewiseOracleAtEveryOffsetAndLength) {
+  // Offsets 0..63 cover every alignment of the 16-byte loads; lengths
+  // 0..1100 cover the < 64-byte scalar path, the fold's 64-byte and
+  // 16-byte loops, and every tail length under 16.
+  constexpr std::size_t kMaxOffset = 64, kMaxLen = 1100;
+  const std::vector<std::uint8_t> buf =
+      random_bytes(kMaxOffset + kMaxLen, 0xC5C32);
+  const Crc32Oracle oracle;
+  // want[off][len]: the oracle over buf[off, off + len), one pass per off.
+  std::vector<std::vector<std::uint32_t>> want(kMaxOffset);
+  for (std::size_t off = 0; off < kMaxOffset; ++off) {
+    std::uint32_t c = 0xFFFFFFFFU;
+    want[off].push_back(~c);
+    for (std::size_t len = 1; len <= kMaxLen; ++len) {
+      c = oracle.step(c, buf[off + len - 1]);
+      want[off].push_back(~c);
+    }
+  }
+  for_each_tier([&](util::SimdTier) {
+    for (std::size_t off = 0; off < kMaxOffset; ++off) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        ASSERT_EQ(util::crc32(buf.data() + off, len), want[off][len])
+            << "offset " << off << " length " << len;
+      }
+    }
+  });
+}
+
+TEST(Crc32, EveryTierMatchesBytewiseOracleOnLargeAndConstantBuffers) {
+  const Crc32Oracle oracle;
+  const std::vector<std::vector<std::uint8_t>> inputs = {
+      random_bytes(std::size_t{1} << 20U, 0xB10B),
+      std::vector<std::uint8_t>(100003, 0x00),
+      std::vector<std::uint8_t>(100003, 0xFF),
+  };
+  for_each_tier([&](util::SimdTier tier) {
+    for (const auto& v : inputs) {
+      const std::uint32_t want = oracle.crc(v);
+      EXPECT_EQ(util::crc32(v.data(), v.size()), want) << v.size();
+      // The kernel's register carries across pieces: a split message
+      // checksums the same as the whole one.
+      const auto update = simd::kernels_for(tier).crc32_update;
+      const std::size_t cut = v.size() / 3 + 5;
+      const std::uint32_t head = update(0xFFFFFFFFU, v.data(), cut);
+      EXPECT_EQ(~update(head, v.data() + cut, v.size() - cut), want)
+          << v.size();
+    }
+  });
 }
 
 // -------------------------------------------------------- backoff schedule

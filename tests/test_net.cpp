@@ -130,6 +130,34 @@ TEST(MessageChannelTest, BackpressureQueuesAndFlushDrains) {
   EXPECT_EQ(tx.tx_pending(), 0U);
 }
 
+TEST(MessageChannelTest, SendQueuesExactlyTheEncodedFrameBytes) {
+  // A pipe smaller than one frame keeps the tx buffer non-empty, so every
+  // later send appends behind bytes still queued.
+  net::LoopbackOptions opt;
+  opt.capacity_bytes = 16;
+  auto [a, b] = net::make_loopback_pair(opt);
+  MessageChannel tx(*a);
+  std::vector<std::uint8_t> want;
+  for (std::uint32_t i = 1; i <= 3; ++i) {
+    const wire::Frame f = hello_frame(0x01010101U * i);
+    tx.send(f);
+    const std::vector<std::uint8_t> bytes =
+        wire::encode_frame(f.type, f.payload);
+    want.insert(want.end(), bytes.begin(), bytes.end());
+    EXPECT_GT(tx.tx_pending(), 0U);
+  }
+  EXPECT_EQ(tx.bytes_sent(), want.size());
+  std::vector<std::uint8_t> got;
+  std::uint8_t buf[16];
+  for (int i = 0; i < 1000 && got.size() < want.size(); ++i) {
+    (void)tx.flush();
+    const std::size_t n = b->read_some(buf, sizeof(buf));
+    got.insert(got.end(), buf, buf + n);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(tx.tx_pending(), 0U);
+}
+
 TEST(MessageChannelTest, RecvTimesOut) {
   auto [a, b] = net::make_loopback_pair();
   MessageChannel rx(*b);

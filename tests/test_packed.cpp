@@ -247,6 +247,32 @@ TEST(SimdDispatch, SetTierClampsToDetected) {
   util::set_simd_tier(before);
 }
 
+TEST(SimdDispatch, X86TierRequiresEveryCompiledExtension) {
+  using util::SimdTier;
+  const util::X86Features all{.avx2 = true,
+                              .popcnt = true,
+                              .pclmul = true,
+                              .avx512f = true,
+                              .avx512bw = true};
+  EXPECT_EQ(util::x86_tier(all), SimdTier::Avx512);
+  EXPECT_EQ(util::x86_tier(util::X86Features{}), SimdTier::Scalar);
+  // Any one of the Avx2 set missing drops below Avx2, even with AVX-512.
+  for (bool util::X86Features::*flag : {&util::X86Features::avx2,
+                                        &util::X86Features::popcnt,
+                                        &util::X86Features::pclmul}) {
+    util::X86Features f = all;
+    f.*flag = false;
+    EXPECT_EQ(util::x86_tier(f), SimdTier::Scalar);
+  }
+  // Missing either AVX-512 extension drops to Avx2.
+  for (bool util::X86Features::*flag :
+       {&util::X86Features::avx512f, &util::X86Features::avx512bw}) {
+    util::X86Features f = all;
+    f.*flag = false;
+    EXPECT_EQ(util::x86_tier(f), SimdTier::Avx2);
+  }
+}
+
 /// Float payload mixing ordinary values with the IEEE-754 specials that
 /// SIMD re-implementations most often mishandle. Specials are scattered so
 /// they land in different vector lanes and in the scalar tail.

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "channel/arq.hpp"
 #include "channel/channel.hpp"
 #include "util/rng.hpp"
+#include "util/snapshot.hpp"
 #include "wire/messages.hpp"
 #include "wire/wire.hpp"
 
@@ -404,13 +404,15 @@ TEST(WireMessages, ArqFrameRoundTrip) {
   m.seq = 5;
   m.is_last = 1;
   m.payload = {0.25F, -1.0F, 3.5F};
-  m.payload_crc = channel::crc32(m.payload.data(), m.payload.size());
+  m.payload_crc =
+      util::crc32(m.payload.data(), m.payload.size() * sizeof(float));
   const auto back = wire::ArqFrameMsg::from_frame(m.to_frame());
   EXPECT_EQ(back.seq, 5U);
   EXPECT_EQ(back.is_last, 1);
   EXPECT_EQ(back.payload, m.payload);
   EXPECT_EQ(back.payload_crc,
-            channel::crc32(back.payload.data(), back.payload.size()));
+            util::crc32(back.payload.data(),
+                        back.payload.size() * sizeof(float)));
 }
 
 TEST(WireMessages, FromFrameRejectsWrongType) {
