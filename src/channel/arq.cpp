@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/snapshot.hpp"
+#include "util/bytes.hpp"  // util::crc32
 
 namespace fhdnn::channel {
 

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
@@ -40,11 +42,43 @@ void UpdateSnapshotCodec<Tensor>::save(util::SnapshotWriter& w,
 }
 
 Tensor UpdateSnapshotCodec<Tensor>::load(util::SnapshotReader& r) {
-  if (r.read_u8() == 0) return Tensor{};
-  const auto ndim = static_cast<std::size_t>(r.read_u64());
-  Shape shape(ndim);
-  for (auto& d : shape) d = r.read_i64();
-  Tensor t(std::move(shape), r.read_floats());
+  // Served FedHd updates arrive from workers, so every field is checked
+  // before it sizes an allocation or reaches the Tensor constructor.
+  const auto fail = [](std::size_t at, const std::string& what) {
+    throw util::DecodeError(util::DecodeErrorKind::kSchema, at,
+                            "tensor update: " + what);
+  };
+  std::size_t at = r.offset();
+  const std::uint8_t present = r.read_u8();
+  if (present > 1) {
+    fail(at, "presence flag " + std::to_string(present) + " is not 0 or 1");
+  }
+  if (present == 0) return Tensor{};
+  at = r.offset();
+  const std::uint64_t ndim = r.read_u64();
+  if (ndim == 0 || ndim > 8) {
+    fail(at, "implausible rank " + std::to_string(ndim));
+  }
+  Shape shape(static_cast<std::size_t>(ndim));
+  std::uint64_t numel = 1;  // saturates instead of wrapping
+  for (auto& d : shape) {
+    at = r.offset();
+    d = r.read_i64();
+    if (d <= 0 || d >= (std::int64_t{1} << 40)) {
+      fail(at, "implausible dim " + std::to_string(d));
+    }
+    const auto ud = static_cast<std::uint64_t>(d);
+    numel = numel > std::numeric_limits<std::uint64_t>::max() / ud
+                ? std::numeric_limits<std::uint64_t>::max()
+                : numel * ud;
+  }
+  at = r.offset();
+  std::vector<float> values = r.read_floats();
+  if (values.size() != numel) {
+    fail(at, "shape holds " + std::to_string(numel) + " elements but " +
+                 std::to_string(values.size()) + " floats follow");
+  }
+  Tensor t(std::move(shape), std::move(values));
   t.assert_invariant();
   return t;
 }
@@ -559,8 +593,8 @@ void RoundEngine::resume(const std::string& path) {
   r.enter_chunk("META");
   const std::uint32_t fingerprint = r.read_u32();
   if (fingerprint != config_fingerprint()) {
-    throw util::SnapshotError(
-        util::SnapshotErrorKind::kState, 0,
+    throw util::DecodeError(
+        util::DecodeErrorKind::kSchema, 0,
         "snapshot was written under a different engine config (" +
             r.source_path() + ")");
   }

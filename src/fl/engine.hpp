@@ -96,13 +96,13 @@ struct UpdateSnapshotCodec {
   static void save(util::SnapshotWriter& w, const Update& u) {
     (void)w;
     (void)u;
-    throw util::SnapshotError(util::SnapshotErrorKind::kState, 0,
-                              "update type has no snapshot codec");
+    throw util::DecodeError(util::DecodeErrorKind::kSchema, 0,
+                            "update type has no snapshot codec");
   }
   static Update load(util::SnapshotReader& r) {
     (void)r;
-    throw util::SnapshotError(util::SnapshotErrorKind::kState, 0,
-                              "update type has no snapshot codec");
+    throw util::DecodeError(util::DecodeErrorKind::kSchema, 0,
+                            "update type has no snapshot codec");
   }
 };
 
@@ -260,14 +260,14 @@ class RoundProtocol {
   virtual void save_update(std::size_t slot, util::SnapshotWriter& w) {
     (void)slot;
     (void)w;
-    throw util::SnapshotError(util::SnapshotErrorKind::kState, 0,
-                              "protocol has no update wire codec");
+    throw util::DecodeError(util::DecodeErrorKind::kSchema, 0,
+                            "protocol has no update wire codec");
   }
   virtual void load_update(std::size_t slot, util::SnapshotReader& r) {
     (void)slot;
     (void)r;
-    throw util::SnapshotError(util::SnapshotErrorKind::kState, 0,
-                              "protocol has no update wire codec");
+    throw util::DecodeError(util::DecodeErrorKind::kSchema, 0,
+                            "protocol has no update wire codec");
   }
 };
 
@@ -613,7 +613,7 @@ class RoundEngine {
   /// engine must be freshly constructed with the SAME config (fingerprint
   /// checked) — afterwards run() continues from the snapshot and produces
   /// a history bit-identical to the uninterrupted run. Throws
-  /// util::SnapshotError when no generation validates or the config does
+  /// util::DecodeError when no generation validates or the config does
   /// not match.
   void resume(const std::string& path);
 

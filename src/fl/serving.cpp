@@ -329,10 +329,11 @@ bool WorkerLoop::serve() {
         shutdown_rounds_ = wire::ShutdownMsg::from_frame(frame).rounds_completed;
         return true;
       default:
-        throw wire::WireError(wire::WireErrorKind::kSchema, 0,
-                              "unexpected message type " +
-                                  std::to_string(static_cast<int>(frame.type)) +
-                                  " while serving");
+        throw util::DecodeError(
+            util::DecodeErrorKind::kSchema, 0,
+            "unexpected message type " +
+                std::to_string(static_cast<int>(frame.type)) +
+                " while serving");
     }
   }
 }

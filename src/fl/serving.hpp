@@ -56,7 +56,7 @@ class ServerRoundDriver final : public RoundDriver {
                     ServingConfig config = {});
 
   /// Handshake a freshly-accepted connection and register it as a worker
-  /// (takes ownership). Throws WireError on version skew, NetError on
+  /// (takes ownership). Throws util::DecodeError on version skew, NetError on
   /// fingerprint/protocol mismatch or timeout. Returns the worker id.
   std::uint64_t add_worker(std::unique_ptr<net::Connection> conn);
 

@@ -80,8 +80,8 @@ class MessageChannel {
   bool flush();
 
   /// Pump readable bytes and return the next complete frame, if any.
-  /// Non-blocking.  Throws WireError on stream corruption, NetError when
-  /// the peer closed mid-frame.
+  /// Non-blocking.  Throws util::DecodeError on stream corruption, NetError
+  /// when the peer closed mid-frame.
   std::optional<wire::Frame> poll();
 
   /// Blocking receive with timeout: pumps until a frame arrives.  Throws

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/io.hpp"
 #include "util/error.hpp"
 
 namespace fhdnn::nn {
@@ -49,19 +48,6 @@ void set_state(Module& model, const std::vector<float>& state) {
 
 void copy_state(Module& src, Module& dst) {
   set_state(dst, get_state(src));
-}
-
-void save_state(Module& model, const std::string& path) {
-  auto state = get_state(model);
-  const auto n = static_cast<std::int64_t>(state.size());
-  io::save_tensor(Tensor(Shape{n}, std::move(state)), path);
-}
-
-void load_state(Module& model, const std::string& path) {
-  const Tensor t = io::load_tensor(path);
-  FHDNN_CHECK(t.ndim() == 1, "checkpoint '" << path << "' is not a flat state");
-  t.assert_invariant();
-  set_state(model, t.vec());
 }
 
 }  // namespace fhdnn::nn

@@ -26,11 +26,4 @@ void set_state(Module& model, const std::vector<float>& state);
 /// Copy all parameters/buffers from `src` into `dst` (same architecture).
 void copy_state(Module& src, Module& dst);
 
-/// Checkpoint the flat state to disk (tensor/io.hpp container).
-void save_state(Module& model, const std::string& path);
-
-/// Restore a checkpoint written by save_state; the model architecture must
-/// match (size-checked).
-void load_state(Module& model, const std::string& path);
-
 }  // namespace fhdnn::nn

@@ -9,11 +9,10 @@
 //                       [4] CRC-32 of the payload  [len] payload
 //   final chunk has tag "END " and an empty payload.
 //
-// All integers and IEEE-754 floats are stored in native byte order
-// (little-endian on every supported target, matching tensor/io).  Floats
-// and doubles are written as their raw bit patterns so a save/load
-// round-trip is bit-exact — the property the engine's hexfloat golden
-// histories depend on.
+// Typed fields inside a chunk use the one byte codec (util/bytes):
+// SnapshotWriter is a ByteWriter and SnapshotReader a ByteReader over the
+// open chunk's payload, so a save/load round-trip is bit-exact, the
+// property the engine's hexfloat golden histories depend on.
 //
 // Durability protocol (SnapshotWriter::commit / atomic_write_file):
 //   1. write the full image to `<path>.tmp` and fsync it,
@@ -27,8 +26,9 @@
 //
 // SnapshotReader validates the whole file eagerly at open: magic, version,
 // every chunk's length and CRC, and the END terminator.  Typed reads can
-// therefore only fail on logical-schema mismatches, which surface as
-// SnapshotError with the offending byte offset.
+// then only fail on what a CRC cannot catch: a count the chunk does not
+// back (kTruncated) or a schema mismatch (kSchema), each a DecodeError
+// with the offending byte offset.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,74 +36,24 @@
 #include <string_view>
 #include <vector>
 
-#include "util/error.hpp"
+#include "util/bytes.hpp"
 
 namespace fhdnn::util {
-
-/// Reflected CRC-32 (polynomial 0xEDB88320), the one checksum of the
-/// codebase: snapshot chunks, wire frames and ARQ channel frames all use
-/// it. Runs the active tier's simd::Kernels::crc32_update.
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len);
 
 /// Current snapshot format version.  Bump on any layout change; readers
 /// reject other versions (kVersion) rather than guessing.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-enum class SnapshotErrorKind {
-  kIo,         ///< open/read/write/rename/fsync failure
-  kFormat,     ///< bad magic, malformed framing, trailing bytes
-  kVersion,    ///< format version mismatch
-  kCrc,        ///< chunk payload failed its CRC-32
-  kTruncated,  ///< file or chunk shorter than its framing claims
-  kState,      ///< schema mismatch: wrong chunk tag, unconsumed payload,
-               ///< or state incompatible with the running config
-};
-
-/// Typed snapshot failure carrying the byte offset where validation or
-/// decoding stopped (0 when no file position applies, e.g. I/O errors).
-class SnapshotError : public Error {
- public:
-  SnapshotError(SnapshotErrorKind kind, std::size_t byte_offset,
-                const std::string& message);
-
-  [[nodiscard]] SnapshotErrorKind kind() const noexcept { return kind_; }
-  [[nodiscard]] std::size_t byte_offset() const noexcept {
-    return byte_offset_;
-  }
-
- private:
-  SnapshotErrorKind kind_;
-  std::size_t byte_offset_;
-};
-
 /// Builds a snapshot image in memory chunk by chunk, then commits it
-/// atomically.  Typed writes are only legal between begin_chunk/end_chunk.
-/// A writer is single-use: after commit() it must be discarded.
-class SnapshotWriter {
+/// atomically.  The typed writes are ByteWriter's and are only legal
+/// between begin_chunk/end_chunk (a stray one is caught at the next chunk
+/// boundary).  A writer is single-use: after commit() it must be discarded.
+class SnapshotWriter : public ByteWriter {
  public:
   SnapshotWriter();
 
   void begin_chunk(std::string_view tag);  ///< tag must be exactly 4 bytes
   void end_chunk();
-
-  void write_u8(std::uint8_t v);
-  void write_u32(std::uint32_t v);
-  void write_u64(std::uint64_t v);
-  void write_i64(std::int64_t v);
-  void write_f32(float v);   ///< raw IEEE bits
-  void write_f64(double v);  ///< raw IEEE bits
-  void write_str(std::string_view s);
-  void write_bytes(const void* data, std::size_t len);
-
-  // Length-prefixed (u64 count) vector helpers.
-  void write_floats(const std::vector<float>& v);
-  void write_doubles(const std::vector<double>& v);
-  void write_u64s(const std::vector<std::uint64_t>& v);
-  void write_sizes(const std::vector<std::size_t>& v);
-  void write_flags(const std::vector<char>& v);
-
-  /// Bytes accumulated so far (header + closed chunks + open chunk).
-  [[nodiscard]] std::size_t byte_size() const noexcept;
 
   /// Appends the END chunk and durably replaces `path` (see the protocol
   /// note above).  Returns the committed image size in bytes.
@@ -115,21 +65,25 @@ class SnapshotWriter {
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
  private:
-  void chunk_bytes(const void* data, std::size_t len);
+  using ByteWriter::take;  // an image leaves only through finish/commit
 
-  std::vector<std::uint8_t> out_;    // header + completed chunks
-  std::vector<std::uint8_t> chunk_;  // payload of the open chunk
+  void check_sealed() const;
+
   std::string tag_;
+  std::size_t chunk_start_ = 0;  // frame offset of the open chunk
+  std::size_t sealed_ = 0;       // image size after the last closed chunk
   bool in_chunk_ = false;
   bool committed_ = false;
 };
 
 /// Reads a snapshot image validated eagerly at open.  Chunks are consumed
 /// strictly in file order: enter_chunk(tag) asserts the next chunk carries
-/// the expected tag, leave_chunk() asserts the payload was fully consumed.
-class SnapshotReader {
+/// the expected tag and points the ByteReader typed reads at its payload,
+/// leave_chunk() asserts the payload was fully consumed.  Outside a chunk
+/// the payload window is empty, so every typed read throws.
+class SnapshotReader : public ByteReader {
  public:
-  /// Loads and validates `path`; throws SnapshotError on any defect.
+  /// Loads and validates `path`; throws DecodeError on any defect.
   static SnapshotReader from_file(const std::string& path);
 
   /// from_file(path), falling back to `<path>.prev` when the primary
@@ -140,6 +94,13 @@ class SnapshotReader {
   /// the fhdnnd wire).  `origin` labels error messages in place of a path.
   static SnapshotReader from_bytes(std::vector<std::uint8_t> image,
                                    std::string origin = "<memory>");
+
+  // The payload window points into data_, whose buffer a move carries
+  // along and a copy would not.
+  SnapshotReader(SnapshotReader&&) noexcept = default;
+  SnapshotReader& operator=(SnapshotReader&&) noexcept = default;
+  SnapshotReader(const SnapshotReader&) = delete;
+  SnapshotReader& operator=(const SnapshotReader&) = delete;
 
   [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
   /// The file actually loaded (primary or `.prev` fallback).
@@ -152,33 +113,16 @@ class SnapshotReader {
   void enter_chunk(std::string_view tag);
   void leave_chunk();
 
-  std::uint8_t read_u8();
-  std::uint32_t read_u32();
-  std::uint64_t read_u64();
-  std::int64_t read_i64();
-  float read_f32();
-  double read_f64();
-  std::string read_str();
-  void read_bytes(void* out, std::size_t len);
-
-  std::vector<float> read_floats();
-  std::vector<double> read_doubles();
-  std::vector<std::uint64_t> read_u64s();
-  std::vector<std::size_t> read_sizes();
-  std::vector<char> read_flags();
-
  private:
   SnapshotReader() = default;
   void validate();
-  [[noreturn]] void fail(SnapshotErrorKind kind, std::size_t offset,
+  [[noreturn]] void fail(DecodeErrorKind kind, std::size_t offset,
                          const std::string& message) const;
-  void need(std::size_t len);  // bounds check inside the open chunk
 
   std::vector<std::uint8_t> data_;
   std::string path_;
   std::uint32_t version_ = 0;
-  std::size_t cursor_ = 0;     // absolute offset of the next read
-  std::size_t chunk_end_ = 0;  // absolute end of the open chunk's payload
+  std::size_t next_chunk_ = 0;  // offset of the next unconsumed chunk frame
   bool in_chunk_ = false;
 };
 

@@ -1,63 +1,70 @@
 #include "wire/messages.hpp"
 
+#include <string>
+
 namespace fhdnn::wire {
 namespace {
 
+using util::ByteReader;
+using util::ByteWriter;
+using util::DecodeError;
+using util::DecodeErrorKind;
+
 // Shared decode prologue: assert the frame type, hand back a strict reader.
-PayloadReader open(const Frame& f, MsgType want, const char* name) {
+ByteReader open(const Frame& f, MsgType want, const char* name) {
   if (f.type != want) {
-    throw WireError(WireErrorKind::kSchema, 0,
-                    std::string("frame is not a ") + name + " message");
+    throw DecodeError(DecodeErrorKind::kSchema, 0,
+                      std::string("frame is not a ") + name + " message");
   }
-  return PayloadReader(f.payload);
+  return ByteReader(f.payload);
 }
 
 }  // namespace
 
-void put_rng_state(PayloadWriter& w, const RngState& s) {
-  for (const std::uint64_t word : s.s) w.u64(word);
-  w.u8(s.has_cached_normal ? 1 : 0);
-  w.f64(s.cached_normal);
+void put_rng_state(ByteWriter& w, const RngState& s) {
+  for (const std::uint64_t word : s.s) w.write_u64(word);
+  w.write_u8(s.has_cached_normal ? 1 : 0);
+  w.write_f64(s.cached_normal);
 }
 
-RngState get_rng_state(PayloadReader& r) {
+RngState get_rng_state(ByteReader& r) {
   RngState s;
-  for (std::uint64_t& word : s.s) word = r.u64();
-  const std::uint8_t flag = r.u8();
+  for (std::uint64_t& word : s.s) word = r.read_u64();
+  const std::uint8_t flag = r.read_u8();
   if (flag > 1) {
-    throw WireError(WireErrorKind::kSchema, r.offset(),
-                    "rng cached-normal flag must be 0 or 1");
+    throw DecodeError(DecodeErrorKind::kSchema, r.offset(),
+                      "rng cached-normal flag must be 0 or 1");
   }
   s.has_cached_normal = flag != 0;
-  s.cached_normal = r.f64();
+  s.cached_normal = r.read_f64();
   return s;
 }
 
-void put_transport_stats(PayloadWriter& w, const channel::TransportStats& s) {
-  w.u64(s.payload_scalars);
-  w.u64(s.payload_bytes);
-  w.u64(s.bits_on_air);
-  w.u64(s.bit_flips);
-  w.u64(s.packets_total);
-  w.u64(s.packets_lost);
-  w.u64(s.retransmissions);
-  w.u64(s.residual_errors);
-  w.f64(s.backoff_seconds);
-  w.f64(s.noise_power);
+void put_transport_stats(ByteWriter& w, const channel::TransportStats& s) {
+  w.write_u64(s.payload_scalars);
+  w.write_u64(s.payload_bytes);
+  w.write_u64(s.bits_on_air);
+  w.write_u64(s.bit_flips);
+  w.write_u64(s.packets_total);
+  w.write_u64(s.packets_lost);
+  w.write_u64(s.retransmissions);
+  w.write_u64(s.residual_errors);
+  w.write_f64(s.backoff_seconds);
+  w.write_f64(s.noise_power);
 }
 
-channel::TransportStats get_transport_stats(PayloadReader& r) {
+channel::TransportStats get_transport_stats(ByteReader& r) {
   channel::TransportStats s;
-  s.payload_scalars = r.u64();
-  s.payload_bytes = r.u64();
-  s.bits_on_air = r.u64();
-  s.bit_flips = r.u64();
-  s.packets_total = r.u64();
-  s.packets_lost = r.u64();
-  s.retransmissions = r.u64();
-  s.residual_errors = r.u64();
-  s.backoff_seconds = r.f64();
-  s.noise_power = r.f64();
+  s.payload_scalars = r.read_u64();
+  s.payload_bytes = r.read_u64();
+  s.bits_on_air = r.read_u64();
+  s.bit_flips = r.read_u64();
+  s.packets_total = r.read_u64();
+  s.packets_lost = r.read_u64();
+  s.retransmissions = r.read_u64();
+  s.residual_errors = r.read_u64();
+  s.backoff_seconds = r.read_f64();
+  s.noise_power = r.read_f64();
   return s;
 }
 
@@ -65,35 +72,35 @@ channel::TransportStats get_transport_stats(PayloadReader& r) {
 // Hello / HelloAck
 
 Frame HelloMsg::to_frame() const {
-  PayloadWriter w;
-  w.u32(config_fingerprint);
-  w.str(protocol);
-  w.u64(capabilities);
+  ByteWriter w;
+  w.write_u32(config_fingerprint);
+  w.write_str(protocol);
+  w.write_u64(capabilities);
   return Frame{MsgType::kHello, w.take()};
 }
 
 HelloMsg HelloMsg::from_frame(const Frame& f) {
-  PayloadReader r = open(f, MsgType::kHello, "Hello");
+  ByteReader r = open(f, MsgType::kHello, "Hello");
   HelloMsg m;
-  m.config_fingerprint = r.u32();
-  m.protocol = r.str();
-  m.capabilities = r.u64();
+  m.config_fingerprint = r.read_u32();
+  m.protocol = r.read_str();
+  m.capabilities = r.read_u64();
   r.finish();
   return m;
 }
 
 Frame HelloAckMsg::to_frame() const {
-  PayloadWriter w;
-  w.u32(config_fingerprint);
-  w.u64(worker_id);
+  ByteWriter w;
+  w.write_u32(config_fingerprint);
+  w.write_u64(worker_id);
   return Frame{MsgType::kHelloAck, w.take()};
 }
 
 HelloAckMsg HelloAckMsg::from_frame(const Frame& f) {
-  PayloadReader r = open(f, MsgType::kHelloAck, "HelloAck");
+  ByteReader r = open(f, MsgType::kHelloAck, "HelloAck");
   HelloAckMsg m;
-  m.config_fingerprint = r.u32();
-  m.worker_id = r.u64();
+  m.config_fingerprint = r.read_u32();
+  m.worker_id = r.read_u64();
   r.finish();
   return m;
 }
@@ -102,42 +109,47 @@ HelloAckMsg HelloAckMsg::from_frame(const Frame& f) {
 // RoundAssign
 
 Frame RoundAssignMsg::to_frame() const {
-  PayloadWriter w;
-  w.i64(round_index);
-  w.u64(n_participants);
+  ByteWriter w;
+  w.write_i64(round_index);
+  w.write_u64(n_participants);
   put_rng_state(w, rng);
-  w.u64(slots.size());
+  w.write_u64(slots.size());
   for (const SlotAssignment& a : slots) {
-    w.u64(a.slot);
-    w.u64(a.client);
+    w.write_u64(a.slot);
+    w.write_u64(a.client);
   }
-  w.blob(state_blob);
+  w.write_blob(state_blob);
   return Frame{MsgType::kRoundAssign, w.take()};
 }
 
 RoundAssignMsg RoundAssignMsg::from_frame(const Frame& f) {
-  PayloadReader r = open(f, MsgType::kRoundAssign, "RoundAssign");
+  ByteReader r = open(f, MsgType::kRoundAssign, "RoundAssign");
   RoundAssignMsg m;
-  m.round_index = r.i64();
-  m.n_participants = r.u64();
+  m.round_index = r.read_i64();
+  m.n_participants = r.read_u64();
   m.rng = get_rng_state(r);
-  const std::uint64_t n_slots = r.u64();
+  const std::uint64_t n_slots = r.read_u64();
+  if (n_slots > r.remaining() / (2 * sizeof(std::uint64_t))) {
+    throw DecodeError(DecodeErrorKind::kTruncated, r.offset(),
+                      "slot count " + std::to_string(n_slots) +
+                          " overruns the payload");
+  }
   if (n_slots > m.n_participants) {
-    throw WireError(WireErrorKind::kSchema, r.offset(),
-                    "more slot assignments than cohort participants");
+    throw DecodeError(DecodeErrorKind::kSchema, r.offset(),
+                      "more slot assignments than cohort participants");
   }
   m.slots.reserve(static_cast<std::size_t>(n_slots));
   for (std::uint64_t i = 0; i < n_slots; ++i) {
     SlotAssignment a;
-    a.slot = r.u64();
-    a.client = r.u64();
+    a.slot = r.read_u64();
+    a.client = r.read_u64();
     if (a.slot >= m.n_participants) {
-      throw WireError(WireErrorKind::kSchema, r.offset(),
-                      "slot index beyond the cohort size");
+      throw DecodeError(DecodeErrorKind::kSchema, r.offset(),
+                        "slot index beyond the cohort size");
     }
     m.slots.push_back(a);
   }
-  m.state_blob = r.blob();
+  m.state_blob = r.read_blob();
   r.finish();
   return m;
 }
@@ -146,25 +158,25 @@ RoundAssignMsg RoundAssignMsg::from_frame(const Frame& f) {
 // Update
 
 Frame UpdateMsg::to_frame() const {
-  PayloadWriter w;
-  w.i64(round_index);
-  w.u64(slot);
-  w.u64(client);
-  w.f64(loss);
+  ByteWriter w;
+  w.write_i64(round_index);
+  w.write_u64(slot);
+  w.write_u64(client);
+  w.write_f64(loss);
   put_transport_stats(w, stats);
-  w.blob(update_blob);
+  w.write_blob(update_blob);
   return Frame{MsgType::kUpdate, w.take()};
 }
 
 UpdateMsg UpdateMsg::from_frame(const Frame& f) {
-  PayloadReader r = open(f, MsgType::kUpdate, "Update");
+  ByteReader r = open(f, MsgType::kUpdate, "Update");
   UpdateMsg m;
-  m.round_index = r.i64();
-  m.slot = r.u64();
-  m.client = r.u64();
-  m.loss = r.f64();
+  m.round_index = r.read_i64();
+  m.slot = r.read_u64();
+  m.client = r.read_u64();
+  m.loss = r.read_f64();
   m.stats = get_transport_stats(r);
-  m.update_blob = r.blob();
+  m.update_blob = r.read_blob();
   r.finish();
   return m;
 }
@@ -173,62 +185,35 @@ UpdateMsg UpdateMsg::from_frame(const Frame& f) {
 // RoundDone / Shutdown
 
 Frame RoundDoneMsg::to_frame() const {
-  PayloadWriter w;
-  w.i64(round_index);
-  w.u64(accepted);
-  w.u64(bytes_uplink);
-  w.f64(test_accuracy);
+  ByteWriter w;
+  w.write_i64(round_index);
+  w.write_u64(accepted);
+  w.write_u64(bytes_uplink);
+  w.write_f64(test_accuracy);
   return Frame{MsgType::kRoundDone, w.take()};
 }
 
 RoundDoneMsg RoundDoneMsg::from_frame(const Frame& f) {
-  PayloadReader r = open(f, MsgType::kRoundDone, "RoundDone");
+  ByteReader r = open(f, MsgType::kRoundDone, "RoundDone");
   RoundDoneMsg m;
-  m.round_index = r.i64();
-  m.accepted = r.u64();
-  m.bytes_uplink = r.u64();
-  m.test_accuracy = r.f64();
+  m.round_index = r.read_i64();
+  m.accepted = r.read_u64();
+  m.bytes_uplink = r.read_u64();
+  m.test_accuracy = r.read_f64();
   r.finish();
   return m;
 }
 
 Frame ShutdownMsg::to_frame() const {
-  PayloadWriter w;
-  w.i64(rounds_completed);
+  ByteWriter w;
+  w.write_i64(rounds_completed);
   return Frame{MsgType::kShutdown, w.take()};
 }
 
 ShutdownMsg ShutdownMsg::from_frame(const Frame& f) {
-  PayloadReader r = open(f, MsgType::kShutdown, "Shutdown");
+  ByteReader r = open(f, MsgType::kShutdown, "Shutdown");
   ShutdownMsg m;
-  m.rounds_completed = r.i64();
-  r.finish();
-  return m;
-}
-
-// ---------------------------------------------------------------------------
-// ArqFrame
-
-Frame ArqFrameMsg::to_frame() const {
-  PayloadWriter w;
-  w.u64(seq);
-  w.u8(is_last);
-  w.u32(payload_crc);
-  w.floats(payload);
-  return Frame{MsgType::kArqFrame, w.take()};
-}
-
-ArqFrameMsg ArqFrameMsg::from_frame(const Frame& f) {
-  PayloadReader r = open(f, MsgType::kArqFrame, "ArqFrame");
-  ArqFrameMsg m;
-  m.seq = r.u64();
-  m.is_last = r.u8();
-  if (m.is_last > 1) {
-    throw WireError(WireErrorKind::kSchema, r.offset(),
-                    "is_last flag must be 0 or 1");
-  }
-  m.payload_crc = r.u32();
-  m.payload = r.floats();
+  m.rounds_completed = r.read_i64();
   r.finish();
   return m;
 }

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "channel/channel.hpp"  // TransportStats
+#include "util/bytes.hpp"
 #include "util/rng.hpp"         // RngState
 #include "wire/wire.hpp"
 
@@ -31,13 +32,14 @@ namespace fhdnn::wire {
 
 /// RngState <-> payload (exact stream position: 4 state words + the cached
 /// Box-Muller normal, so a worker-side fork sequence replays bit-identically).
-void put_rng_state(PayloadWriter& w, const RngState& s);
-[[nodiscard]] RngState get_rng_state(PayloadReader& r);
+void put_rng_state(util::ByteWriter& w, const RngState& s);
+[[nodiscard]] RngState get_rng_state(util::ByteReader& r);
 
 /// TransportStats <-> payload.  All ten fields travel (doubles as raw IEEE
 /// bits) so server-side accounting equals the in-process rule exactly.
-void put_transport_stats(PayloadWriter& w, const channel::TransportStats& s);
-[[nodiscard]] channel::TransportStats get_transport_stats(PayloadReader& r);
+void put_transport_stats(util::ByteWriter& w,
+                         const channel::TransportStats& s);
+[[nodiscard]] channel::TransportStats get_transport_stats(util::ByteReader& r);
 
 /// Worker -> server greeting.  The server rejects version skew (the frame
 /// layer already did, for the frame header) and fingerprint mismatches —
@@ -114,19 +116,6 @@ struct ShutdownMsg {
 
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static ShutdownMsg from_frame(const Frame& f);
-};
-
-/// A single reliable-delivery frame (channel/arq payload chunk) framed for
-/// the wire: sequence number + float payload whose CRC-32 the receiver
-/// checks exactly like ReliableChannel does in process.
-struct ArqFrameMsg {
-  std::uint64_t seq = 0;
-  std::uint8_t is_last = 0;
-  std::uint32_t payload_crc = 0;  ///< util::crc32 over the float bits
-  std::vector<float> payload;
-
-  [[nodiscard]] Frame to_frame() const;
-  [[nodiscard]] static ArqFrameMsg from_frame(const Frame& f);
 };
 
 }  // namespace fhdnn::wire

@@ -1,16 +1,15 @@
 // Tests for the extended channels (Gilbert-Elliott burst loss, Rayleigh
-// fading), the binary-sign HD uplink, and file I/O for tensors/NN states.
+// fading), the binary-sign HD uplink, and flat NN state transfer.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "channel/fading.hpp"
 #include "channel/hd_uplink.hpp"
 #include "nn/resnet.hpp"
 #include "nn/serialize.hpp"
-#include "tensor/io.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -209,81 +208,29 @@ TEST(HdUplinkExt, DescribeNewModes) {
   EXPECT_NE(describe(cfg).find("binary"), std::string::npos);
 }
 
-// --------------------------------------------------------------- file I/O
-
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-TEST(TensorIo, RoundTrip) {
-  Rng rng(20);
-  const Tensor t = Tensor::randn(Shape{3, 4, 5}, rng);
-  const auto path = temp_path("roundtrip.fhdt");
-  io::save_tensor(t, path);
-  const Tensor back = io::load_tensor(path);
-  EXPECT_EQ(back.shape(), t.shape());
-  EXPECT_EQ(back.vec(), t.vec());
-  std::remove(path.c_str());
-}
-
-TEST(TensorIo, MissingFileThrows) {
-  EXPECT_THROW(io::load_tensor("/nonexistent/nope.fhdt"), Error);
-}
-
-TEST(TensorIo, CorruptMagicThrows) {
-  const auto path = temp_path("corrupt.fhdt");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("NOTATENSOR", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(io::load_tensor(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(TensorIo, TruncatedDataThrows) {
-  Rng rng(21);
-  const Tensor t = Tensor::randn(Shape{100}, rng);
-  const auto path = temp_path("truncated.fhdt");
-  io::save_tensor(t, path);
-  // Chop the file short.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(::ftruncate(fileno(f), 40), 0);
-    std::fclose(f);
-  }
-  EXPECT_THROW(io::load_tensor(path), Error);
-  std::remove(path.c_str());
-}
+// ------------------------------------------------------- model state
 
 TEST(ModelCheckpoint, SaveLoadRestoresBehaviour) {
   Rng rng(22);
   auto net = nn::make_cnn2(1, 8, 4, rng);
-  const auto path = temp_path("cnn2.fhdt");
-  nn::save_state(*net, path);
+  const std::vector<float> state = nn::get_state(*net);
 
   Rng rng2(99);
   auto other = nn::make_cnn2(1, 8, 4, rng2);
-  nn::load_state(*other, path);
+  nn::set_state(*other, state);
   net->set_training(false);
   other->set_training(false);
   const Tensor x = Tensor::rand(Shape{2, 1, 8, 8}, rng);
   const Tensor y1 = net->forward(x);
   const Tensor y2 = other->forward(x);
   EXPECT_EQ(y1.vec(), y2.vec());
-  std::remove(path.c_str());
 }
 
 TEST(ModelCheckpoint, ArchitectureMismatchThrows) {
   Rng rng(23);
   auto net = nn::make_cnn2(1, 8, 4, rng);
-  const auto path = temp_path("mismatch.fhdt");
-  nn::save_state(*net, path);
   auto bigger = nn::make_cnn2(1, 8, 6, rng);
-  EXPECT_THROW(nn::load_state(*bigger, path), Error);
-  std::remove(path.c_str());
+  EXPECT_THROW(nn::set_state(*bigger, nn::get_state(*net)), Error);
 }
 
 }  // namespace

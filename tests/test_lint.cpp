@@ -373,7 +373,7 @@ TEST(LintRules, IoIsolationSuppressedAndOutOfScope) {
                        "std::ofstream os(path);\n");
   EXPECT_EQ(count_rule(sup, "io-isolation"), 0);
   // The snapshot writer itself and everything outside src/fl/ are free to
-  // open files (tensor/io, bench JSON, tests).
+  // open files (bench JSON, tests).
   const auto util = run("src/util/snapshot.cpp", "std::ofstream os(tmp);\n");
   EXPECT_EQ(count_rule(util, "io-isolation"), 0);
   const auto bench = run("bench/micro_memory.cpp",

@@ -12,6 +12,7 @@
 #include "net/loopback.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
+#include "util/bytes.hpp"
 #include "wire/messages.hpp"
 #include "wire/wire.hpp"
 
@@ -173,13 +174,13 @@ TEST(MessageChannelTest, PeerCloseMidFrameThrows) {
   EXPECT_THROW((void)rx.recv(1000), NetError);
 }
 
-TEST(MessageChannelTest, CorruptStreamSurfacesWireError) {
+TEST(MessageChannelTest, CorruptStreamSurfacesDecodeError) {
   auto [a, b] = net::make_loopback_pair();
   auto bytes = wire::encode_frame(wire::MsgType::kHello, {1, 2, 3});
   bytes[0] = 'Z';
   ASSERT_EQ(a->write_some(bytes.data(), bytes.size()), bytes.size());
   MessageChannel rx(*b);
-  EXPECT_THROW((void)rx.poll(), wire::WireError);
+  EXPECT_THROW((void)rx.poll(), util::DecodeError);
 }
 
 // --------------------------------------------------------------- tcp + epoll

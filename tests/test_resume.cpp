@@ -385,7 +385,7 @@ TEST(KillResume, CorruptPrimaryFallsBackToPreviousGeneration) {
   const auto resumed = survivor->run();
   expect_same_history(golden, resumed);
 
-  // Both generations corrupt: typed SnapshotError, nothing silently wrong.
+  // Both generations corrupt: typed DecodeError, nothing silently wrong.
   {
     std::fstream f(path + ".prev",
                    std::ios::binary | std::ios::in | std::ios::out);
@@ -393,7 +393,7 @@ TEST(KillResume, CorruptPrimaryFallsBackToPreviousGeneration) {
     f.put('\xFF');
   }
   auto doomed = fx.make({}, {});
-  EXPECT_THROW(doomed->resume(path), util::SnapshotError);
+  EXPECT_THROW(doomed->resume(path), util::DecodeError);
 }
 
 TEST(KillResume, ResumeRejectsMismatchedConfig) {
@@ -412,8 +412,8 @@ TEST(KillResume, ResumeRejectsMismatchedConfig) {
   try {
     t->resume(path);
     FAIL() << "mismatched config accepted";
-  } catch (const util::SnapshotError& e) {
-    EXPECT_EQ(e.kind(), util::SnapshotErrorKind::kState);
+  } catch (const util::DecodeError& e) {
+    EXPECT_EQ(e.kind(), util::DecodeErrorKind::kSchema);
   }
 }
 

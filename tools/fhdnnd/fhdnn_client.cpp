@@ -17,11 +17,11 @@
 
 #include "fl/serving.hpp"
 #include "net/socket.hpp"
+#include "util/bytes.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
-#include "wire/wire.hpp"
 #include "workload.hpp"
 
 namespace {
@@ -110,7 +110,7 @@ int run(int argc, char** argv) {
       log_warn("fhdnn-client") << "attempt failed (" << e.what()
                                << "); retrying";
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    } catch (const wire::WireError& e) {
+    } catch (const util::DecodeError& e) {
       log_warn("fhdnn-client") << "attempt failed (" << e.what()
                                << "); retrying";
       std::this_thread::sleep_for(std::chrono::milliseconds(100));

@@ -1,13 +1,13 @@
 // libFuzzer harness for the wire framing parser (src/wire).
 //
 // Properties checked on every input:
-//   1. decode_frame() either returns a valid Frame or throws WireError —
+//   1. decode_frame() either returns a valid Frame or throws DecodeError —
 //      no crash, no sanitizer report, no other exception type.
 //   2. Round-trip: a frame that decodes must re-encode to the exact input
 //      bytes (decode is strict: one frame, no trailing bytes).
 //   3. Stream agreement: FrameAssembler fed the same bytes, split at an
 //      input-derived point, must produce the same single frame with an
-//      empty buffer — or throw WireError if and only if whole-buffer
+//      empty buffer — or throw DecodeError if and only if whole-buffer
 //      decode also rejected the input.
 //
 // Build with -DFHDNN_FUZZ=ON; under Clang this links libFuzzer, elsewhere
@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "wire/wire.hpp"
 
 namespace {
@@ -36,7 +37,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::optional<wire::Frame> whole;
   try {
     whole = wire::decode_frame(data, size);
-  } catch (const wire::WireError&) {
+  } catch (const fhdnn::util::DecodeError&) {
     // Rejection is the expected outcome for most mutated inputs.
   }
 
@@ -60,7 +61,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     streamed = asm_.next();
     asm_.feed(data + split, size - split);
     if (!streamed.has_value()) streamed = asm_.next();
-  } catch (const wire::WireError&) {
+  } catch (const fhdnn::util::DecodeError&) {
     stream_rejected = true;
   }
 

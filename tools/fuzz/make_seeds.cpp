@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/snapshot.hpp"
 #include "wire/wire.hpp"
 
@@ -69,12 +70,11 @@ bool make_wire_seeds(const fs::path& dir) {
   for (const auto type :
        {wire::MsgType::kHello, wire::MsgType::kHelloAck,
         wire::MsgType::kRoundAssign, wire::MsgType::kUpdate,
-        wire::MsgType::kRoundDone, wire::MsgType::kShutdown,
-        wire::MsgType::kArqFrame}) {
-    wire::PayloadWriter pw;
-    pw.u32(0xC0FFEEu);
-    pw.str("seed");
-    pw.floats({1.0f, -2.5f, 0.0f});
+        wire::MsgType::kRoundDone, wire::MsgType::kShutdown}) {
+    fhdnn::util::ByteWriter pw;
+    pw.write_u32(0xC0FFEEu);
+    pw.write_str("seed");
+    pw.write_floats({1.0f, -2.5f, 0.0f});
     const auto frame =
         wire::encode_frame(type, pw.take());
     ok = write_mutations(dir,
