@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <span>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -100,30 +102,49 @@ void PackedVoteAccumulator::clear() {
 
 namespace {
 
-// Depth-first fan-in tree over [begin, end): leaves feed edge
+// Depth-first fan-in tree over [begin, end) into `acc`: leaves feed edge
 // accumulators of up to `fan_in` children each, and each internal level
-// merges up to `fan_in` child accumulators. O(depth) live accumulators.
-// Acc must provide leaf-add via `add_leaf` and merge via `merge`.
+// merges up to `fan_in` child accumulators. The first child reduces
+// straight into `acc`; every later child reduces into pool[level], which
+// is cleared for it and merged into `acc`, so the whole tree runs on
+// O(depth) accumulators built once per call. Acc must provide leaf-add
+// via `add_leaf`, `merge` and `clear`.
 template <typename Acc, typename Leaf>
-Acc tree_reduce(const std::vector<Leaf>& leaves, std::size_t begin,
-                std::size_t end, std::size_t fan_in,
-                Acc (*make)(const Leaf&)) {
+void tree_reduce(const std::vector<Leaf>& leaves, std::size_t begin,
+                 std::size_t end, std::size_t fan_in, Acc& acc,
+                 std::vector<Acc>& pool, std::size_t level) {
   const std::size_t n = end - begin;
   if (n <= fan_in) {
-    Acc acc = make(leaves[begin]);
-    for (std::size_t i = begin + 1; i < end; ++i) acc.add_leaf(leaves[i]);
-    return acc;
+    for (std::size_t i = begin; i < end; ++i) acc.add_leaf(leaves[i]);
+    return;
   }
   // Split into fan_in child subtrees of near-equal size (ceil division
   // keeps every child non-empty).
   const std::size_t per_child = (n + fan_in - 1) / fan_in;
-  Acc acc = tree_reduce(leaves, begin, begin + per_child, fan_in, make);
+  tree_reduce(leaves, begin, begin + per_child, fan_in, acc, pool, level);
+  Acc& child = pool[level];
   for (std::size_t b = begin + per_child; b < end; b += per_child) {
     const std::size_t e = b + per_child < end ? b + per_child : end;
-    const Acc child = tree_reduce(leaves, b, e, fan_in, make);
+    child.clear();
+    tree_reduce(leaves, b, e, fan_in, child, pool, level + 1);
     acc.merge(child);
   }
-  return acc;
+}
+
+/// Reduces every leaf into one accumulator made by `make` (empty, shaped
+/// like the first leaf), with one scratch accumulator per tree level.
+template <typename Acc, typename Leaf>
+Acc tree_sum(const std::vector<Leaf>& leaves, std::size_t fan_in,
+             Acc (*make)(const Leaf&)) {
+  std::size_t levels = 0;
+  for (std::size_t n = leaves.size(); n > fan_in;
+       n = (n + fan_in - 1) / fan_in) {
+    ++levels;
+  }
+  Acc root = make(leaves.front());
+  std::vector<Acc> pool(levels, root);
+  tree_reduce(leaves, 0, leaves.size(), fan_in, root, pool, 0);
+  return root;
 }
 
 // Adapters giving ExactSumVector / PackedVoteAccumulator the uniform
@@ -132,26 +153,22 @@ struct SumNode {
   util::ExactSumVector acc;
   void add_leaf(const Tensor& t) { acc.add(t.data()); }
   void merge(const SumNode& other) { acc.add(other.acc); }
+  void clear() { acc.clear(); }
 };
 
 struct VoteNode {
   PackedVoteAccumulator acc;
   void add_leaf(const hdc::PackedModel& m) { acc.add(m); }
   void merge(const VoteNode& other) { acc.merge(other.acc); }
+  void clear() { acc.clear(); }
 };
 
 SumNode make_sum_node(const Tensor& t) {
-  SumNode node;
-  node.acc = util::ExactSumVector(static_cast<std::size_t>(t.numel()));
-  node.add_leaf(t);
-  return node;
+  return {util::ExactSumVector(static_cast<std::size_t>(t.numel()))};
 }
 
 VoteNode make_vote_node(const hdc::PackedModel& m) {
-  VoteNode node;
-  node.acc = PackedVoteAccumulator(m.rows, m.d);
-  node.add_leaf(m);
-  return node;
+  return {PackedVoteAccumulator(m.rows, m.d)};
 }
 
 }  // namespace
@@ -163,9 +180,7 @@ Tensor hierarchical_sum(const std::vector<Tensor>& parts, std::size_t fan_in) {
     FHDNN_CHECK(p.shape() == parts.front().shape(),
                 "hierarchical_sum: shape mismatch");
   }
-  const SumNode root =
-      tree_reduce<SumNode, Tensor>(parts, 0, parts.size(), fan_in,
-                                   &make_sum_node);
+  const SumNode root = tree_sum(parts, fan_in, &make_sum_node);
   Tensor out(parts.front().shape());
   root.acc.round_to(out.data());
   return out;
@@ -183,18 +198,44 @@ void PackedVoteAccumulator::save(util::SnapshotWriter& w) const {
 }
 
 void PackedVoteAccumulator::load(util::SnapshotReader& r) {
-  rows_ = r.read_i64();
-  d_ = r.read_i64();
-  total_words_ = static_cast<std::size_t>(r.read_u64());
-  members_ = static_cast<std::size_t>(r.read_u64());
-  const auto n_planes = static_cast<std::size_t>(r.read_u64());
-  planes_.assign(n_planes, {});
-  for (auto& plane : planes_) {
-    plane = r.read_u64s();
-    FHDNN_CHECK(plane.size() == total_words_,
-                "vote snapshot: plane of " << plane.size() << " words, expected "
-                                           << total_words_);
+  const auto reject = [&r](const std::string& what) {
+    throw util::DecodeError(util::DecodeErrorKind::kSchema, r.offset(),
+                            "vote snapshot: " + what);
+  };
+  const std::int64_t rows = r.read_i64();
+  const std::int64_t d = r.read_i64();
+  if (rows <= 0 || d <= 0) {
+    reject("geometry " + std::to_string(rows) + "x" + std::to_string(d));
   }
+  // words_for_bits(d) without the d + 63 that could overflow, and the
+  // product checked by division so no geometry wraps into a match.
+  const auto words_per_row = static_cast<std::uint64_t>(d / 64 + (d % 64 != 0));
+  const std::uint64_t total_words = r.read_u64();
+  if (total_words % words_per_row != 0 ||
+      total_words / words_per_row != static_cast<std::uint64_t>(rows)) {
+    reject(std::to_string(total_words) + " words for " + std::to_string(rows) +
+           "x" + std::to_string(d));
+  }
+  const std::uint64_t members = r.read_u64();
+  const std::uint64_t n_planes = r.read_u64();
+  if (n_planes > 64 ||
+      static_cast<std::uint64_t>(std::bit_width(members)) > n_planes) {
+    reject(std::to_string(n_planes) + " planes for " +
+           std::to_string(members) + " members");
+  }
+  std::vector<std::vector<std::uint64_t>> planes(n_planes);
+  for (auto& plane : planes) {
+    plane = r.read_u64s();
+    if (plane.size() != total_words) {
+      reject("plane of " + std::to_string(plane.size()) +
+             " words, expected " + std::to_string(total_words));
+    }
+  }
+  rows_ = rows;
+  d_ = d;
+  total_words_ = static_cast<std::size_t>(total_words);
+  members_ = static_cast<std::size_t>(members);
+  planes_ = std::move(planes);
 }
 
 hdc::PackedModel hierarchical_majority(
@@ -205,8 +246,7 @@ hdc::PackedModel hierarchical_majority(
     FHDNN_CHECK(m.rows == models.front().rows && m.d == models.front().d,
                 "hierarchical_majority: geometry mismatch");
   }
-  const VoteNode root = tree_reduce<VoteNode, hdc::PackedModel>(
-      models, 0, models.size(), fan_in, &make_vote_node);
+  const VoteNode root = tree_sum(models, fan_in, &make_vote_node);
   return root.acc.finalize();
 }
 

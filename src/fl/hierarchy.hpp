@@ -17,9 +17,10 @@
 //     root via the same detail kernels as `majority_aggregate_packed`, so
 //     the tree result is pinned bit-exact against the flat kernel.
 //
-// The `hierarchical_*` drivers walk the tree depth-first with O(depth)
-// live accumulators; tests/test_properties.cpp pins tree == flat for both
-// paths at fan-ins {2, 3, 16}.
+// The `hierarchical_*` drivers walk the tree depth-first on O(depth)
+// accumulators, built once per call and cleared for each edge they stand
+// in for; tests/test_properties.cpp pins tree == flat for both paths at
+// fan-ins {2, 3, 16}.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +66,10 @@ class PackedVoteAccumulator : public util::Snapshotable {
   void clear();
 
   /// Snapshot geometry, member count, and raw vote planes; a restored
-  /// accumulator finalizes to the identical packed model.
+  /// accumulator finalizes to the identical packed model. load() throws
+  /// DecodeError (kSchema), leaving the accumulator as it was, unless
+  /// rows and d are positive, every plane holds rows * words_for_bits(d)
+  /// words, and there are at most 64 planes, enough to count members().
   void save(util::SnapshotWriter& w) const override;
   void load(util::SnapshotReader& r) override;
 

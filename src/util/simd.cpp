@@ -154,12 +154,35 @@ std::uint32_t crc32_update_scalar(std::uint32_t crc, const std::uint8_t* data,
   return crc;
 }
 
+// The exact-sum oracle. Every operation is integer arithmetic in uint64, so
+// the adds wrap instead of overflowing, and the sign is applied as
+// (v ^ neg) - neg with neg all ones or zero: no data-dependent branch.
+void exact_accumulate_f32_scalar(std::int64_t* chunks, const float* x,
+                                 std::int64_t n) {
+  for (std::int64_t e = 0; e < n; ++e) {
+    const auto bits = std::bit_cast<std::uint32_t>(x[e]);
+    const std::uint32_t exp = (bits >> 23U) & 0xFFU;
+    const std::uint32_t normal = exp != 0 ? 1U : 0U;
+    // A normal's implicit bit sits at quantum 2^(exp-1); a subnormal's
+    // mantissa counts quanta directly.
+    const std::uint64_t m = (bits & 0x7FFFFFU) | (normal << 23U);
+    const std::uint32_t shift = exp - normal;
+    const std::uint64_t v = m << (shift % 32U);
+    const std::uint64_t neg = 0 - static_cast<std::uint64_t>(bits >> 31U);
+    std::int64_t* c = chunks + e * kExactChunks + shift / 32U;
+    c[0] = static_cast<std::int64_t>(static_cast<std::uint64_t>(c[0]) +
+                                     (((v & 0xFFFFFFFFU) ^ neg) - neg));
+    c[1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(c[1]) +
+                                     (((v >> 32U) ^ neg) - neg));
+  }
+}
+
 constexpr Kernels kScalar = {
     axpy_scalar,         scale_scalar,          add_scalar,
     sub_scalar,          mul_scalar,            gemm_dot_f64_scalar,
     gemm_axpy_f32_scalar, pack_signs_scalar,    unpack_signs_scalar,
     xor_words_scalar,    popcount_words_scalar, hamming_words_scalar,
-    crc32_update_scalar,
+    crc32_update_scalar, exact_accumulate_f32_scalar,
 };
 
 /// Overlay `tier` onto `base`: non-null tier entries win.
@@ -181,6 +204,9 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
   }
   if (tier->hamming_words != nullptr) out.hamming_words = tier->hamming_words;
   if (tier->crc32_update != nullptr) out.crc32_update = tier->crc32_update;
+  if (tier->exact_accumulate_f32 != nullptr) {
+    out.exact_accumulate_f32 = tier->exact_accumulate_f32;
+  }
   return out;
 }
 

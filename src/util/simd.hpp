@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD kernels for the hot data representations
 // (DESIGN.md §11): float rows (tensor elementwise / matmul inner loops),
-// bit-packed hypervector words (pack, XOR-bind, popcount hamming) and raw
-// bytes (the CRC-32 behind every snapshot chunk and wire frame).
+// bit-packed hypervector words (pack, XOR-bind, popcount hamming), raw
+// bytes (the CRC-32 behind every snapshot chunk and wire frame) and exact
+// fixed-point sums (the accumulate behind hierarchical aggregation).
 //
 // Dispatch model: `kernels()` returns a table of function pointers resolved
 // against util::active_simd(). Each tier's implementations live in their
@@ -30,6 +31,10 @@
 // computes the same polynomial remainder, so the checksum on disk and on
 // the wire does not depend on the tier that produced it.
 //
+// The exact-sum kernel is integer-exact too: it adds each float's fixed-
+// point image into util::ExactSumVector's lazy-carry chunks, so every tier
+// writes the same chunk integers.
+//
 // These kernels take raw pointers, not Tensor views: they are the innermost
 // building blocks underneath the `_into` layer and must stay free of any
 // per-call shape machinery.
@@ -41,6 +46,12 @@
 #include "util/cpu.hpp"
 
 namespace fhdnn::simd {
+
+/// Chunks per element of the exact-sum kernel's accumulator: nine 32-bit
+/// digits of a fixed-point value in units of 2^-149, least significant
+/// first, each held in an int64 with 31 bits of headroom for carries that
+/// have not run yet (util/exactsum.hpp).
+inline constexpr std::int64_t kExactChunks = 9;
 
 /// One lane-mapped GEMM call (DESIGN.md §11). Output element (r, l), for
 /// r < rows and l < lanes, is the inner product over kk < k of
@@ -114,6 +125,17 @@ struct Kernels {
   /// message may be fed in pieces. data may be null when n == 0.
   std::uint32_t (*crc32_update)(std::uint32_t crc, const std::uint8_t* data,
                                 std::size_t n);
+
+  // ---- exact-sum kernel (integer-exact) ----
+  /// Add x[e] exactly into element e's kExactChunks chunks at
+  /// chunks[e * kExactChunks]: |x[e]| = m * 2^shift quanta of 2^-149 (m <
+  /// 2^24), and the two 32-bit halves of m << (shift % 32) are added, with
+  /// the sign of x[e], to chunks shift / 32 and shift / 32 + 1. No carry
+  /// runs and no branch is taken; each chunk changes by less than 2^32, and
+  /// the adds wrap modulo 2^64. The caller rejects non-finite input (which
+  /// would still write only its own element's chunks). No aliasing.
+  void (*exact_accumulate_f32)(std::int64_t* chunks, const float* x,
+                               std::int64_t n);
 };
 
 /// Kernel table for util::active_simd() — re-resolved on every call, so

@@ -6,7 +6,9 @@
 // histories. The bit kernels (sign-pack via compare+movemask, Muła
 // nibble-LUT popcount) and the PCLMULQDQ CRC-32 fold are integer-exact by
 // construction. util::detected_simd() grants this tier only to CPUs with
-// AVX2, POPCNT and PCLMULQDQ, the three extensions the flags enable.
+// AVX2, POPCNT and PCLMULQDQ, the three extensions the flags enable. The
+// exact-sum accumulate stays scalar here: it adds into chunks picked per
+// element, and AVX2 has gathers but no scatter.
 //
 // The entire file is guarded by __AVX2__: on non-x86 targets (or when the
 // build system did not pass the flags) the table resolver returns null and
@@ -302,6 +304,7 @@ constexpr Kernels kAvx2 = {
     gemm_axpy_f32_avx2, pack_signs_avx2,
     unpack_signs_avx2, xor_words_avx2, popcount_words_avx2,
     hamming_words_avx2, crc32_update_avx2,
+    nullptr /*exact_accumulate_f32: scalar*/,
 };
 
 }  // namespace

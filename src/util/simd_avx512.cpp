@@ -9,6 +9,10 @@
 // probe too), and the Muła popcount there already saturates load
 // bandwidth; the VPOPCNTDQ and VPCLMULQDQ extensions that would beat the
 // AVX2 kernels are not part of the avx512f+bw baseline this TU targets.
+//
+// The exact-sum accumulate is here and not in the AVX2 tier because it
+// needs the AVX-512F scatter: each lane is one element, so the eight
+// gather/add/scatter lanes touch disjoint chunks and never conflict.
 #include "util/simd.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__)
@@ -156,6 +160,60 @@ struct AxpyF32 {
 
 void gemm_dot_f64_avx512(const GemmArgs<double>& g) { gemm<DotF64>(g); }
 
+// Eight elements per step, one per 64-bit lane, each lane the scalar
+// kernel's integer arithmetic; the tail runs the same step under a mask
+// (masked-off lanes neither load, gather nor scatter). The shifts, the
+// extract and the widening use their all-lanes maskz forms for the reason
+// DotF64::store gives: GCC 12's unmasked forms trip -Wmaybe-uninitialized
+// in its own header.
+void exact_accumulate_f32_avx512(std::int64_t* chunks, const float* x,
+                                 std::int64_t n) {
+  constexpr std::int64_t c = kExactChunks;
+  const __m512i lane_base =
+      _mm512_set_epi64(7 * c, 6 * c, 5 * c, 4 * c, 3 * c, 2 * c, c, 0);
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i exp_mask = _mm512_set1_epi64(0xFF);
+  const __m512i man_mask = _mm512_set1_epi64(0x7FFFFF);
+  const __m512i implicit = _mm512_set1_epi64(0x800000);
+  const __m512i sign = _mm512_set1_epi64(0x80000000LL);
+  const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFFLL);
+  const __m512i off_mask = _mm512_set1_epi64(31);
+  const auto all = static_cast<__mmask8>(0xFF);
+  for (std::int64_t e = 0; e < n; e += 8) {
+    const std::int64_t left = n - e;
+    const auto k = static_cast<__mmask8>(
+        left >= 8 ? 0xFFU : (1U << static_cast<unsigned>(left)) - 1U);
+    const __m512i words =
+        _mm512_maskz_loadu_epi32(static_cast<__mmask16>(k), x + e);
+    const __m512i bits = _mm512_maskz_cvtepu32_epi64(
+        all, _mm512_maskz_extracti64x4_epi64(all, words, 0));
+    const __m512i exp =
+        _mm512_and_si512(_mm512_maskz_srli_epi64(all, bits, 23), exp_mask);
+    const __mmask8 normal = _mm512_test_epi64_mask(exp, exp);
+    const __m512i man = _mm512_and_si512(bits, man_mask);
+    const __m512i m = _mm512_mask_or_epi64(man, normal, man, implicit);
+    const __m512i shift = _mm512_mask_sub_epi64(exp, normal, exp, one);
+    const __m512i v =
+        _mm512_maskz_sllv_epi64(all, m, _mm512_and_si512(shift, off_mask));
+    const __mmask8 neg = _mm512_test_epi64_mask(bits, sign);
+    const __m512i lo = _mm512_and_si512(v, low32);
+    const __m512i hi = _mm512_maskz_srli_epi64(all, v, 32);
+    const __m512i add_lo = _mm512_mask_sub_epi64(lo, neg, zero, lo);
+    const __m512i add_hi = _mm512_mask_sub_epi64(hi, neg, zero, hi);
+    std::int64_t* base = chunks + e * c;
+    const __m512i at =
+        _mm512_add_epi64(lane_base, _mm512_maskz_srli_epi64(all, shift, 5));
+    const __m512i at_hi = _mm512_add_epi64(at, one);
+    const __m512i c_lo = _mm512_mask_i64gather_epi64(zero, k, at, base, 8);
+    _mm512_mask_i64scatter_epi64(base, k, at, _mm512_add_epi64(c_lo, add_lo),
+                                 8);
+    const __m512i c_hi = _mm512_mask_i64gather_epi64(zero, k, at_hi, base, 8);
+    _mm512_mask_i64scatter_epi64(base, k, at_hi,
+                                 _mm512_add_epi64(c_hi, add_hi), 8);
+  }
+}
+
 void gemm_axpy_f32_avx512(const GemmArgs<float>& g) { gemm<AxpyF32>(g); }
 
 constexpr Kernels kAvx512 = {
@@ -164,7 +222,7 @@ constexpr Kernels kAvx512 = {
     gemm_axpy_f32_avx512,           pack_signs_avx512,
     unpack_signs_avx512, nullptr /*xor_words: AVX2*/,
     nullptr /*popcount_words: AVX2*/, nullptr /*hamming_words: AVX2*/,
-    nullptr /*crc32_update: AVX2*/,
+    nullptr /*crc32_update: AVX2*/, exact_accumulate_f32_avx512,
 };
 
 }  // namespace

@@ -113,6 +113,7 @@ constexpr Kernels kNeon = {
     nullptr /*unpack_signs: scalar*/, xor_words_neon,
     popcount_words_neon, hamming_words_neon,
     nullptr /*crc32_update: scalar*/,
+    nullptr /*exact_accumulate_f32: scalar*/,
 };
 
 }  // namespace

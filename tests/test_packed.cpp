@@ -381,6 +381,56 @@ TEST(SimdKernels, BitKernelsExactAcrossTiers) {
   }
 }
 
+// The exact-sum kernel: the chunk images it leaves are integers, so every
+// tier must leave the scalar oracle's, over any bit pattern (non-finite
+// ones included: the accumulator rejects them first, but the kernel still
+// must not write outside their element), ragged lengths around the 8-lane
+// step, and chunks that already hold pending values. A sentinel past the
+// last element catches a tail lane that writes too far.
+TEST(SimdKernels, ExactAccumulateIdenticalAcrossTiers) {
+  Rng rng(57);
+  const auto& scalar = simd::detail::scalar_table();
+  constexpr std::int64_t kC = simd::kExactChunks;
+  constexpr std::int64_t kSentinel = 0x5A5A5A5A5A5A5A5ALL;
+  for (std::int64_t n = 0; n <= 41; ++n) {
+    std::vector<float> x(static_cast<std::size_t>(n));
+    for (auto& v : x) {
+      v = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next_u64()));
+    }
+    std::vector<std::int64_t> start(static_cast<std::size_t>(n * kC + 1));
+    for (auto& c : start) {
+      c = static_cast<std::int64_t>(rng.next_u64() >> 2U) - (1LL << 61);
+    }
+    start.back() = kSentinel;
+    std::vector<std::int64_t> want = start;
+    scalar.exact_accumulate_f32(want.data(), x.data(), n);
+    ASSERT_EQ(want.back(), kSentinel) << "n=" << n;
+    for (const auto tier : util::available_simd_tiers()) {
+      std::vector<std::int64_t> got = start;
+      simd::kernels_for(tier).exact_accumulate_f32(got.data(), x.data(), n);
+      ASSERT_EQ(got, want) << util::simd_tier_name(tier) << " n=" << n;
+    }
+  }
+  // Anchors: 1.0f is 2^149 quanta, bit 21 of chunk 4; -(smallest
+  // subnormal) is -1 in chunk 0; FLT_MAX is (2^24 - 1) * 2^253 quanta,
+  // split across chunks 7 and 8 at bit 29.
+  const std::vector<float> anchors = {1.0F, -std::bit_cast<float>(1U),
+                                      std::numeric_limits<float>::max()};
+  for (const auto tier : util::available_simd_tiers()) {
+    std::vector<std::int64_t> chunks(anchors.size() * kC, 0);
+    simd::kernels_for(tier).exact_accumulate_f32(
+        chunks.data(), anchors.data(),
+        static_cast<std::int64_t>(anchors.size()));
+    std::vector<std::int64_t> want(chunks.size(), 0);
+    want[4] = 1LL << 21;
+    want[kC + 0] = -1;
+    const std::uint64_t max_bits = ((1ULL << 24) - 1) << 29;
+    want[2 * kC + 7] = static_cast<std::int64_t>(max_bits & 0xFFFFFFFFULL);
+    want[2 * kC + 8] = static_cast<std::int64_t>(max_bits >> 32);
+    EXPECT_EQ(chunks, want) << util::simd_tier_name(tier);
+  }
+}
+
 // The GEMM microkernels against per-element oracles written here: a double
 // chain from +0.0 rounded once (gemm_dot_f64) and a float chain from +0.0F
 // (gemm_axpy_f32), each in ascending kk. Rows and lanes each sweep 1..35,

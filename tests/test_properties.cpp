@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <tuple>
 #include <vector>
@@ -24,8 +26,10 @@
 #include "nn/batchnorm.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
+#include "util/cpu.hpp"
 #include "util/exactsum.hpp"
 #include "util/rng.hpp"
+#include "util/snapshot.hpp"
 #include "util/stats.hpp"
 
 namespace fhdnn {
@@ -473,6 +477,240 @@ TEST_P(FanInTree, PackedTreeMajorityMatchesFlatKernel) {
 
 INSTANTIATE_TEST_SUITE_P(FanIns, FanInTree,
                          ::testing::Values<std::size_t>(2, 3, 16));
+
+// ----------------------------------------------------------------------
+// ExactSumVector against the limb accumulator it replaced. The oracle keeps
+// the earlier representation verbatim: per element a 384-bit two's-
+// complement integer in six uint64 limbs, every add carried (or borrowed)
+// through to the top at once, merges as full 384-bit adds, and the same
+// round-to-nearest-even over the limbs. Any grouping, permutation or tier
+// of the lazy-carry accumulator must save the oracle's limbs byte for byte
+// and round to its bits. Param: case seed.
+class LimbOracle {
+ public:
+  static constexpr std::size_t kLimbs = 6;
+
+  explicit LimbOracle(std::size_t n) : n_(n), limbs_(n * kLimbs, 0) {}
+
+  void add(const std::vector<float>& values) {
+    for (std::size_t e = 0; e < n_; ++e) {
+      const auto bits = std::bit_cast<std::uint32_t>(values[e]);
+      const std::uint32_t exp = (bits >> 23) & 0xFFU;
+      const std::uint32_t man = bits & 0x7FFFFFU;
+      const std::uint64_t m = exp == 0 ? man : (man | 0x800000U);
+      const std::size_t shift = exp == 0 ? 0 : exp - 1;
+      if (m == 0) continue;
+      const std::size_t limb = shift / 64;
+      const std::size_t off = shift % 64;
+      const std::uint64_t lo = m << off;
+      const std::uint64_t hi = off == 0 ? 0 : (m >> (64 - off));
+      std::uint64_t* elem = limbs_.data() + e * kLimbs;
+      if ((bits >> 31) == 0) {
+        add_shifted(elem, limb, lo, hi);
+      } else {
+        sub_shifted(elem, limb, lo, hi);
+      }
+    }
+  }
+
+  void merge(const LimbOracle& other) {
+    for (std::size_t e = 0; e < n_; ++e) {
+      std::uint64_t* a = limbs_.data() + e * kLimbs;
+      const std::uint64_t* b = other.limbs_.data() + e * kLimbs;
+      std::uint64_t carry = 0;
+      for (std::size_t i = 0; i < kLimbs; ++i) {
+        const std::uint64_t sum = a[i] + b[i] + carry;
+        carry = (sum < b[i] || (carry != 0 && sum == b[i])) ? 1 : 0;
+        a[i] = sum;
+      }
+    }
+  }
+
+  std::vector<std::uint32_t> round_bits() const {
+    std::vector<std::uint32_t> out(n_);
+    for (std::size_t e = 0; e < n_; ++e) {
+      out[e] = round(limbs_.data() + e * kLimbs);
+    }
+    return out;
+  }
+
+  /// The image ExactSumVector::save writes for the same value.
+  std::vector<std::uint8_t> image() const {
+    util::SnapshotWriter w;
+    w.begin_chunk("EXSV");
+    w.write_u64(n_);
+    w.write_u64s(limbs_);
+    w.end_chunk();
+    return w.finish();
+  }
+
+ private:
+  static void add_shifted(std::uint64_t* limbs, std::size_t limb,
+                          std::uint64_t lo, std::uint64_t hi) {
+    std::uint64_t sum = limbs[limb] + lo;
+    std::uint64_t carry = sum < lo ? 1 : 0;
+    limbs[limb] = sum;
+    for (std::size_t i = limb + 1; i < kLimbs; ++i) {
+      const std::uint64_t addend = (i == limb + 1) ? hi : 0;
+      if (carry == 0 && addend == 0) break;
+      sum = limbs[i] + addend + carry;
+      carry = (sum < addend || (carry != 0 && sum == addend)) ? 1 : 0;
+      limbs[i] = sum;
+    }
+  }
+
+  static void sub_shifted(std::uint64_t* limbs, std::size_t limb,
+                          std::uint64_t lo, std::uint64_t hi) {
+    std::uint64_t borrow = limbs[limb] < lo ? 1 : 0;
+    limbs[limb] -= lo;
+    for (std::size_t i = limb + 1; i < kLimbs; ++i) {
+      const std::uint64_t sub = (i == limb + 1) ? hi : 0;
+      if (borrow == 0 && sub == 0) break;
+      const std::uint64_t before = limbs[i];
+      limbs[i] = before - sub - borrow;
+      borrow = (before < sub || (borrow != 0 && before == sub)) ? 1 : 0;
+    }
+  }
+
+  static std::uint32_t round(const std::uint64_t* elem) {
+    const bool negative = (elem[kLimbs - 1] >> 63) != 0;
+    std::uint64_t mag[kLimbs];
+    std::uint64_t carry = 1;
+    for (std::size_t i = 0; i < kLimbs; ++i) {
+      if (negative) {
+        mag[i] = ~elem[i] + carry;
+        carry = (carry != 0 && mag[i] == 0) ? 1 : 0;
+      } else {
+        mag[i] = elem[i];
+      }
+    }
+    int msb = -1;
+    for (int i = static_cast<int>(kLimbs) - 1; i >= 0 && msb < 0; --i) {
+      if (mag[i] != 0) msb = i * 64 + 63 - std::countl_zero(mag[i]);
+    }
+    std::uint32_t bits = 0;
+    if (msb >= 0 && msb <= 23) {
+      bits = static_cast<std::uint32_t>(mag[0]);
+    } else if (msb > 23) {
+      const int lo_bit = msb - 23;
+      auto bit = [&mag](int b) { return (mag[b / 64] >> (b % 64)) & 1ULL; };
+      std::uint32_t sig = 0;
+      for (int b = 23; b >= 0; --b) {
+        sig = (sig << 1) | static_cast<std::uint32_t>(bit(lo_bit + b));
+      }
+      const bool guard = bit(lo_bit - 1) != 0;
+      bool sticky = false;
+      for (int b = 0; b < lo_bit - 1 && !sticky; ++b) sticky = bit(b) != 0;
+      int p = msb;
+      if (guard && (sticky || (sig & 1U) != 0)) {
+        ++sig;
+        if (sig == (1U << 24)) {
+          sig >>= 1;
+          ++p;
+        }
+      }
+      const int exp = p - 22;
+      bits = exp >= 255 ? 0x7F800000U
+                        : (static_cast<std::uint32_t>(exp) << 23) |
+                              (sig & 0x7FFFFFU);
+    }
+    return negative ? bits | 0x80000000U : bits;
+  }
+
+  std::size_t n_;
+  std::vector<std::uint64_t> limbs_;
+};
+
+/// One adversarial float: a subnormal, +/-FLT_MAX, a signed zero, a value
+/// spread over 2^+/-40, or any finite bit pattern at all.
+float adversarial_float(Rng& rng) {
+  const bool negative = rng.bernoulli(0.5);
+  float v = 0.0F;
+  switch (rng.randint(0, 4)) {
+    case 0:
+      v = std::bit_cast<float>(
+          static_cast<std::uint32_t>(rng.randint(1, 0x7FFFFF)));
+      break;
+    case 1: v = std::numeric_limits<float>::max(); break;
+    case 2: v = 0.0F; break;
+    case 3:
+      v = static_cast<float>(
+          rng.uniform(0.5, 1.0) *
+          std::ldexp(1.0, static_cast<int>(rng.randint(-40, 40))));
+      break;
+    default:
+      v = std::bit_cast<float>(
+          static_cast<std::uint32_t>(rng.randint(0, 0x7F7FFFFF)));
+      break;
+  }
+  return negative ? -v : v;
+}
+
+class ExactSumOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExactSumOracle, AnyGroupingSavesAndRoundsLikeTheLimbOracle) {
+  Rng rng(900 + static_cast<std::uint64_t>(GetParam()));
+  const auto n = static_cast<std::size_t>(rng.randint(1, 37));
+  const auto k = static_cast<std::size_t>(
+      GetParam() % 4 == 0 ? rng.randint(200, 600) : rng.randint(1, 40));
+  std::vector<std::vector<float>> updates;
+  for (std::size_t u = 0; u < k; ++u) {
+    std::vector<float> x(n);
+    for (auto& v : x) v = adversarial_float(rng);
+    updates.push_back(x);
+    if (rng.bernoulli(0.3)) {  // exact cancellation of what just went in
+      for (auto& v : x) v = -v;
+      updates.push_back(x);
+    }
+  }
+  LimbOracle oracle(n);
+  for (const auto& x : updates) oracle.add(x);
+  const std::vector<std::uint8_t> want_image = oracle.image();
+  const std::vector<std::uint32_t> want_bits = oracle.round_bits();
+
+  const util::SimdTier before = util::active_simd();
+  for (const auto tier : util::available_simd_tiers()) {
+    util::set_simd_tier(tier);
+    // Permute the updates, deal them into random groups, then merge the
+    // groups pairwise in random order until one accumulator is left.
+    std::vector<std::size_t> order(updates.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    rng.shuffle(order);
+    const auto groups = static_cast<std::size_t>(
+        rng.randint(1, static_cast<std::int64_t>(order.size())));
+    std::vector<util::ExactSumVector> accs(groups, util::ExactSumVector(n));
+    for (const std::size_t u : order) {
+      accs[static_cast<std::size_t>(rng.randint(
+               0, static_cast<std::int64_t>(groups) - 1))]
+          .add(updates[u]);
+    }
+    while (accs.size() > 1) {
+      const auto a = static_cast<std::size_t>(
+          rng.randint(0, static_cast<std::int64_t>(accs.size()) - 1));
+      std::swap(accs[a], accs.back());
+      const util::ExactSumVector child = std::move(accs.back());
+      accs.pop_back();
+      accs[static_cast<std::size_t>(rng.randint(
+               0, static_cast<std::int64_t>(accs.size()) - 1))]
+          .add(child);
+    }
+    util::SnapshotWriter w;
+    w.begin_chunk("EXSV");
+    accs.front().save(w);
+    w.end_chunk();
+    EXPECT_EQ(w.finish(), want_image) << util::simd_tier_name(tier);
+    std::vector<float> got(n);
+    accs.front().round_to(got);
+    for (std::size_t e = 0; e < n; ++e) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[e]), want_bits[e])
+          << util::simd_tier_name(tier) << " n=" << n << " k=" << k
+          << " e=" << e;
+    }
+  }
+  util::set_simd_tier(before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, ExactSumOracle, ::testing::Range(0, 48));
 
 }  // namespace
 }  // namespace fhdnn

@@ -1,5 +1,6 @@
-// libFuzzer harness for the snapshot loader (src/util/snapshot) and the
-// byte codec under it (src/util/bytes).
+// libFuzzer harness for the snapshot loader (src/util/snapshot), the byte
+// codec under it (src/util/bytes) and the two accumulator loaders whose
+// state a checkpoint carries (util/exactsum, fl/hierarchy).
 //
 // Pass 1: from_bytes() validates the whole image eagerly (magic, version,
 // chunk framing, per-chunk CRC-32, END terminator), so most of the parser
@@ -11,6 +12,12 @@
 // input, no CRC in the way. Each step's first byte picks the next typed
 // read, which lets hostile count prefixes reach every vector read.
 //
+// Pass 3: the raw input, wrapped in one valid chunk, is the saved state of
+// an exact-sum accumulator and then of a vote accumulator (fl/hierarchy).
+// Whatever load() accepts must also round (round_to) or finalize without
+// fault: the geometry and counts a loader lets through are what those
+// calls index with.
+//
 // The only acceptable failure mode is a thrown DecodeError; any crash,
 // sanitizer report, or other exception type is a finding.
 //
@@ -20,7 +27,9 @@
 #include <string>
 #include <vector>
 
+#include "fl/hierarchy.hpp"
 #include "util/bytes.hpp"
+#include "util/exactsum.hpp"
 #include "util/snapshot.hpp"
 
 namespace {
@@ -75,11 +84,42 @@ void drive_typed_reads(const std::uint8_t* data, std::size_t size) {
   }
 }
 
+/// Loads `state` from the input wrapped in one CRC-valid chunk; false when
+/// the loader rejects it.
+bool load_wrapped(util::Snapshotable& state, const std::uint8_t* data,
+                  std::size_t size) {
+  util::SnapshotWriter w;
+  w.begin_chunk("FUZZ");
+  w.write_raw(data, size);
+  w.end_chunk();
+  auto reader = util::SnapshotReader::from_bytes(w.finish(), "<fuzz>");
+  reader.enter_chunk("FUZZ");
+  try {
+    state.load(reader);
+  } catch (const util::DecodeError&) {
+    return false;
+  }
+  return true;
+}
+
+void drive_accumulator_loads(const std::uint8_t* data, std::size_t size) {
+  util::ExactSumVector sum;
+  if (load_wrapped(sum, data, size)) {
+    std::vector<float> out(sum.size());
+    sum.round_to(out);
+  }
+  fhdnn::fl::PackedVoteAccumulator votes;
+  if (load_wrapped(votes, data, size) && votes.members() > 0) {
+    (void)votes.finalize();
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   walk_snapshot(data, size);
   drive_typed_reads(data, size);
+  drive_accumulator_loads(data, size);
   return 0;
 }

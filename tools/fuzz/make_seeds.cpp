@@ -8,6 +8,12 @@
 // truncation, bad magic, version skew, CRC flips, hostile length fields.
 // Seeding the mutations directly lets a 60-second CI smoke start at the
 // interesting boundaries instead of rediscovering the header format.
+//
+// The snapshot corpus also holds raw accumulator payloads for the harness's
+// loader pass (it wraps each input in a valid chunk): a saved exact-sum and
+// vote state, and the hostile images tests/test_snapshot.cpp rejects — an
+// element count that wraps, a value past the chunk range, vote planes
+// shorter than their geometry.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "fl/hierarchy.hpp"
+#include "hdc/packed.hpp"
 #include "util/bytes.hpp"
+#include "util/exactsum.hpp"
 #include "util/snapshot.hpp"
 #include "wire/wire.hpp"
 
@@ -110,6 +119,63 @@ bool make_snapshot_seeds(const fs::path& dir) {
   return ok;
 }
 
+/// The chunk payload `state.save` writes, without the snapshot framing.
+std::vector<std::uint8_t> payload_of(const fhdnn::util::Snapshotable& state) {
+  namespace util = fhdnn::util;
+  util::SnapshotWriter w;
+  w.begin_chunk("SEED");
+  state.save(w);
+  w.end_chunk();
+  auto reader = util::SnapshotReader::from_bytes(w.finish());
+  reader.enter_chunk("SEED");
+  const std::size_t n = reader.remaining();
+  const std::uint8_t* p = reader.read_raw(n);
+  return {p, p + n};
+}
+
+bool make_accumulator_seeds(const fs::path& dir) {
+  namespace util = fhdnn::util;
+  bool ok = true;
+  util::ExactSumVector sum(5);
+  sum.add(std::vector<float>{1.0f, -2.5f, 3.0e38f, -1.0e-40f, 0.0f});
+  sum.add(std::vector<float>{-4.0f, 2.5f, 3.0e38f, 7.0f, -0.0f});
+  ok = write_seed(dir, "exactsum_state", payload_of(sum)) && ok;
+  {
+    util::ByteWriter w;  // 6 * (2^63 + 2) limbs wraps to 12
+    w.write_u64((1ULL << 63) + 2);
+    w.write_u64s(std::vector<std::uint64_t>(12, 0));
+    ok = write_seed(dir, "exactsum_wrapping_count", w.take()) && ok;
+  }
+  {
+    util::ByteWriter w;  // top limb is not the sign extension of bit 319
+    w.write_u64(1);
+    w.write_u64s({0, 0, 0, 0, 0, 1});
+    ok = write_seed(dir, "exactsum_beyond_range", w.take()) && ok;
+  }
+  fhdnn::fl::PackedVoteAccumulator votes(3, 130);
+  for (std::uint64_t k = 0; k < 5; ++k) {
+    fhdnn::hdc::PackedModel m(3, 130);
+    for (auto& word : m.words) word = 0x9E3779B97F4A7C15ULL * (k + 1);
+    for (std::int64_t r = 0; r < 3; ++r) {
+      m.words[static_cast<std::size_t>(r * 3 + 2)] &=
+          fhdnn::hdc::tail_mask(130);
+    }
+    votes.add(m);
+  }
+  ok = write_seed(dir, "votes_state", payload_of(votes)) && ok;
+  {
+    util::ByteWriter w;  // 64 x 4096 bits in planes of one word
+    w.write_i64(64);
+    w.write_i64(4096);
+    w.write_u64(1);
+    w.write_u64(1);
+    w.write_u64(1);
+    w.write_u64s({~0ULL});
+    ok = write_seed(dir, "votes_short_planes", w.take()) && ok;
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -127,7 +193,10 @@ int main(int argc, char** argv) {
     std::cerr << "cannot create " << base.string() << "\n";
     return 2;
   }
-  if (!make_wire_seeds(wire_dir) || !make_snapshot_seeds(snap_dir)) return 2;
+  if (!make_wire_seeds(wire_dir) || !make_snapshot_seeds(snap_dir) ||
+      !make_accumulator_seeds(snap_dir)) {
+    return 2;
+  }
   std::cout << "seed corpora written under " << base.string() << "\n";
   return 0;
 }
