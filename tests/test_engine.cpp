@@ -101,7 +101,9 @@ fl::TrainingHistory run_golden_fedavg(const channel::Channel* chan) {
 /// refinement keeps making mistakes, so train_loss is nonzero), C=0.5,
 /// dropout 0.3, bit-error uplink, AWGN downlink — exercises the "downlink"
 /// round fork, the "channel-<id>" per-client forks, and bundling.
-fl::TrainingHistory run_golden_fedhd() {
+/// `tweak` adjusts the config before the run (the binary-uplink pin).
+fl::TrainingHistory run_golden_fedhd(
+    void (*tweak)(fl::FedHdConfig&) = nullptr) {
   Rng rng(31);
   data::IsoletSpec spec;
   spec.dims = 32;
@@ -132,6 +134,7 @@ fl::TrainingHistory run_golden_fedhd() {
   cfg.uplink.ber = 1e-4;
   cfg.downlink.mode = channel::HdUplinkMode::Awgn;
   cfg.downlink.snr_db = 15.0;
+  if (tweak != nullptr) tweak(cfg);
   fl::FedHdTrainer trainer(clients, test, cfg);
   return trainer.run();
 }
@@ -176,6 +179,24 @@ TEST(GoldenHistory, FedHdMatchesPreRefactorRunAtEveryTierAndThreadCount) {
   };
   at_every_tier_and_thread_count(
       [&] { expect_matches_golden(run_golden_fedhd(), golden); });
+}
+
+/// The golden FedHd run with a one-bit sign uplink at BER 1e-2: the server
+/// bundles bipolar client models, so every bit flip moves the history.
+void binary_uplink(fl::FedHdConfig& cfg) {
+  cfg.uplink.binary_transport = true;
+  cfg.uplink.ber = 1e-2;
+}
+
+TEST(GoldenHistory, FedHdBinaryUplinkIsPinnedAtEveryTierAndThreadCount) {
+  const std::vector<GoldenRound> golden = {
+      {0x1.6cccccccccccdp-1, 0x1.948b0fcd6e9ep-8, 3, 768, 6144, 61, 0},
+      {0x1.8p-1, 0x1.2840670b453b9p-3, 3, 768, 6144, 62, 0},
+      {0x1.5333333333333p-1, 0x1.04d4873ecade3p-2, 2, 512, 4096, 48, 0},
+  };
+  at_every_tier_and_thread_count([&] {
+    expect_matches_golden(run_golden_fedhd(&binary_uplink), golden);
+  });
 }
 
 // ------------------------------------- sampling/dropout stream prediction
