@@ -12,10 +12,10 @@
 
 #include "bench_common.hpp"
 #include "data/synthetic.hpp"
-#include "hdc/binary_model.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/id_level_encoder.hpp"
+#include "hdc/packed.hpp"
 #include "hdc/quantizer.hpp"
 
 int main(int argc, char** argv) {
@@ -109,9 +109,10 @@ int main(int argc, char** argv) {
                   TextTable::cell(static_cast<std::size_t>(scalars * bits / 8)),
                   TextTable::cell(acc_with(back))});
     }
+    const Tensor signs = hdc::unpack_rows(hdc::pack_rows(protos));
     tt.add_row({"binary sign (1-bit)",
                 TextTable::cell(static_cast<std::size_t>(scalars / 8)),
-                TextTable::cell(acc_with(hdc::expand(hdc::binarize(protos))))});
+                TextTable::cell(acc_with(signs))});
     tt.print(std::cout);
   }
 

@@ -68,4 +68,24 @@ std::size_t flip_quantized_bits(hdc::QuantizedVector& q, double ber, Rng& rng) {
   return flips;
 }
 
+std::size_t flip_sign_bits(hdc::PackedModel& model, double ber, Rng& rng) {
+  FHDNN_CHECK(model.rows >= 0 && model.d >= 0 &&
+                  static_cast<std::int64_t>(model.words.size()) ==
+                      model.rows * model.words_per_row(),
+              "flip_sign_bits: inconsistent " << model.rows << "x" << model.d
+                                              << " PackedModel");
+  const auto d = static_cast<std::uint64_t>(model.d);
+  const std::uint64_t total_bits = static_cast<std::uint64_t>(model.rows) * d;
+  if (ber <= 0.0 || total_bits == 0) return 0;
+  std::size_t flips = 0;
+  std::uint64_t pos = geometric_gap(ber, rng) - 1;
+  while (pos < total_bits) {
+    const std::uint64_t j = pos % d;
+    model.row(static_cast<std::int64_t>(pos / d))[j / 64] ^= 1ULL << (j % 64);
+    ++flips;
+    pos += geometric_gap(ber, rng);
+  }
+  return flips;
+}
+
 }  // namespace fhdnn::channel

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "hdc/packed.hpp"
 #include "hdc/quantizer.hpp"
 #include "util/rng.hpp"
 
@@ -24,5 +25,11 @@ std::size_t flip_float_bits(std::vector<float>& payload, double ber, Rng& rng);
 /// the signed B-bit range (the receiver's integer parser cannot produce
 /// out-of-range values). Returns the number of flips.
 std::size_t flip_quantized_bits(hdc::QuantizedVector& q, double ber, Rng& rng);
+
+/// Flip each sign bit of a packed model with probability `ber` (BSC over
+/// the rows*d payload bits). The walk runs over the flat index r*d + j,
+/// so the draws and flipped elements do not depend on the row-aligned
+/// storage; tail bits stay zero. Returns the number of flips.
+std::size_t flip_sign_bits(hdc::PackedModel& model, double ber, Rng& rng);
 
 }  // namespace fhdnn::channel

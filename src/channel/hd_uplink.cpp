@@ -6,7 +6,7 @@
 
 #include "channel/bits.hpp"
 #include "channel/fading.hpp"
-#include "hdc/binary_model.hpp"
+#include "hdc/packed.hpp"
 #include "hdc/quantizer.hpp"
 #include "util/error.hpp"
 
@@ -43,7 +43,7 @@ TransportStats transmit_hd_model(Tensor& prototypes,
     case HdUplinkMode::Perfect: {
       TransportStats s;
       if (config.binary_transport) {
-        prototypes = hdc::expand(hdc::binarize(prototypes));
+        prototypes = hdc::unpack_rows(hdc::pack_rows(prototypes));
       }
       s.bits_on_air = static_cast<std::size_t>(prototypes.numel()) *
                       static_cast<std::size_t>(hd_bits_per_scalar(config));
@@ -73,15 +73,11 @@ TransportStats transmit_hd_model(Tensor& prototypes,
     case HdUplinkMode::BitErrors: {
       const double ber = std::min(1.0, config.ber * error_scale);
       if (config.binary_transport) {
-        // Binary sign transport rides the packed backend: binarize/expand
-        // dispatch to the SIMD pack/unpack kernels, while the bit flips
-        // walk the same contiguous payload with the same rng draw sequence
-        // as always — transmit results stay bit-identical across tiers.
-        auto binary = hdc::binarize(prototypes);
+        auto packed = hdc::pack_rows(prototypes);
         TransportStats s;
-        s.bits_on_air = binary.payload_bits();
-        s.bit_flips = hdc::flip_binary_model_bits(binary, ber, rng);
-        prototypes = hdc::expand(binary);
+        s.bits_on_air = static_cast<std::size_t>(prototypes.numel());
+        s.bit_flips = flip_sign_bits(packed, ber, rng);
+        prototypes = hdc::unpack_rows(packed);
         return s;
       }
       if (!config.use_quantizer) {

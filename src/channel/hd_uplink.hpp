@@ -35,8 +35,9 @@ struct HdUplinkConfig {
   bool use_quantizer = true;     ///< ablation switch: false = raw float bits
   /// Ship only the sign pattern of the prototypes (1 bit/dimension — 32x
   /// smaller than float32). Applies to the digital modes (Perfect,
-  /// BitErrors); takes precedence over the AGC quantizer. The receiver sees
-  /// a bipolar model. See hdc/binary_model.hpp.
+  /// BitErrors); takes precedence over the AGC quantizer. The sign rows
+  /// ride an hdc::PackedModel (channel::flip_sign_bits for bit errors), so
+  /// the receiver sees a bipolar model.
   bool binary_transport = false;
   std::size_t packet_bits = 8192;
   /// BurstLoss parameters; `loss_bad`/transition rates tune burstiness.

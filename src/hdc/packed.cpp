@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "hdc/binary_model.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
 
@@ -10,27 +9,42 @@ namespace fhdnn::hdc {
 
 namespace {
 
-using detail::add_vote_word;
-using detail::kEvenPhaseTies;
-using detail::majority_word;
+/// Tie mask: bits at even in-word positions. Every word starts at an even
+/// element index, so these are the even-index elements, whose ties
+/// resolve to +1.
+constexpr std::uint64_t kEvenPhaseTies = 0x5555555555555555ULL;
 
-/// out[w] = majority over members of word w, for nwords words laid out
-/// consecutively, member m's words fetched by `word_of(m, w)`.
-template <typename WordOf>
-void majority_words(std::uint64_t* out, std::int64_t nwords, std::size_t n,
-                    std::uint64_t tie_mask, std::uint64_t last_word_mask,
-                    WordOf&& word_of) {
-  const int planes = std::bit_width(n);
-  std::uint64_t plane[64];
-  for (std::int64_t w = 0; w < nwords; ++w) {
-    for (int p = 0; p < planes; ++p) plane[p] = 0;
-    for (std::size_t m = 0; m < n; ++m) {
-      add_vote_word(plane, planes, word_of(m, w));
-    }
-    std::uint64_t r = majority_word(plane, planes, n, tie_mask);
-    if (w == nwords - 1) r &= last_word_mask;
-    out[w] = r;
+/// Bit-sliced vote counter: plane[p] holds bit p of the per-position vote
+/// count, so adding one member word is a 64-wide ripple-carry increment.
+/// `max_planes` = bit_width(total members) always absorbs the carry.
+void add_vote_word(std::uint64_t* plane, int max_planes, std::uint64_t v) {
+  std::uint64_t carry = v;
+  for (int p = 0; p < max_planes && carry != 0ULL; ++p) {
+    const std::uint64_t t = plane[p];
+    plane[p] = t ^ carry;
+    carry = t & carry;
   }
+}
+
+/// Majority word from vote-count planes: count > n/2 wins outright; a tie
+/// (count == n/2, only possible for even n) resolves via kEvenPhaseTies.
+/// The count-vs-threshold comparison runs bit-sliced from the MSB plane
+/// down.
+std::uint64_t majority_word(const std::uint64_t* plane, int planes,
+                            std::size_t n) {
+  const std::uint64_t threshold = n / 2;
+  std::uint64_t gt = 0;
+  std::uint64_t eq = ~0ULL;
+  for (int p = planes - 1; p >= 0; --p) {
+    if ((threshold >> p) & 1ULL) {
+      eq &= plane[p];
+    } else {
+      gt |= eq & plane[p];
+      eq &= ~plane[p];
+    }
+  }
+  if (n % 2 == 0) gt |= eq & kEvenPhaseTies;
+  return gt;
 }
 
 }  // namespace
@@ -80,6 +94,7 @@ Tensor unpack_rows(const PackedModel& m) {
 
 PackedHV xor_bind(const PackedHV& a, const PackedHV& b) {
   FHDNN_CHECK(a.d == b.d, "xor_bind dim mismatch: " << a.d << " vs " << b.d);
+  FHDNN_CHECK(a.d > 0, "xor_bind of empty PackedHV");
   PackedHV out(a.d);
   const std::int64_t nw = words_for_bits(a.d);
   simd::kernels().xor_words(a.words.data(), b.words.data(), out.words.data(),
@@ -148,6 +163,7 @@ std::uint64_t hamming(const PackedHV& a, const PackedHV& b) {
 }
 
 double hamming_norm(const PackedHV& a, const PackedHV& b) {
+  FHDNN_CHECK(a.d > 0, "hamming_norm of empty PackedHV");
   return static_cast<double>(hamming(a, b)) / static_cast<double>(a.d);
 }
 
@@ -162,72 +178,18 @@ PackedHV bundle_majority_packed(const std::vector<PackedHV>& vs) {
     FHDNN_CHECK(v.d == d, "bundle_majority_packed dim mismatch");
   }
   PackedHV out(d);
-  majority_words(out.words.data(), words_for_bits(d), vs.size(),
-                 kEvenPhaseTies, tail_mask(d), [&](std::size_t m,
-                                                   std::int64_t w) {
-    return vs[m].words[static_cast<std::size_t>(w)];
-  });
-  return out;
-}
-
-PackedModel majority_aggregate_packed(const std::vector<PackedModel>& models) {
-  FHDNN_CHECK(!models.empty(), "majority_aggregate_packed of nothing");
-  const auto& first = models.front();
-  for (const auto& m : models) {
-    FHDNN_CHECK(m.rows == first.rows && m.d == first.d,
-                "majority_aggregate_packed shape mismatch");
-  }
-  PackedModel out(first.rows, first.d);
-  const std::int64_t wpr = out.words_per_row();
-  for (std::int64_t r = 0; r < out.rows; ++r) {
-    // Row r starts at flat index r*d: when that is odd, the even/odd
-    // phases swap and the tie mask flips.
-    const std::uint64_t ties =
-        (r * out.d) % 2 == 0 ? kEvenPhaseTies : ~kEvenPhaseTies;
-    majority_words(out.row(r).data(), wpr, models.size(), ties,
-                   tail_mask(out.d), [&](std::size_t m, std::int64_t w) {
-                     return models[m].row(r)[static_cast<std::size_t>(w)];
-                   });
-  }
-  return out;
-}
-
-PackedModel packed_from_binary(const BinaryModel& m) {
-  FHDNN_CHECK(m.classes > 0 && m.hd_dim > 0, "packed_from_binary of empty");
-  FHDNN_CHECK(m.bits.size() == (m.payload_bits() + 63) / 64,
-              "BinaryModel bit storage inconsistent");
-  PackedModel out(m.classes, m.hd_dim);
-  for (std::int64_t r = 0; r < out.rows; ++r) {
-    auto row = out.row(r);
-    const std::uint64_t base = static_cast<std::uint64_t>(r) *
-                               static_cast<std::uint64_t>(m.hd_dim);
-    for (std::int64_t j = 0; j < m.hd_dim; ++j) {
-      const std::uint64_t i = base + static_cast<std::uint64_t>(j);
-      if (m.bits[static_cast<std::size_t>(i / 64)] & (1ULL << (i % 64))) {
-        row[static_cast<std::size_t>(j / 64)] |= (1ULL << (j % 64));
-      }
+  const std::size_t n = vs.size();
+  const int planes = std::bit_width(n);
+  const std::int64_t nwords = words_for_bits(d);
+  std::uint64_t plane[64];
+  for (std::int64_t w = 0; w < nwords; ++w) {
+    for (int p = 0; p < planes; ++p) plane[p] = 0;
+    for (const auto& v : vs) {
+      add_vote_word(plane, planes, v.words[static_cast<std::size_t>(w)]);
     }
-  }
-  return out;
-}
-
-BinaryModel binary_from_packed(const PackedModel& m) {
-  FHDNN_CHECK(m.rows > 0 && m.d > 0, "binary_from_packed of empty");
-  BinaryModel out;
-  out.classes = m.rows;
-  out.hd_dim = m.d;
-  const std::uint64_t total = out.payload_bits();
-  out.bits.assign(static_cast<std::size_t>((total + 63) / 64), 0);
-  for (std::int64_t r = 0; r < m.rows; ++r) {
-    const auto row = m.row(r);
-    const std::uint64_t base = static_cast<std::uint64_t>(r) *
-                               static_cast<std::uint64_t>(m.d);
-    for (std::int64_t j = 0; j < m.d; ++j) {
-      if (row[static_cast<std::size_t>(j / 64)] & (1ULL << (j % 64))) {
-        const std::uint64_t i = base + static_cast<std::uint64_t>(j);
-        out.bits[static_cast<std::size_t>(i / 64)] |= (1ULL << (i % 64));
-      }
-    }
+    std::uint64_t r = majority_word(plane, planes, n);
+    if (w == nwords - 1) r &= tail_mask(d);
+    out.words[static_cast<std::size_t>(w)] = r;
   }
   return out;
 }

@@ -22,16 +22,18 @@
 //     element w*64 + i); unused tail bits of the last word are ZERO — all
 //     kernels preserve this invariant so popcounts never see garbage.
 //   * PackedModel: row-aligned — each of the `rows` hypervectors starts on
-//     its own word boundary (words_per_row() words per row), unlike
-//     BinaryModel's contiguous rows*d bit blob (a wire format). Bridges to
-//     and from BinaryModel re-pack between the two layouts.
+//     its own word boundary (words_per_row() words per row). It is also the
+//     one-bit uplink's payload: channel/hd_uplink packs with pack_rows,
+//     flips bits with channel::flip_sign_bits (which walks the flat index
+//     r*d + j, so the layout never shows on the air) and unpacks with
+//     unpack_rows.
 //
 // Tie rule: majority bundling over an even member count can tie. Ties are
 // broken by *index parity* — element i resolves to +1 when i is even, -1
 // when i is odd (see bundle_majority in hdc/ops.hpp, which follows the
 // same rule). The rule is deterministic, needs no RNG state, and has a
-// closed packed form: an alternating 0x5555.../0xAAAA... mask selected by
-// the parity of the row's starting flat index.
+// closed packed form: every word starts at an even index, so the ties of
+// each word resolve through the alternating mask 0x5555....
 #pragma once
 
 #include <cstdint>
@@ -41,8 +43,6 @@
 #include "tensor/tensor.hpp"
 
 namespace fhdnn::hdc {
-
-struct BinaryModel;
 
 /// Words needed to hold `nbits` bits (64 per word).
 constexpr std::int64_t words_for_bits(std::int64_t nbits) {
@@ -112,7 +112,8 @@ PackedModel pack_rows(const Tensor& m);
 Tensor unpack_rows(const PackedModel& m);
 
 /// Packed bind via the word-XOR kernel (complemented to the bit-means-+1
-/// convention). Equals pack(bind(unpack(a), unpack(b))) exactly.
+/// convention). Equals pack(bind(unpack(a), unpack(b))) exactly. Requires
+/// d > 0.
 PackedHV xor_bind(const PackedHV& a, const PackedHV& b);
 
 /// Packed cyclic rotation by k positions (k may be negative or exceed d);
@@ -123,10 +124,11 @@ PackedHV rotate(const PackedHV& v, std::int64_t k);
 std::uint64_t hamming(const PackedHV& a, const PackedHV& b);
 
 /// Normalized hamming distance (fraction of differing positions); equal to
-/// hdc::hamming_distance on the unpacked vectors.
+/// hdc::hamming_distance on the unpacked vectors. Requires d > 0.
 double hamming_norm(const PackedHV& a, const PackedHV& b);
 
-/// Cosine similarity of the bipolar vectors: 1 - 2*hamming/d.
+/// Cosine similarity of the bipolar vectors: 1 - 2*hamming/d. Requires
+/// d > 0.
 double cosine(const PackedHV& a, const PackedHV& b);
 
 /// Exact majority-vote bundle: output bit i is the majority of the input
@@ -135,57 +137,5 @@ double cosine(const PackedHV& a, const PackedHV& b);
 /// Internally counts votes in bit-sliced adder planes, so cost is
 /// O(members * words * log(members)) with no per-bit loop.
 PackedHV bundle_majority_packed(const std::vector<PackedHV>& vs);
-
-/// Majority-vote aggregation of row-aligned models (same semantics as
-/// hdc::majority_aggregate on BinaryModel: per-bit vote with the index-
-/// parity tie rule applied to each row's flat index r*d + j).
-PackedModel majority_aggregate_packed(const std::vector<PackedModel>& models);
-
-/// Re-pack a contiguous BinaryModel wire blob into row-aligned form.
-PackedModel packed_from_binary(const BinaryModel& m);
-
-/// Flatten a row-aligned PackedModel into the BinaryModel wire layout.
-BinaryModel binary_from_packed(const PackedModel& m);
-
-namespace detail {
-
-/// Tie mask for bits whose flat index phase is even at word position 0:
-/// bits at even in-word positions (ties -> +1). Flip for odd phase.
-constexpr std::uint64_t kEvenPhaseTies = 0x5555555555555555ULL;
-
-/// Bit-sliced vote counter: plane[p] holds bit p of the per-position vote
-/// count, so adding one member word is a 64-wide ripple-carry increment.
-/// `max_planes` = bit_width(total members) always absorbs the carry.
-inline void add_vote_word(std::uint64_t* plane, int max_planes,
-                          std::uint64_t v) {
-  std::uint64_t carry = v;
-  for (int p = 0; p < max_planes && carry != 0ULL; ++p) {
-    const std::uint64_t t = plane[p];
-    plane[p] = t ^ carry;
-    carry = t & carry;
-  }
-}
-
-/// Majority word from vote-count planes: count > n/2 wins outright; a tie
-/// (count == n/2, only possible for even n) resolves via tie_mask. The
-/// count-vs-threshold comparison runs bit-sliced from the MSB plane down.
-inline std::uint64_t majority_word(const std::uint64_t* plane, int planes,
-                                   std::size_t n, std::uint64_t tie_mask) {
-  const std::uint64_t threshold = n / 2;
-  std::uint64_t gt = 0;
-  std::uint64_t eq = ~0ULL;
-  for (int p = planes - 1; p >= 0; --p) {
-    if ((threshold >> p) & 1ULL) {
-      eq &= plane[p];
-    } else {
-      gt |= eq & plane[p];
-      eq &= ~plane[p];
-    }
-  }
-  if (n % 2 == 0) gt |= eq & tie_mask;
-  return gt;
-}
-
-}  // namespace detail
 
 }  // namespace fhdnn::hdc

@@ -1,15 +1,16 @@
 // Tests for the extended HDC components: classic HD algebra (bind/bundle/
-// permute), the ID-level encoder, and the binarized transmission model.
+// permute), the ID-level encoder, and the sign-compressed (one bit per
+// dimension) prototype model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "data/synthetic.hpp"
-#include "hdc/binary_model.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/id_level_encoder.hpp"
 #include "hdc/ops.hpp"
+#include "hdc/packed.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -179,88 +180,20 @@ TEST(IdLevelEncoder, Validation) {
   EXPECT_THROW(enc.level_similarity(0, 8), Error);
 }
 
-// ---------------------------------------------------------------- binary
+// ------------------------------------------------------------ sign model
 
-TEST(BinaryModel, RoundTripSigns) {
+TEST(SignModel, RoundTripSigns) {
   Rng rng(14);
   const Tensor protos = Tensor::randn(Shape{3, 100}, rng);
-  const BinaryModel m = binarize(protos);
-  EXPECT_EQ(m.payload_bits(), 300U);
-  const Tensor back = expand(m);
+  const PackedModel m = pack_rows(protos);
+  EXPECT_EQ(m.rows * m.d, 300);
+  const Tensor back = unpack_rows(m);
   for (std::int64_t i = 0; i < protos.numel(); ++i) {
     EXPECT_EQ(back.at(i), protos.at(i) >= 0.0F ? 1.0F : -1.0F);
   }
 }
 
-TEST(BinaryModel, FlipCountMatchesRate) {
-  Rng rng(15);
-  Tensor protos = Tensor::randn(Shape{10, 10000}, rng);
-  BinaryModel m = binarize(protos);
-  const Tensor before = expand(m);
-  const auto flips = flip_binary_model_bits(m, 0.01, rng);
-  EXPECT_NEAR(static_cast<double>(flips), 1000.0, 150.0);
-  const Tensor after = expand(m);
-  std::size_t changed = 0;
-  for (std::int64_t i = 0; i < before.numel(); ++i) {
-    changed += (before.at(i) != after.at(i));
-  }
-  EXPECT_EQ(changed, flips);
-}
-
-TEST(BinaryModel, FlipsNeverExplodeValues) {
-  // The binary-transport motivation: a flipped bit toggles one ±1, so the
-  // worst-case per-element damage is bounded by 2 — no float32 blowups.
-  Rng rng(16);
-  Tensor protos = Tensor::randn(Shape{4, 1000}, rng, 100.0F);
-  BinaryModel m = binarize(protos);
-  flip_binary_model_bits(m, 0.2, rng);
-  const Tensor t = expand(m);
-  for (const float v : t.data()) EXPECT_TRUE(v == 1.0F || v == -1.0F);
-}
-
-TEST(BinaryModel, MajorityAggregate) {
-  // Three models voting elementwise.
-  Tensor a(Shape{1, 4}, {1, 1, -1, -1});
-  Tensor b(Shape{1, 4}, {1, -1, -1, 1});
-  Tensor c(Shape{1, 4}, {1, -1, -1, -1});
-  const auto agg =
-      majority_aggregate({binarize(a), binarize(b), binarize(c)});
-  const Tensor t = expand(agg);
-  EXPECT_EQ(t(0, 0), 1.0F);
-  EXPECT_EQ(t(0, 1), -1.0F);
-  EXPECT_EQ(t(0, 2), -1.0F);
-  EXPECT_EQ(t(0, 3), -1.0F);
-}
-
-TEST(BinaryModel, MajorityTieBreaksByIndexParity) {
-  // An even split resolves by the flat bit index's parity: +1 at even
-  // indices, -1 at odd — not a blanket +1, which would bias aggregates.
-  Tensor a(Shape{1, 4}, {1, 1, -1, -1});
-  Tensor b(Shape{1, 4}, {-1, -1, 1, 1});
-  const auto agg = majority_aggregate({binarize(a), binarize(b)});
-  const Tensor t = expand(agg);
-  EXPECT_EQ(t(0, 0), 1.0F);
-  EXPECT_EQ(t(0, 1), -1.0F);
-  EXPECT_EQ(t(0, 2), 1.0F);
-  EXPECT_EQ(t(0, 3), -1.0F);
-}
-
-TEST(BinaryModel, FlipWithOvershootingBerFlipsEverything) {
-  // Deadline scaling can push the effective BER past 1.0; the flip walk
-  // clamps to "every payload bit flips" instead of throwing.
-  Rng rng(23);
-  Tensor protos(Shape{2, 5}, {1, 1, 1, 1, 1, -1, -1, -1, -1, -1});
-  BinaryModel m = binarize(protos);
-  const auto flips = flip_binary_model_bits(m, 1.7, rng);
-  EXPECT_EQ(flips, 10U);
-  const Tensor t = expand(m);
-  for (std::int64_t j = 0; j < 5; ++j) {
-    EXPECT_EQ(t(0, j), -1.0F);
-    EXPECT_EQ(t(1, j), 1.0F);
-  }
-}
-
-TEST(BinaryModel, BinarizedClassifierRetainsAccuracy) {
+TEST(SignModel, BinarizedClassifierRetainsAccuracy) {
   // Sign-compressing a trained prototype matrix costs little accuracy —
   // the justification for 1-bit transmission.
   Rng rng(17);
@@ -277,17 +210,14 @@ TEST(BinaryModel, BinarizedClassifierRetainsAccuracy) {
   HdClassifier clf(4, 2048);
   clf.bundle(htr, split.train.labels);
   const double full = clf.accuracy(hte, split.test.labels);
-  clf.set_prototypes(expand(binarize(clf.prototypes())));
+  clf.set_prototypes(unpack_rows(pack_rows(clf.prototypes())));
   const double binary = clf.accuracy(hte, split.test.labels);
   EXPECT_GT(binary, full - 0.1);
 }
 
-TEST(BinaryModel, Validation) {
-  EXPECT_THROW(binarize(Tensor(Shape{4})), Error);
-  EXPECT_THROW(majority_aggregate({}), Error);
-  Tensor a(Shape{1, 4});
-  Tensor b(Shape{1, 5});
-  EXPECT_THROW(majority_aggregate({binarize(a), binarize(b)}), Error);
+TEST(SignModel, Validation) {
+  EXPECT_THROW(pack_rows(Tensor(Shape{4})), Error);
+  EXPECT_THROW(unpack_rows(PackedModel{}), Error);
 }
 
 }  // namespace

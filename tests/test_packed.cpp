@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "hdc/binary_model.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/ops.hpp"
 #include "hdc/packed.hpp"
@@ -162,39 +161,17 @@ TEST(PackedOps, Validation) {
   PackedHV a(64), b(65);
   EXPECT_THROW(xor_bind(a, b), Error);
   EXPECT_THROW(hamming(a, b), Error);
-  EXPECT_THROW(majority_aggregate_packed({}), Error);
+  // d = 0: bind would write words[-1] and the normalized distances would
+  // divide by zero.
+  const PackedHV empty;
+  EXPECT_THROW(xor_bind(empty, empty), Error);
+  EXPECT_THROW(hamming_norm(empty, empty), Error);
+  EXPECT_THROW(cosine(empty, empty), Error);
+  EXPECT_THROW(rotate(empty, 1), Error);
+  EXPECT_THROW(unpack_hv(empty), Error);
 }
 
 // ------------------------------------------------- model-level agreement
-
-TEST(PackedModelOps, MajorityAggregateMatchesBinaryModel) {
-  Rng rng(48);
-  // Odd d: row 1 starts at an odd flat index, exercising the flipped
-  // tie-mask phase; even model count so ties actually occur.
-  const std::int64_t kk = 3, d = 77;
-  std::vector<BinaryModel> binary;
-  std::vector<PackedModel> packed;
-  for (int m = 0; m < 4; ++m) {
-    const Tensor t = sign(Tensor::randn(Shape{kk, d}, rng));
-    binary.push_back(binarize(t));
-    packed.push_back(pack_rows(t));
-  }
-  const BinaryModel want = majority_aggregate(binary);
-  const PackedModel got = majority_aggregate_packed(packed);
-  EXPECT_EQ(binary_from_packed(got).bits, want.bits);
-}
-
-TEST(PackedModelOps, BinaryModelBridgeRoundTrips) {
-  Rng rng(49);
-  const Tensor t = sign(Tensor::randn(Shape{5, 70}, rng));
-  const BinaryModel b = binarize(t);
-  const PackedModel p = packed_from_binary(b);
-  EXPECT_EQ(p.rows, b.classes);
-  EXPECT_EQ(p.d, b.hd_dim);
-  EXPECT_EQ(binary_from_packed(p).bits, b.bits);
-  // Row-aligned content equals a direct pack of the same matrix.
-  EXPECT_EQ(p.words, pack_rows(t).words);
-}
 
 TEST(PackedModelOps, ClassifyPackedMatchesPredict) {
   Rng rng(50);

@@ -420,9 +420,8 @@ INSTANTIATE_TEST_SUITE_P(Shuffles, EventShuffle, ::testing::Range(0, 8));
 
 // ----------------------------------------------------------------------
 // Hierarchical aggregation: a fan-in tree of edge aggregators produces
-// the BIT-IDENTICAL result of flat aggregation — for the float path
-// (exact fixed-point summation, single rounding) and the packed binary
-// path (associative vote counts, one majority threshold). Param: fan-in.
+// the BIT-IDENTICAL result of flat aggregation (exact fixed-point
+// summation, single rounding). Param: fan-in.
 class FanInTree : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FanInTree, FloatTreeSumMatchesFlatBitExact) {
@@ -452,26 +451,6 @@ TEST_P(FanInTree, FloatTreeSumMatchesFlatBitExact) {
                 std::bit_cast<std::uint32_t>(tree_out(i)))
           << "fan_in=" << fan_in << " parts=" << parts_n << " i=" << i;
     }
-  }
-}
-
-TEST_P(FanInTree, PackedTreeMajorityMatchesFlatKernel) {
-  const std::size_t fan_in = GetParam();
-  Rng rng(300 + static_cast<std::uint64_t>(fan_in));
-  // Both tie parities (even member counts exercise the index-parity rule)
-  // and a dimension with a ragged tail word.
-  for (const std::size_t members : {1UL, 2UL, 4UL, 9UL, 16UL, 31UL}) {
-    std::vector<hdc::PackedModel> models;
-    for (std::size_t m = 0; m < members; ++m) {
-      models.push_back(
-          hdc::pack_rows(hdc::sign(Tensor::randn(Shape{3, 131}, rng))));
-    }
-    const hdc::PackedModel flat = hdc::majority_aggregate_packed(models);
-    const hdc::PackedModel tree = fl::hierarchical_majority(models, fan_in);
-    ASSERT_EQ(tree.rows, flat.rows);
-    ASSERT_EQ(tree.d, flat.d);
-    ASSERT_EQ(tree.words, flat.words)
-        << "fan_in=" << fan_in << " members=" << members;
   }
 }
 

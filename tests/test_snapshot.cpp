@@ -5,8 +5,8 @@
 // decode of served tensor updates, the atomic-commit + previous-generation
 // fallback protocol, and the
 // Snapshotable round-trips of the engine components (EventQueue,
-// TrainingHistory, ExactSumVector, PackedVoteAccumulator, RngState),
-// including the accumulator loaders' rejection of inconsistent images.
+// TrainingHistory, ExactSumVector, RngState), including the exact-sum
+// loader's rejection of inconsistent images.
 #include "util/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -16,17 +16,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fl/engine.hpp"
 #include "fl/events.hpp"
-#include "fl/hierarchy.hpp"
 #include "fl/history.hpp"
-#include "hdc/ops.hpp"
-#include "hdc/packed.hpp"
 #include "tensor/tensor.hpp"
 #include "util/error.hpp"
 #include "util/exactsum.hpp"
@@ -724,69 +720,6 @@ TEST(SnapshotComponents, ExactSumVectorRejectsValuesBeyondItsRange) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(out[0]), want);
     EXPECT_EQ(image_of(acc), image);
   }
-}
-
-/// A vote image field by field: geometry, member count, planes.
-auto vote_image(std::int64_t rows, std::int64_t d, std::uint64_t total_words,
-                std::uint64_t members,
-                std::vector<std::vector<std::uint64_t>> planes) {
-  return [=](util::SnapshotWriter& w) {
-    w.write_i64(rows);
-    w.write_i64(d);
-    w.write_u64(total_words);
-    w.write_u64(members);
-    w.write_u64(planes.size());
-    for (const auto& plane : planes) w.write_u64s(plane);
-  };
-}
-
-TEST(SnapshotComponents, PackedVoteAccumulatorRejectsInconsistentImages) {
-  using Planes = std::vector<std::vector<std::uint64_t>>;
-  const Planes one_plane = {{~0ULL}};
-  struct Case {
-    const char* what;
-    std::function<void(util::SnapshotWriter&)> fill;
-  };
-  const std::vector<Case> cases = {
-      {"zero rows", vote_image(0, 64, 0, 0, {})},
-      {"negative d", vote_image(1, -64, 1, 0, {})},
-      // 64 rows of 4096 bits are 4096 words, not one: finalize() would read
-      // far past the plane.
-      {"short planes", vote_image(64, 4096, 1, 1, one_plane)},
-      // 2^62 rows of four words wrap to zero words.
-      {"wrapping geometry", vote_image(1LL << 62, 256, 0, 0, {})},
-      {"65 planes", vote_image(1, 64, 1, 1, Planes(65, {0}))},
-      {"members beyond the planes", vote_image(1, 64, 1, 4, {{0}, {0}})},
-      {"plane size", vote_image(1, 64, 1, 1, {{0, 0}})},
-  };
-  for (const Case& c : cases) {
-    fl::PackedVoteAccumulator acc(2, 100);
-    EXPECT_EQ(load_error(acc, c.fill), util::DecodeErrorKind::kSchema)
-        << c.what;
-    EXPECT_EQ(acc.rows(), 2) << c.what;
-    EXPECT_EQ(acc.members(), 0U) << c.what;
-  }
-}
-
-TEST(SnapshotComponents, PackedVoteAccumulatorResumesMidBundle) {
-  const std::int64_t rows = 3;
-  const std::int64_t d = 200;
-  fl::PackedVoteAccumulator acc(rows, d);
-  Rng rng(17);
-  std::vector<hdc::PackedModel> models;
-  for (int k = 0; k < 5; ++k) {
-    const Tensor m = hdc::sign(Tensor::randn(Shape{rows, d}, rng));
-    models.push_back(hdc::pack_rows(m));
-    acc.add(models.back());
-  }
-  fl::PackedVoteAccumulator restored;
-  roundtrip(acc, restored);
-  EXPECT_EQ(restored.members(), acc.members());
-  // Vote in one more model on both sides; identical majorities.
-  const Tensor extra = hdc::sign(Tensor::randn(Shape{rows, d}, rng));
-  acc.add(hdc::pack_rows(extra));
-  restored.add(hdc::pack_rows(extra));
-  EXPECT_EQ(acc.finalize().words, restored.finalize().words);
 }
 
 }  // namespace

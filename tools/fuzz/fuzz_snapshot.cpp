@@ -1,6 +1,6 @@
 // libFuzzer harness for the snapshot loader (src/util/snapshot), the byte
-// codec under it (src/util/bytes) and the two accumulator loaders whose
-// state a checkpoint carries (util/exactsum, fl/hierarchy).
+// codec under it (src/util/bytes) and the exact-sum accumulator loader
+// (util/exactsum), whose state a hierarchical FedHd checkpoint carries.
 //
 // Pass 1: from_bytes() validates the whole image eagerly (magic, version,
 // chunk framing, per-chunk CRC-32, END terminator), so most of the parser
@@ -13,10 +13,9 @@
 // read, which lets hostile count prefixes reach every vector read.
 //
 // Pass 3: the raw input, wrapped in one valid chunk, is the saved state of
-// an exact-sum accumulator and then of a vote accumulator (fl/hierarchy).
-// Whatever load() accepts must also round (round_to) or finalize without
-// fault: the geometry and counts a loader lets through are what those
-// calls index with.
+// an exact-sum accumulator. Whatever load() accepts must also round
+// (round_to) without fault: the element count the loader lets through is
+// what that call indexes with.
 //
 // The only acceptable failure mode is a thrown DecodeError; any crash,
 // sanitizer report, or other exception type is a finding.
@@ -27,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "fl/hierarchy.hpp"
 #include "util/bytes.hpp"
 #include "util/exactsum.hpp"
 #include "util/snapshot.hpp"
@@ -102,15 +100,11 @@ bool load_wrapped(util::Snapshotable& state, const std::uint8_t* data,
   return true;
 }
 
-void drive_accumulator_loads(const std::uint8_t* data, std::size_t size) {
+void drive_exact_sum_load(const std::uint8_t* data, std::size_t size) {
   util::ExactSumVector sum;
   if (load_wrapped(sum, data, size)) {
     std::vector<float> out(sum.size());
     sum.round_to(out);
-  }
-  fhdnn::fl::PackedVoteAccumulator votes;
-  if (load_wrapped(votes, data, size) && votes.members() > 0) {
-    (void)votes.finalize();
   }
 }
 
@@ -120,6 +114,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   walk_snapshot(data, size);
   drive_typed_reads(data, size);
-  drive_accumulator_loads(data, size);
+  drive_exact_sum_load(data, size);
   return 0;
 }

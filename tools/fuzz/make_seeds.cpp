@@ -9,11 +9,10 @@
 // Seeding the mutations directly lets a 60-second CI smoke start at the
 // interesting boundaries instead of rediscovering the header format.
 //
-// The snapshot corpus also holds raw accumulator payloads for the harness's
-// loader pass (it wraps each input in a valid chunk): a saved exact-sum and
-// vote state, and the hostile images tests/test_snapshot.cpp rejects — an
-// element count that wraps, a value past the chunk range, vote planes
-// shorter than their geometry.
+// The snapshot corpus also holds raw exact-sum payloads for the harness's
+// loader pass (it wraps each input in a valid chunk): a saved state, and
+// the hostile images tests/test_snapshot.cpp rejects — an element count
+// that wraps, a value past the chunk range.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -21,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "fl/hierarchy.hpp"
-#include "hdc/packed.hpp"
 #include "util/bytes.hpp"
 #include "util/exactsum.hpp"
 #include "util/snapshot.hpp"
@@ -133,7 +130,7 @@ std::vector<std::uint8_t> payload_of(const fhdnn::util::Snapshotable& state) {
   return {p, p + n};
 }
 
-bool make_accumulator_seeds(const fs::path& dir) {
+bool make_exact_sum_seeds(const fs::path& dir) {
   namespace util = fhdnn::util;
   bool ok = true;
   util::ExactSumVector sum(5);
@@ -151,27 +148,6 @@ bool make_accumulator_seeds(const fs::path& dir) {
     w.write_u64(1);
     w.write_u64s({0, 0, 0, 0, 0, 1});
     ok = write_seed(dir, "exactsum_beyond_range", w.take()) && ok;
-  }
-  fhdnn::fl::PackedVoteAccumulator votes(3, 130);
-  for (std::uint64_t k = 0; k < 5; ++k) {
-    fhdnn::hdc::PackedModel m(3, 130);
-    for (auto& word : m.words) word = 0x9E3779B97F4A7C15ULL * (k + 1);
-    for (std::int64_t r = 0; r < 3; ++r) {
-      m.words[static_cast<std::size_t>(r * 3 + 2)] &=
-          fhdnn::hdc::tail_mask(130);
-    }
-    votes.add(m);
-  }
-  ok = write_seed(dir, "votes_state", payload_of(votes)) && ok;
-  {
-    util::ByteWriter w;  // 64 x 4096 bits in planes of one word
-    w.write_i64(64);
-    w.write_i64(4096);
-    w.write_u64(1);
-    w.write_u64(1);
-    w.write_u64(1);
-    w.write_u64s({~0ULL});
-    ok = write_seed(dir, "votes_short_planes", w.take()) && ok;
   }
   return ok;
 }
@@ -194,7 +170,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!make_wire_seeds(wire_dir) || !make_snapshot_seeds(snap_dir) ||
-      !make_accumulator_seeds(snap_dir)) {
+      !make_exact_sum_seeds(snap_dir)) {
     return 2;
   }
   std::cout << "seed corpora written under " << base.string() << "\n";
