@@ -7,8 +7,10 @@
 // surviving snapshot, and requires the completed history to match the
 // golden bit-for-bit (exact doubles — the hexfloat contract), at 1 and 4
 // threads. Also covered: boundary-checkpoint resume via run(), the
-// snapshot -> restore -> snapshot byte-identity property, and fallback to
-// the previous generation when the primary checkpoint is corrupted.
+// snapshot -> restore -> snapshot byte-identity property, fallback to the
+// previous generation when the primary checkpoint is corrupted, and a
+// round-boundary snapshot whose size does not depend on the registered
+// fleet.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,6 +29,7 @@
 #include "fl/fedhd.hpp"
 #include "hdc/encoder.hpp"
 #include "nn/resnet.hpp"
+#include "tensor/tensor.hpp"
 #include "util/parallel.hpp"
 #include "util/snapshot.hpp"
 
@@ -415,6 +418,129 @@ TEST(KillResume, ResumeRejectsMismatchedConfig) {
   } catch (const util::DecodeError& e) {
     EXPECT_EQ(e.kind(), util::DecodeErrorKind::kSchema);
   }
+}
+
+// ------------------------------------------------- fleet-scale snapshots
+
+/// Tensor-update seams for a sparse fleet: each client's update is a pure
+/// function of its rng fork, so the learner keeps no per-client state, and
+/// the aggregator's committed mean is the model the PROT chunk carries.
+constexpr std::int64_t kFleetDim = 500;
+
+class FleetMean final : public fl::Aggregator<Tensor> {
+ public:
+  FleetMean() : model_(Shape{kFleetDim}) {}
+
+  void begin_round() override {
+    sum_ = Tensor(Shape{kFleetDim});
+  }
+  void accumulate(std::size_t client, Tensor&& update) override {
+    accumulate_weighted(client, std::move(update), 1.0);
+  }
+  void accumulate_weighted(std::size_t /*client*/, Tensor&& update,
+                           double weight) override {
+    sum_.axpy(static_cast<float>(weight), update);
+  }
+  void commit(std::size_t delivered) override {
+    commit_weighted(delivered, static_cast<double>(delivered));
+  }
+  void commit_weighted(std::size_t /*n_updates*/,
+                       double total_weight) override {
+    model_ = sum_;
+    model_.scale(1.0F / static_cast<float>(total_weight));
+  }
+  void save_state(util::SnapshotWriter& w) override {
+    fl::UpdateSnapshotCodec<Tensor>::save(w, model_);
+  }
+  void load_state(util::SnapshotReader& r) override {
+    model_ = fl::UpdateSnapshotCodec<Tensor>::load(r);
+  }
+
+ private:
+  Tensor sum_;
+  Tensor model_;
+};
+
+class FleetLearner final : public fl::LocalLearner<Tensor> {
+ public:
+  TrainResult train(std::size_t client, Rng& client_rng) override {
+    TrainResult r;
+    r.update = Tensor(Shape{kFleetDim});
+    auto out = r.update.data();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const double anchor = ((client + i) % 7 < 3) ? 1.0 : -1.0;
+      out[i] = static_cast<float>(anchor + client_rng.uniform(-0.25, 0.25));
+    }
+    r.loss = 0.5;
+    return r;
+  }
+  double evaluate() override { return 0.0; }
+};
+
+/// One bit per dimension on the air; the payload passes unchanged.
+class FleetUplink final : public channel::Transport<Tensor> {
+ public:
+  channel::TransportStats transmit(Tensor& /*update*/, std::size_t /*client*/,
+                                   Rng& /*client_rng*/,
+                                   const Rng& /*round_rng*/) const override {
+    channel::TransportStats s;
+    s.payload_scalars = static_cast<std::uint64_t>(kFleetDim);
+    s.payload_bytes = update_bytes(s.payload_scalars);
+    s.bits_on_air = s.payload_scalars;
+    return s;
+  }
+  std::uint64_t update_bytes(std::uint64_t scalars) const override {
+    return (scalars + 7) / 8;
+  }
+  std::string name() const override { return "binary-hd"; }
+};
+
+/// Round-1 boundary snapshot of a deadline-mode sparse fleet of
+/// `registered` clients sampling `sampled` per round.
+std::vector<unsigned char> fleet_boundary_snapshot(std::size_t registered,
+                                                   std::size_t sampled) {
+  fl::EngineConfig cfg;
+  cfg.client_fraction =
+      static_cast<double>(sampled) / static_cast<double>(registered);
+  cfg.rounds = 1;
+  cfg.seed = 23;
+  cfg.name = "recovery";
+  cfg.population.n_registered = registered;
+  cfg.population.mean_availability = 0.8;
+  cfg.population.straggler_fraction = 0.1;
+  cfg.population.straggler_slowdown = 4.0;
+  cfg.population.compute_spread = 0.5;
+  cfg.population.link_spread_max = 2.0;
+  cfg.deadline.enabled = true;
+  cfg.deadline.timeline.update_bits = static_cast<std::uint64_t>(kFleetDim);
+  cfg.deadline.timeline.fhdnn = true;
+  cfg.deadline.timeline.compute_jitter = 0.1;
+  cfg.deadline.deadline_factor = 4.0;
+
+  FleetLearner learner;
+  FleetUplink uplink;
+  FleetMean aggregator;
+  fl::ProtocolAdapter<Tensor> adapter(learner, uplink, aggregator);
+  fl::RoundEngine engine(cfg, adapter);
+  const auto history = engine.run();
+  EXPECT_GT(history.rounds().front().clients, 0U);
+  const std::string path =
+      tmp_path("fleet_" + std::to_string(registered) + ".snap");
+  remove_generations(path);
+  engine.checkpoint(path);
+  return slurp(path);
+}
+
+TEST(KillResume, BoundarySnapshotBytesDoNotGrowWithTheFleet) {
+  // The sparse population and the sampler are pure functions of (seed,
+  // config), covered by the META fingerprint, so a boundary snapshot holds
+  // the model and the history but nothing per registered client: a
+  // million-client fleet checkpoints in the same bytes as a 10k one.
+  const auto small = fleet_boundary_snapshot(10'000, 1'000);
+  const auto large = fleet_boundary_snapshot(1'000'000, 1'000);
+  EXPECT_GT(small.size(), static_cast<std::size_t>(kFleetDim) * 4)
+      << "the PROT chunk carries the model";
+  EXPECT_EQ(small.size(), large.size());
 }
 
 }  // namespace
