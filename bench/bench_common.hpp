@@ -16,22 +16,12 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
-#include "util/snapshot.hpp"
 // fhdnn-lint: allow(include-graph-hygiene)
 #include "util/table.hpp"
 
 namespace fhdnn::bench {
 
 inline void init() { set_log_level(LogLevel::Warn); }
-
-/// Publish a BENCH_*.json artifact atomically (temp file + rename, see
-/// util/snapshot.hpp) so a bench killed mid-write never leaves a torn JSON
-/// for the CI artifact step to upload.
-inline void write_json_atomic(const std::string& path,
-                              const std::string& text) {
-  util::atomic_write_text(path, text);
-  std::cout << "wrote " << path << "\n";
-}
 
 /// Print the standard per-round series of a training history as CSV.
 inline void print_history_csv(std::ostream& os, const std::string& label,

@@ -11,17 +11,16 @@
 //   * one end-to-end FedHd round (binary transport) under the best tier.
 // The packed representation is 32x smaller and replaces float dot products
 // with XOR+popcount, so even its scalar tier should clear the 8x headline
-// target against the float baseline; the JSON records whether it did.
+// target against the float baseline; the summary line says whether it did.
 // Every path here is pinned bit-exact against the float oracle by
 // tests/test_packed.cpp, so this bench is about speed only.
 //
 // Usage: micro_packed_hd [--d=N] [--classes=N] [--queries=N] [--bundle_n=N]
-//                        [--reps=N] [--rounds=N] [--threads=N] [--json=PATH]
+//                        [--reps=N] [--rounds=N] [--threads=N]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -95,8 +94,6 @@ int main(int argc, char** argv) {
   flags.define_int("reps", 15, "timing repetitions (median reported)");
   flags.define_int("rounds", 3, "FedHd rounds for the end-to-end timing");
   flags.define_int("threads", 1, "thread-pool width");
-  flags.define_string("json", "BENCH_throughput.json",
-                      "output path for the machine-readable summary");
   if (!flags.parse(argc, argv)) return 0;
   const std::int64_t d = flags.get_int("d");
   const std::int64_t classes = flags.get_int("classes");
@@ -105,7 +102,11 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(flags.get_int("reps"));
   const int fed_rounds = std::max(1, static_cast<int>(flags.get_int("rounds")));
   const int threads = static_cast<int>(flags.get_int("threads"));
-  const std::string json_path = flags.get_string("json");
+  if (reps < 1) {
+    std::cerr << "micro_packed_hd: --reps must be at least 1, got " << reps
+              << "\n";
+    return 2;
+  }
 
   fhdnn::parallel::set_num_threads(threads);
   fhdnn::print_banner(std::cout, "micro: packed binary-HD throughput");
@@ -250,38 +251,5 @@ int main(int argc, char** argv) {
         .end_row();
   }
 
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"bench\": \"micro_packed_hd\",\n"
-       << "  \"d\": " << d << ",\n"
-       << "  \"classes\": " << classes << ",\n"
-       << "  \"queries\": " << queries << ",\n"
-       << "  \"bundle_n\": " << bundle_n << ",\n"
-       << "  \"threads\": " << threads << ",\n"
-       << "  \"detected_tier\": \""
-       << fhdnn::util::simd_tier_name(fhdnn::util::detected_simd())
-       << "\",\n"
-       << "  \"float_scalar\": { \"classify_ms\": " << float_classify_ms
-       << ", \"bundle_ms\": " << float_bundle_ms << " },\n"
-       << "  \"tiers\": [\n";
-  for (std::size_t i = 0; i < tier_results.size(); ++i) {
-    const auto& r = tier_results[i];
-    json << "    { \"tier\": \"" << r.name << "\", \"pack_ms\": " << r.pack_ms
-         << ", \"classify_ms\": " << r.classify_ms
-         << ", \"bundle_ms\": " << r.bundle_ms
-         << ", \"classify_speedup_vs_float\": "
-         << float_classify_ms / r.classify_ms
-         << ", \"bundle_speedup_vs_float\": "
-         << float_bundle_ms / r.bundle_ms << " }"
-         << (i + 1 < tier_results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"best_tier\": \"" << best.name << "\",\n"
-       << "  \"classify_speedup_best\": " << classify_speedup << ",\n"
-       << "  \"bundle_speedup_best\": " << bundle_speedup << ",\n"
-       << "  \"fedhd_round_ms\": " << fedhd_round_ms << ",\n"
-       << "  \"meets_8x_target\": " << (meets_target ? "true" : "false")
-       << "\n}\n";
-  fhdnn::bench::write_json_atomic(json_path, json.str());
   return 0;
 }

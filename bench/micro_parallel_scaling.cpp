@@ -99,6 +99,11 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 0;
   const int max_threads = static_cast<int>(flags.get_int("max-threads"));
   const int reps = static_cast<int>(flags.get_int("reps"));
+  if (reps < 1) {
+    std::cerr << "micro_parallel_scaling: --reps must be at least 1, got "
+              << reps << "\n";
+    return 2;
+  }
 
   fhdnn::print_banner(std::cout, "micro: parallel_for thread scaling");
   fhdnn::bench::print_config_line(

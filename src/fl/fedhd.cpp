@@ -252,7 +252,7 @@ FedHdTrainer::FedHdTrainer(std::vector<HdClientData> clients, HdClientData test,
   // Registered client ids index the per-client dataset vector here, so a
   // fleet larger than the data is a config error for THIS trainer —
   // million-client fleets drive RoundEngine with a synthetic learner
-  // instead (bench/scale_million_clients.cpp).
+  // instead (perfbench/src/workload_fleet_async.cpp).
   FHDNN_CHECK(!config.population.enabled() ||
                   config.population.n_registered <= config.n_clients,
               "FedHdTrainer population: n_registered "

@@ -1,10 +1,10 @@
-// Heap-allocation instrumentation for the zero-allocation tests and bench.
+// Heap-allocation instrumentation for the zero-allocation tests.
 //
 // Linking `alloc_spy.cpp` into a target replaces the global operator
 // new/delete with counting versions. `alloc_spy_snapshot()` reads the
 // process-wide counters; the difference between two snapshots bounds the
-// heap traffic of the code between them. Only test_memory and micro_memory
-// link the spy — the library itself never depends on it.
+// heap traffic of the code between them. Only test_memory links the spy —
+// the library itself never depends on it.
 #pragma once
 
 #include <cstdint>

@@ -27,8 +27,8 @@
 namespace fhdnn::util {
 
 /// Counters describing an arena's lifetime behaviour. `heap_allocations`
-/// and `high_water_bytes` are the numbers the zero-allocation tests and
-/// bench/micro_memory report: once warmup is done, both must stop moving.
+/// and `high_water_bytes` are the numbers the zero-allocation tests
+/// check: once warmup is done, both must stop moving.
 struct WorkspaceStats {
   std::uint64_t heap_allocations = 0;  ///< backing blocks ever malloc'd
   std::uint64_t capacity_bytes = 0;    ///< total backing capacity
