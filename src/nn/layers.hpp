@@ -41,7 +41,11 @@ class Linear : public Module {
   Tensor gx_;
 };
 
-/// 2-d convolution (square kernel) with Kaiming-normal init.
+/// 2-d convolution (square kernel) with Kaiming-normal init. A
+/// training-mode forward keeps its im2col columns in a layer-owned buffer
+/// for backward, which reads them instead of rebuilding them from the
+/// input; an eval-mode forward unfolds into the thread's workspace and
+/// keeps nothing.
 class Conv2d : public Module {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,
@@ -60,7 +64,9 @@ class Conv2d : public Module {
   ops::Conv2dSpec spec_;
   Parameter weight_;  // (oc, ic, k, k)
   Parameter bias_;    // (oc)
-  Tensor cached_input_;
+  Shape in_shape_;    // input of the last training-mode forward
+  Tensor cols_;       // its im2col, (n * oh * ow, ic * k * k)
+  bool cols_ready_ = false;  // a training forward ran since the last backward
   Tensor y_;
   Tensor gx_;
 };

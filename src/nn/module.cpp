@@ -15,8 +15,14 @@ void Module::zero_grad() {
   for (Parameter* p : parameters()) p->zero_grad();
 }
 
+const Tensor& Module::no_input_grad() {
+  static const Tensor placeholder;
+  return placeholder;
+}
+
 Sequential& Sequential::add(std::unique_ptr<Module> layer) {
   FHDNN_CHECK(layer != nullptr, "Sequential::add(nullptr)");
+  if (layers_.empty()) layer->set_input_grad_needed(input_grad_needed_);
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -58,6 +64,13 @@ std::vector<Tensor*> Sequential::buffers() {
 void Sequential::set_training(bool training) {
   Module::set_training(training);
   for (auto& layer : layers_) layer->set_training(training);
+}
+
+void Sequential::set_input_grad_needed(bool needed) {
+  // Only the first layer's input is the container's input; every later
+  // layer's input gradient feeds its predecessor's backward.
+  Module::set_input_grad_needed(needed);
+  if (!layers_.empty()) layers_.front()->set_input_grad_needed(needed);
 }
 
 Module& Sequential::layer(std::size_t i) {

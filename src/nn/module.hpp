@@ -58,6 +58,20 @@ class Module {
   virtual void set_training(bool training) { training_ = training; }
   bool training() const { return training_; }
 
+  /// Declare whether anything reads the gradient backward() returns for
+  /// this module's input. A model's owner whose input is the data batch
+  /// turns it off once; Conv2d and Linear then skip that work, and their
+  /// backward() returns the no_input_grad() placeholder. Parameter
+  /// gradients do not change. Sequential passes it to its first layer.
+  virtual void set_input_grad_needed(bool needed) {
+    input_grad_needed_ = needed;
+  }
+  bool input_grad_needed() const { return input_grad_needed_; }
+
+  /// The 0-d placeholder backward() returns in place of a skipped input
+  /// gradient.
+  static const Tensor& no_input_grad();
+
   virtual std::string name() const = 0;
 
   /// Total learnable scalar count.
@@ -68,6 +82,7 @@ class Module {
 
  protected:
   bool training_ = true;
+  bool input_grad_needed_ = true;
 };
 
 /// Sequential container; owns its children.
@@ -83,6 +98,7 @@ class Sequential : public Module {
   std::vector<Parameter*> parameters() override;
   std::vector<Tensor*> buffers() override;
   void set_training(bool training) override;
+  void set_input_grad_needed(bool needed) override;
   std::string name() const override { return "Sequential"; }
 
   std::size_t size() const { return layers_.size(); }

@@ -51,11 +51,16 @@ void col2im_into(ConstTensorView cols, const Conv2dSpec& spec, std::int64_t n,
                  std::int64_t h, std::int64_t w, TensorView x);
 
 /// y = conv2d(x, weight) + bias. weight is (OC, IC, k, k), bias is (OC).
-/// The `_into` form draws its im2col/matmul scratch from `ws` (rewound on
-/// return via a Workspace::Scope).
-/// Aliasing: y must not overlap x, weight, or bias.
+/// The `_into` forms draw their matmul scratch from `ws` (rewound on
+/// return via a Workspace::Scope). The first keeps im2col(x) in the
+/// caller's `cols` ((N * out_h * out_w, IC * k * k)), which the backward
+/// can consume instead of rebuilding it; the second unfolds into `ws`.
+/// Aliasing: y and cols must not overlap x, weight, bias or each other.
 Tensor conv2d_forward(const Tensor& x, const Tensor& weight, const Tensor& bias,
                       const Conv2dSpec& spec);
+void conv2d_forward_into(ConstTensorView x, ConstTensorView weight,
+                         ConstTensorView bias, const Conv2dSpec& spec,
+                         TensorView y, TensorView cols, util::Workspace& ws);
 void conv2d_forward_into(ConstTensorView x, ConstTensorView weight,
                          ConstTensorView bias, const Conv2dSpec& spec,
                          TensorView y, util::Workspace& ws);
@@ -79,6 +84,21 @@ void conv2d_backward_into(ConstTensorView grad_out, ConstTensorView x,
                           ConstTensorView weight, const Conv2dSpec& spec,
                           TensorView grad_input, TensorView grad_weight,
                           TensorView grad_bias, util::Workspace& ws);
+
+/// The same gradients from the forward's kept im2col `cols` (as
+/// conv2d_forward_into's `cols` form left it) instead of the input, which
+/// conv2d_backward_into rebuilds them from. Every output is bit-identical
+/// to that form. `grad_input` carries the input geometry; null skips the
+/// input gradient (its matmul and col2im) for a caller that never reads it.
+/// Aliasing: the grad outputs must not overlap cols, the inputs or each
+/// other.
+void conv2d_backward_from_cols_into(ConstTensorView grad_out,
+                                    ConstTensorView cols,
+                                    ConstTensorView weight,
+                                    const Conv2dSpec& spec,
+                                    TensorView* grad_input,
+                                    TensorView grad_weight,
+                                    TensorView grad_bias, util::Workspace& ws);
 
 /// 2x2 (or kxk) max pooling with stride == kernel.
 /// Returns pooled output and the flat argmax index per output element

@@ -33,6 +33,25 @@ void mul_scalar(float* out, const float* a, const float* b, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+// The select kernels clear an element's bits through an all-ones mask
+// instead of branching: x < 0 (false for NaN) zeroes a relu output, and
+// x <= 0 (false for NaN) zeroes a relu gradient.
+void relu_scalar(float* out, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t neg = 0U - static_cast<std::uint32_t>(x[i] < 0.0F);
+    out[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(x[i]) & ~neg);
+  }
+}
+
+void relu_backward_scalar(float* out, const float* g, const float* x,
+                          std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t pass =
+        0U - static_cast<std::uint32_t>(!(x[i] <= 0.0F));
+    out[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) & pass);
+  }
+}
+
 // GEMM oracles. Lanes go eight at a time so eight independent chains are
 // in flight; each output is still its own chain in ascending kk, which is
 // all the contract fixes.
@@ -182,7 +201,8 @@ constexpr Kernels kScalar = {
     sub_scalar,          mul_scalar,            gemm_dot_f64_scalar,
     gemm_axpy_f32_scalar, pack_signs_scalar,    unpack_signs_scalar,
     xor_words_scalar,    popcount_words_scalar, hamming_words_scalar,
-    crc32_update_scalar, exact_accumulate_f32_scalar,
+    crc32_update_scalar, exact_accumulate_f32_scalar, relu_scalar,
+    relu_backward_scalar,
 };
 
 /// Overlay `tier` onto `base`: non-null tier entries win.
@@ -206,6 +226,10 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
   if (tier->crc32_update != nullptr) out.crc32_update = tier->crc32_update;
   if (tier->exact_accumulate_f32 != nullptr) {
     out.exact_accumulate_f32 = tier->exact_accumulate_f32;
+  }
+  if (tier->relu_f32 != nullptr) out.relu_f32 = tier->relu_f32;
+  if (tier->relu_backward_f32 != nullptr) {
+    out.relu_backward_f32 = tier->relu_backward_f32;
   }
   return out;
 }

@@ -136,6 +136,19 @@ struct Kernels {
   /// would still write only its own element's chunks). No aliasing.
   void (*exact_accumulate_f32)(std::int64_t* chunks, const float* x,
                                std::int64_t n);
+
+  // ---- float select kernels (bit-exact: no arithmetic) ----
+  /// ReLU, out[i] = x[i] < 0 ? +0.0f : x[i] — the std::max(x[i], 0.0f)
+  /// semantics. Every tier selects through a compare mask, never a vector
+  /// max: max instructions return their second operand when either input
+  /// is NaN and order -0.0f/+0.0f by operand position, whereas here a NaN
+  /// (payload included) and -0.0f pass through with their bits intact.
+  /// out may alias x.
+  void (*relu_f32)(float* out, const float* x, std::int64_t n);
+  /// ReLU backward, out[i] = x[i] <= 0 ? +0.0f : g[i]; a NaN x passes g.
+  /// out may alias g and/or x.
+  void (*relu_backward_f32)(float* out, const float* g, const float* x,
+                            std::int64_t n);
 };
 
 /// Kernel table for util::active_simd() — re-resolved on every call, so

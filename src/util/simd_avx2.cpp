@@ -74,6 +74,31 @@ void mul_avx2(float* out, const float* a, const float* b, std::int64_t n) {
   for (; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+void relu_avx2(float* out, const float* x, std::int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // _CMP_LT_OQ is false for NaN, so NaN and -0.0f keep their bits.
+    const __m256 v = _mm256_loadu_ps(x + i);
+    _mm256_storeu_ps(out + i,
+                     _mm256_andnot_ps(_mm256_cmp_ps(v, zero, _CMP_LT_OQ), v));
+  }
+  scalar_table().relu_f32(out + i, x + i, n - i);
+}
+
+void relu_backward_avx2(float* out, const float* g, const float* x,
+                        std::int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // _CMP_NLE_UQ is !(x <= 0): true for NaN, which passes g.
+    const __m256 pass =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_NLE_UQ);
+    _mm256_storeu_ps(out + i, _mm256_and_ps(pass, _mm256_loadu_ps(g + i)));
+  }
+  scalar_table().relu_backward_f32(out + i, g + i, x + i, n - i);
+}
+
 void pack_signs_avx2(const float* src, std::uint64_t* dst,
                      std::int64_t nbits) {
   // _CMP_GE_OQ matches the scalar `v >= 0.0f`: true for +0/-0, false for
@@ -304,7 +329,7 @@ constexpr Kernels kAvx2 = {
     gemm_axpy_f32_avx2, pack_signs_avx2,
     unpack_signs_avx2, xor_words_avx2, popcount_words_avx2,
     hamming_words_avx2, crc32_update_avx2,
-    nullptr /*exact_accumulate_f32: scalar*/,
+    nullptr /*exact_accumulate_f32: scalar*/, relu_avx2, relu_backward_avx2,
 };
 
 }  // namespace

@@ -216,6 +216,32 @@ void exact_accumulate_f32_avx512(std::int64_t* chunks, const float* x,
 
 void gemm_axpy_f32_avx512(const GemmArgs<float>& g) { gemm<AxpyF32>(g); }
 
+void relu_avx512(float* out, const float* x, std::int64_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    // _CMP_LT_OQ is false for NaN, so NaN and -0.0f keep their bits.
+    const __m512 v = _mm512_loadu_ps(x + i);
+    const __mmask16 neg = _mm512_cmp_ps_mask(v, zero, _CMP_LT_OQ);
+    _mm512_storeu_ps(out + i, _mm512_mask_mov_ps(v, neg, zero));
+  }
+  scalar_table().relu_f32(out + i, x + i, n - i);
+}
+
+void relu_backward_avx512(float* out, const float* g, const float* x,
+                          std::int64_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    // _CMP_NLE_UQ is !(x <= 0): true for NaN, which passes g.
+    const __mmask16 pass =
+        _mm512_cmp_ps_mask(_mm512_loadu_ps(x + i), zero, _CMP_NLE_UQ);
+    _mm512_storeu_ps(out + i,
+                     _mm512_maskz_mov_ps(pass, _mm512_loadu_ps(g + i)));
+  }
+  scalar_table().relu_backward_f32(out + i, g + i, x + i, n - i);
+}
+
 constexpr Kernels kAvx512 = {
     axpy_avx512, scale_avx512,      add_avx512,
     sub_avx512,  mul_avx512,        gemm_dot_f64_avx512,
@@ -223,6 +249,7 @@ constexpr Kernels kAvx512 = {
     unpack_signs_avx512, nullptr /*xor_words: AVX2*/,
     nullptr /*popcount_words: AVX2*/, nullptr /*hamming_words: AVX2*/,
     nullptr /*crc32_update: AVX2*/, exact_accumulate_f32_avx512,
+    relu_avx512, relu_backward_avx512,
 };
 
 }  // namespace

@@ -114,6 +114,7 @@ constexpr Kernels kNeon = {
     popcount_words_neon, hamming_words_neon,
     nullptr /*crc32_update: scalar*/,
     nullptr /*exact_accumulate_f32: scalar*/,
+    nullptr /*relu_f32: scalar*/, nullptr /*relu_backward_f32: scalar*/,
 };
 
 }  // namespace

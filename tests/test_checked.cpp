@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "hdc/classifier.hpp"
+#include "nn/layers.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/fpenv.hpp"
+#include "util/rng.hpp"
 #include "util/workspace.hpp"
 
 namespace fhdnn {
@@ -149,6 +151,34 @@ TEST(Checked, BrokenInvariantCaughtAtClassifierEntry) {
   broken.vec().resize(3);
   EXPECT_THROW((void)ok.similarities(broken), Error);
   EXPECT_THROW((void)ok.refine_epoch(broken, labels), Error);
+}
+
+// ---- Conv2d kept im2col columns ------------------------------------------
+
+TEST(Checked, Conv2dBackwardNeedsItsTrainingForward) {
+  if (!util::checked_build()) {
+    GTEST_SKIP() << "kept-cols provenance is asserted in FHDNN_CHECKED only";
+  }
+  Rng rng(41);
+  nn::Conv2d conv(2, 3, 3, 1, 1, rng);
+  const Tensor x = Tensor::randn(Shape{2, 2, 5, 5}, rng);
+  const Tensor g = Tensor::randn(Shape{2, 3, 5, 5}, rng);
+  // No forward yet: there are no columns to read.
+  EXPECT_THROW((void)conv.backward(g), Error);
+  (void)conv.forward(x);
+  EXPECT_NO_THROW((void)conv.backward(g));
+  // A second backward would read columns another backward consumed.
+  EXPECT_THROW((void)conv.backward(g), Error);
+  // An eval-mode forward keeps no columns, so the older ones are stale.
+  (void)conv.forward(x);
+  conv.set_training(false);
+  (void)conv.forward(x);
+  EXPECT_THROW((void)conv.backward(g), Error);
+  // A gradient for another batch size does not match the kept columns.
+  conv.set_training(true);
+  (void)conv.forward(x);
+  const Tensor g1 = Tensor::randn(Shape{1, 3, 5, 5}, rng);
+  EXPECT_THROW((void)conv.backward(g1), Error);
 }
 
 // ---- FP-environment guard ------------------------------------------------

@@ -10,7 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "data/partition.hpp"
+#include "data/synthetic.hpp"
 #include "features/extractor.hpp"
+#include "fl/fedavg.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"
 #include "nn/loss.hpp"
@@ -519,6 +522,65 @@ TEST(ZeroAlloc, FeatureExtractSteadyState) {
   for (int i = 0; i < 3; ++i) ext.extract_into(imgs, out);
   const auto spy1 = util::alloc_spy_snapshot();
   EXPECT_EQ(spy1.count - spy0.count, 0U);
+}
+
+/// A Cnn2 FedAvg trainer after one round, with a test set of 70 examples:
+/// several evaluation chunks, the last one short.
+std::unique_ptr<fl::FedAvgTrainer> trained_cnn2(const data::Dataset& train,
+                                                const data::Dataset& test) {
+  Rng part_rng(812);
+  fl::FedAvgConfig config;
+  config.n_clients = 2;
+  config.client_fraction = 1.0;
+  config.local_epochs = 1;
+  config.rounds = 1;
+  config.seed = 813;
+  auto trainer = std::make_unique<fl::FedAvgTrainer>(
+      [](Rng& rng) { return nn::make_cnn2(1, 28, 10, rng); }, train,
+      data::partition_iid(train, 2, part_rng), test, config);
+  (void)trainer->round(0);
+  return trainer;
+}
+
+TEST(ZeroAlloc, FedAvgEvaluateSteadyState) {
+  SKIP_IF_SANITIZED();
+  const ThreadCountGuard guard(1);
+  Rng rng(810);
+  const data::Dataset train = data::synthetic_mnist(40, rng);
+  const data::Dataset test = data::synthetic_mnist(70, rng);
+  const auto trainer = trained_cnn2(train, test);
+  const double first = trainer->evaluate();
+  const auto spy0 = util::alloc_spy_snapshot();
+  const double second = trainer->evaluate();
+  const auto spy1 = util::alloc_spy_snapshot();
+  EXPECT_EQ(spy1.count - spy0.count, 0U)
+      << "a second evaluate() allocated " << (spy1.bytes - spy0.bytes)
+      << " bytes in " << (spy1.count - spy0.count) << " calls";
+  EXPECT_EQ(first, second);
+}
+
+TEST(ParallelEvaluate, CountsEveryTestExampleOnceAtEveryThreadCount) {
+  Rng rng(810);
+  const data::Dataset train = data::synthetic_mnist(40, rng);
+  data::Dataset test = data::synthetic_mnist(70, rng);
+  // Relabel the test set with the trained model's own predictions, made
+  // in one forward over the whole set: then every example counted once
+  // scores exactly 1, and one flipped label exactly 69 / 70.
+  {
+    const auto trainer = trained_cnn2(train, test);
+    nn::Module& model = trainer->global_model();
+    model.set_training(false);
+    test.labels = ops::argmax_rows(model.forward(test.x));
+  }
+  data::Dataset flipped = test;
+  flipped.labels[37] = (flipped.labels[37] + 1) % 10;
+  for (const int threads : {1, 2, 3, 4}) {
+    const ThreadCountGuard guard(threads);
+    EXPECT_EQ(trained_cnn2(train, test)->evaluate(), 1.0)
+        << threads << " threads";
+    EXPECT_EQ(trained_cnn2(train, flipped)->evaluate(), 69.0 / 70.0)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

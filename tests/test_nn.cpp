@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "nn/batchnorm.hpp"
 #include "nn/layers.hpp"
@@ -368,6 +371,81 @@ TEST(Factories, MiniResNetShapes) {
   // Width scaling grows parameters roughly quadratically.
   auto wide = nn::make_mini_resnet(3, 10, 16, rng);
   EXPECT_GT(wide->parameter_count(), 3 * net->parameter_count());
+}
+
+using ModelMaker = std::function<std::unique_ptr<nn::Sequential>(Rng&)>;
+
+/// One training step of a fresh model built by `make` from seed 21: its
+/// parameter gradients, and what backward() returned for the input.
+struct StepGrads {
+  std::unique_ptr<nn::Sequential> net;
+  std::vector<float> params;
+  const Tensor* input_grad = nullptr;
+};
+
+StepGrads step_grads(const ModelMaker& make, const Shape& input,
+                     bool input_grad_needed) {
+  Rng rng(21);
+  StepGrads out{make(rng), {}, nullptr};
+  out.net->set_input_grad_needed(input_grad_needed);
+  Rng data_rng(22);
+  const Tensor x = Tensor::randn(input, data_rng);
+  std::vector<std::int64_t> labels(static_cast<std::size_t>(input[0]));
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int64_t>(i % 10);
+  }
+  nn::CrossEntropyLoss loss;
+  out.net->zero_grad();
+  (void)loss.forward(out.net->forward(x), labels);
+  out.input_grad = &out.net->backward(loss.backward());
+  for (Parameter* p : out.net->parameters()) {
+    out.params.insert(out.params.end(), p->grad.data().begin(),
+                      p->grad.data().end());
+  }
+  return out;
+}
+
+void expect_skip_keeps_param_grads(const ModelMaker& make,
+                                   const Shape& input) {
+  const StepGrads full = step_grads(make, input, true);
+  const StepGrads skipped = step_grads(make, input, false);
+  ASSERT_EQ(full.params.size(), skipped.params.size());
+  EXPECT_EQ(std::memcmp(full.params.data(), skipped.params.data(),
+                        full.params.size() * sizeof(float)),
+            0)
+      << "skipping the input gradient changed a parameter gradient";
+  EXPECT_EQ(full.input_grad->shape(), input);
+  EXPECT_EQ(skipped.input_grad, &Module::no_input_grad());
+}
+
+TEST(InputGrad, Cnn2SkipKeepsParameterGradsBitIdentical) {
+  expect_skip_keeps_param_grads(
+      [](Rng& rng) { return nn::make_cnn2(1, 28, 10, rng); },
+      Shape{10, 1, 28, 28});
+}
+
+TEST(InputGrad, LinearFirstSkipKeepsParameterGradsBitIdentical) {
+  expect_skip_keeps_param_grads(
+      [](Rng& rng) {
+        auto net = std::make_unique<nn::Sequential>();
+        net->add(nn::make_linear(12, 16, rng));
+        net->add(std::make_unique<nn::ReLU>());
+        net->add(nn::make_linear(16, 10, rng));
+        return net;
+      },
+      Shape{6, 12});
+}
+
+TEST(InputGrad, SequentialPassesTheFlagToItsFirstLayerOnly) {
+  Rng rng(23);
+  nn::Sequential net;
+  net.set_input_grad_needed(false);
+  net.add(nn::make_conv(1, 2, 3, 1, 1, rng));
+  net.add(nn::make_conv(2, 2, 3, 1, 1, rng));
+  EXPECT_FALSE(net.layer(0).input_grad_needed());
+  EXPECT_TRUE(net.layer(1).input_grad_needed());
+  net.set_input_grad_needed(true);
+  EXPECT_TRUE(net.layer(0).input_grad_needed());
 }
 
 }  // namespace
