@@ -6,22 +6,24 @@
 
 namespace fhdnn::nn {
 
+std::vector<Tensor*> state_tensors(Module& model) {
+  std::vector<Tensor*> out;
+  for (Parameter* p : model.parameters()) out.push_back(&p->value);
+  for (Tensor* b : model.buffers()) out.push_back(b);
+  return out;
+}
+
 std::int64_t state_size(Module& model) {
   std::int64_t n = 0;
-  for (const Parameter* p : model.parameters()) n += p->value.numel();
-  for (Tensor* b : model.buffers()) n += b->numel();
+  for (const Tensor* t : state_tensors(model)) n += t->numel();
   return n;
 }
 
 std::vector<float> get_state(Module& model) {
   std::vector<float> out;
   out.reserve(static_cast<std::size_t>(state_size(model)));
-  for (Parameter* p : model.parameters()) {
-    const auto d = p->value.data();
-    out.insert(out.end(), d.begin(), d.end());
-  }
-  for (Tensor* b : model.buffers()) {
-    const auto d = b->data();
+  for (const Tensor* t : state_tensors(model)) {
+    const auto d = t->data();
     out.insert(out.end(), d.begin(), d.end());
   }
   return out;
@@ -32,22 +34,25 @@ void set_state(Module& model, const std::vector<float>& state) {
               "set_state size " << state.size() << " != model state "
                                 << state_size(model));
   std::size_t off = 0;
-  for (Parameter* p : model.parameters()) {
-    auto d = p->value.data();
-    std::copy_n(state.begin() + static_cast<std::ptrdiff_t>(off), d.size(),
-                d.begin());
-    off += d.size();
-  }
-  for (Tensor* b : model.buffers()) {
-    auto d = b->data();
+  for (Tensor* t : state_tensors(model)) {
+    auto d = t->data();
     std::copy_n(state.begin() + static_cast<std::ptrdiff_t>(off), d.size(),
                 d.begin());
     off += d.size();
   }
 }
 
-void copy_state(Module& src, Module& dst) {
-  set_state(dst, get_state(src));
+void copy_state(const std::vector<Tensor*>& src,
+                const std::vector<Tensor*>& dst) {
+  FHDNN_CHECK(src.size() == dst.size(),
+              "copy_state between " << src.size() << " and " << dst.size()
+                                    << " state tensors");
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    FHDNN_CHECK(src[i]->numel() == dst[i]->numel(),
+                "copy_state tensor " << i << " sizes differ");
+    const auto d = src[i]->data();
+    std::copy(d.begin(), d.end(), dst[i]->data().begin());
+  }
 }
 
 }  // namespace fhdnn::nn

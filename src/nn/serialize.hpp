@@ -23,7 +23,15 @@ std::vector<float> get_state(Module& model);
 /// Load a flat vector produced by get_state (layout must match).
 void set_state(Module& model, const std::vector<float>& state);
 
-/// Copy all parameters/buffers from `src` into `dst` (same architecture).
-void copy_state(Module& src, Module& dst);
+/// The tensors that make up `model`'s state, in get_state order: the
+/// parameter values, then the buffers. The pointers stay valid for the
+/// model's lifetime, so a caller that copies states often gathers them
+/// once.
+std::vector<Tensor*> state_tensors(Module& model);
+
+/// Copy every state tensor of `src` into the matching one of `dst`, two
+/// state_tensors lists of the same architecture. Allocates nothing.
+void copy_state(const std::vector<Tensor*>& src,
+                const std::vector<Tensor*>& dst);
 
 }  // namespace fhdnn::nn
