@@ -124,12 +124,14 @@ int main(int argc, char** argv) {
   const Tensor a = Tensor::randn(Shape{512, 512}, rng);
   const Tensor b = Tensor::randn(Shape{512, 512}, rng);
   fhdnn::parallel::set_num_threads(1);
-  const Tensor reference = fhdnn::ops::matmul(a, b);
+  Tensor reference(Shape{512, 512});
+  fhdnn::ops::matmul_into(a, b, reference);
   double matmul_serial = 0.0;
   for (const int t : thread_counts) {
     fhdnn::parallel::set_num_threads(t);
-    Tensor c;
-    const double sec = time_median(reps, [&] { c = fhdnn::ops::matmul(a, b); });
+    Tensor c(Shape{512, 512});
+    const double sec =
+        time_median(reps, [&] { fhdnn::ops::matmul_into(a, b, c); });
     if (t == 1) matmul_serial = sec;
     rows.push_back({"matmul512", t, sec * 1e3, matmul_serial / sec,
                     same_bits(c.data(), reference.data())});

@@ -1,8 +1,5 @@
 #include "core/fhdnn.hpp"
 
-// core assembles full trainers and is the one layer allowed to reach up
-// into channel/fl (see DESIGN.md §15 on the layering manifest).
-// fhdnn-lint: allow(layer-dag)
 #include "channel/hd_uplink.hpp"
 #include "tensor/view.hpp"
 #include "util/error.hpp"

@@ -16,9 +16,6 @@
 
 #include "data/dataset.hpp"
 #include "features/extractor.hpp"
-// core assembles full trainers and is the one layer allowed to reach up
-// into channel/fl (see DESIGN.md §15 on the layering manifest).
-// fhdnn-lint: allow(layer-dag)
 #include "fl/fedhd.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"

@@ -6,16 +6,11 @@
 #include <memory>
 #include <string>
 
-// core assembles full trainers and is the one layer allowed to reach up
-// into channel/fl (see DESIGN.md §15 on the layering manifest).
-// fhdnn-lint: allow(layer-dag)
 #include "channel/channel.hpp"
 #include "core/fhdnn.hpp"
 #include "data/dataset.hpp"
 #include "data/partition.hpp"
-// fhdnn-lint: allow(layer-dag)
 #include "fl/fedavg.hpp"
-// fhdnn-lint: allow(layer-dag)
 #include "fl/fedhd.hpp"
 
 namespace fhdnn::core {

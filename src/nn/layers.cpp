@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tensor/ops.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/workspace.hpp"
@@ -20,6 +21,11 @@ Tensor kaiming_uniform(Shape shape, std::int64_t fan_in, Rng& rng) {
 Tensor kaiming_normal(Shape shape, std::int64_t fan_in, Rng& rng) {
   const float stddev = std::sqrt(2.0F / static_cast<float>(fan_in));
   return Tensor::randn(std::move(shape), rng, stddev);
+}
+
+std::uint32_t view_crc(ConstTensorView v) {
+  return util::crc32(v.data(), static_cast<std::size_t>(v.numel()) *
+                                   sizeof(float));
 }
 
 }  // namespace
@@ -39,7 +45,8 @@ const Tensor& Linear::forward(const Tensor& x) {
   FHDNN_CHECK(x.ndim() == 2 && x.dim(1) == in_,
               "Linear expects (N, " << in_ << "), got "
                                     << shape_to_string(x.shape()));
-  cached_input_ = x;
+  x_ = x;
+  if constexpr (util::checked_build()) x_crc_ = view_crc(x_);
   y_.ensure_shape({x.dim(0), out_});
   ops::linear_forward_into(x, weight_.value, bias_.value, y_);
   return y_;
@@ -48,13 +55,16 @@ const Tensor& Linear::forward(const Tensor& x) {
 const Tensor& Linear::backward(const Tensor& grad_out) {
   FHDNN_CHECKED_TENSOR(grad_out);
   FHDNN_CHECK(grad_out.ndim() == 2 && grad_out.dim(1) == out_ &&
-                  grad_out.dim(0) == cached_input_.dim(0),
+                  grad_out.dim(0) == x_.dim(0),
               "Linear backward grad shape " << shape_to_string(grad_out.shape()));
+  FHDNN_CHECKED_ASSERT(view_crc(x_) == x_crc_,
+                       "Linear backward: the forward's input changed or was "
+                       "freed before backward");
   // dW = g^T x, db = sum_rows(g), dx = g W
   util::Workspace& ws = util::tls_workspace();
   const util::Workspace::Scope scope(ws);
   TensorView gw(ws.floats(out_ * in_), {out_, in_});
-  ops::matmul_at_into(grad_out, cached_input_, gw);
+  ops::matmul_at_into(grad_out, x_, gw);
   ops::accumulate(weight_.grad, gw);
   TensorView gb(ws.floats(out_), {out_});
   ops::sum_rows_into(grad_out, gb);
@@ -131,7 +141,6 @@ const Tensor& Conv2d::backward(const Tensor& grad_out) {
 
 const Tensor& ReLU::forward(const Tensor& x) {
   FHDNN_CHECKED_TENSOR(x);
-  cached_input_ = x;
   y_.ensure_shape(x.shape());
   ops::relu_into(x, y_);
   return y_;
@@ -139,9 +148,13 @@ const Tensor& ReLU::forward(const Tensor& x) {
 
 const Tensor& ReLU::backward(const Tensor& grad_out) {
   FHDNN_CHECKED_TENSOR(grad_out);
-  gx_.ensure_shape(cached_input_.shape());
-  ops::relu_backward_into(grad_out, cached_input_, gx_);
+  gx_.ensure_shape(y_.shape());
+  ops::relu_backward_into(grad_out, y_, gx_);
   return gx_;
+}
+
+MaxPool2d::MaxPool2d(std::int64_t kernel) : kernel_(kernel) {
+  FHDNN_CHECK(kernel >= 1, "MaxPool2d kernel " << kernel);
 }
 
 const Tensor& MaxPool2d::forward(const Tensor& x) {

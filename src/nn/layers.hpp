@@ -4,7 +4,9 @@
 // Each layer owns its output buffer `y_` and input-gradient buffer `gx_`,
 // resized in place with Tensor::ensure_shape — after the first step at a
 // given batch shape, forward/backward touch no heap. Workspace scratch for
-// the matmul/conv kernels comes from the calling thread's arena.
+// the matmul/conv kernels comes from the calling thread's arena. No layer
+// copies its input: backward reads the input through a view (Linear), its
+// own output (ReLU) or what forward derived from it (the rest).
 #pragma once
 
 #include <cstdint>
@@ -12,11 +14,15 @@
 
 #include "nn/module.hpp"
 #include "tensor/conv.hpp"
+#include "tensor/view.hpp"
 #include "util/rng.hpp"
 
 namespace fhdnn::nn {
 
-/// Fully connected layer y = x W^T + b with Kaiming-uniform init.
+/// Fully connected layer y = x W^T + b with Kaiming-uniform init. Backward
+/// reads forward's input through a view, under Module::forward's input
+/// lifetime contract; FHDNN_CHECKED builds verify that contract with a
+/// CRC-32 of the viewed bytes.
 class Linear : public Module {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng);
@@ -36,7 +42,8 @@ class Linear : public Module {
   std::int64_t out_;
   Parameter weight_;  // (out, in)
   Parameter bias_;    // (out)
-  Tensor cached_input_;
+  ConstTensorView x_{nullptr, detail::ViewDims{}};  // the forward's input
+  std::uint32_t x_crc_ = 0;  // its CRC-32, kept in FHDNN_CHECKED builds
   Tensor y_;
   Tensor gx_;
 };
@@ -71,7 +78,8 @@ class Conv2d : public Module {
   Tensor gx_;
 };
 
-/// Elementwise ReLU.
+/// Elementwise ReLU. Backward masks on the layer's own output, which is
+/// positive exactly where the input is (ops::relu_backward_into).
 class ReLU : public Module {
  public:
   const Tensor& forward(const Tensor& x) override;
@@ -79,7 +87,6 @@ class ReLU : public Module {
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor cached_input_;
   Tensor y_;
   Tensor gx_;
 };
@@ -87,7 +94,7 @@ class ReLU : public Module {
 /// Non-overlapping max pooling (stride == kernel).
 class MaxPool2d : public Module {
  public:
-  explicit MaxPool2d(std::int64_t kernel) : kernel_(kernel) {}
+  explicit MaxPool2d(std::int64_t kernel);
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& grad_out) override;

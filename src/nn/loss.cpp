@@ -40,9 +40,11 @@ const Tensor& CrossEntropyLoss::backward() {
 }
 
 double accuracy(const Tensor& logits, const std::vector<std::int64_t>& labels) {
-  const auto preds = ops::argmax_rows(logits);
-  FHDNN_CHECK(preds.size() == labels.size(), "accuracy size mismatch");
-  if (preds.empty()) return 0.0;
+  FHDNN_CHECK(logits.ndim() == 2 &&
+                  logits.dim(0) == static_cast<std::int64_t>(labels.size()),
+              "accuracy size mismatch");
+  std::vector<std::int64_t> preds(labels.size());
+  ops::argmax_rows_into(logits, preds);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < preds.size(); ++i) {
     if (preds[i] == labels[i]) ++correct;

@@ -36,8 +36,13 @@ class Module {
  public:
   virtual ~Module() = default;
 
-  /// Compute outputs; caches activations needed by backward(). The returned
-  /// reference points at a module-owned buffer reused by later calls.
+  /// Compute outputs; caches what backward() needs. The returned reference
+  /// points at a module-owned buffer reused by later calls.
+  ///
+  /// Input lifetime: a module may read `x` again in the matching backward()
+  /// instead of copying it (Linear does), so the caller keeps `x` alive and
+  /// unchanged until that backward() returns. Chaining layer outputs meets
+  /// this, since a layer's output buffer changes only on its next forward().
   virtual const Tensor& forward(const Tensor& x) = 0;
 
   /// Propagate gradients. Must be called after forward() with an upstream

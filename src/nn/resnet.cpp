@@ -26,18 +26,17 @@ const Tensor& ResidualBlock::forward(const Tensor& x) {
       conv2_.forward(relu1_.forward(bn1_.forward(conv1_.forward(x)))));
   const Tensor& skip =
       proj_conv_ ? proj_bn_->forward(proj_conv_->forward(x)) : x;
-  cached_sum_.ensure_shape(main.shape());
-  ops::add_into(main, skip, cached_sum_);
   y_.ensure_shape(main.shape());
-  ops::relu_into(cached_sum_, y_);
+  ops::add_into(main, skip, y_);
+  ops::relu_into(y_, y_);
   return y_;
 }
 
 const Tensor& ResidualBlock::backward(const Tensor& grad_out) {
   FHDNN_CHECKED_TENSOR(grad_out);
-  // Through the output ReLU.
-  g_sum_.ensure_shape(cached_sum_.shape());
-  ops::relu_backward_into(grad_out, cached_sum_, g_sum_);
+  // Through the output ReLU, masked on its output (see ReLU).
+  g_sum_.ensure_shape(y_.shape());
+  ops::relu_backward_into(grad_out, y_, g_sum_);
   // Main path. The chain's result lives in conv1_'s buffer; copy it into
   // ours so the skip-path accumulation doesn't clobber conv1_'s state.
   gx_ = conv1_.backward(bn1_.backward(

@@ -45,9 +45,8 @@ class ResidualBlock : public Module {
   std::unique_ptr<Conv2d> proj_conv_;  // null for identity skip
   std::unique_ptr<BatchNorm2d> proj_bn_;
 
-  Tensor cached_sum_;  // pre-activation of the output ReLU
-  Tensor g_sum_;       // grad through the output ReLU
-  Tensor y_;
+  Tensor g_sum_;  // grad through the output ReLU
+  Tensor y_;      // ReLU(main + skip), summed and rectified in place
   Tensor gx_;
 };
 

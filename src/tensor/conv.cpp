@@ -191,17 +191,6 @@ void im2col_into(ConstTensorView x, const Conv2dSpec& spec, TensorView cols) {
   });
 }
 
-Tensor im2col(const Tensor& x, const Conv2dSpec& spec) {
-  check_nchw(x, "im2col");
-  const std::int64_t h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = spec.out_size(h), ow = spec.out_size(w);
-  FHDNN_CHECK(oh > 0 && ow > 0, "conv output collapsed to zero");
-  Tensor cols(Shape{x.dim(0) * oh * ow,
-                    spec.in_channels * spec.kernel * spec.kernel});
-  im2col_into(x, spec, cols);
-  return cols;
-}
-
 void col2im_into(ConstTensorView cols, const Conv2dSpec& spec, std::int64_t n,
                  std::int64_t h, std::int64_t w, TensorView x) {
   checked_entry("col2im", cols, x);
@@ -251,13 +240,6 @@ void col2im_into(ConstTensorView cols, const Conv2dSpec& spec, std::int64_t n,
       }
     }
   });
-}
-
-Tensor col2im(const Tensor& cols, const Conv2dSpec& spec, std::int64_t n,
-              std::int64_t h, std::int64_t w) {
-  Tensor x(Shape{n, spec.in_channels, h, w});
-  col2im_into(cols, spec, n, h, w, x);
-  return x;
 }
 
 void conv2d_forward_into(ConstTensorView x, ConstTensorView weight,
@@ -313,15 +295,6 @@ void conv2d_forward_into(ConstTensorView x, ConstTensorView weight,
   const std::int64_t ckk = spec.in_channels * spec.kernel * spec.kernel;
   conv2d_forward_into(x, weight, bias, spec, y,
                       TensorView(ws.floats(rows * ckk), {rows, ckk}), ws);
-}
-
-Tensor conv2d_forward(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                      const Conv2dSpec& spec) {
-  check_nchw(x, "conv2d");
-  const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  Tensor y(Shape{n, spec.out_channels, spec.out_size(h), spec.out_size(w)});
-  conv2d_forward_into(x, weight, bias, spec, y, util::tls_workspace());
-  return y;
 }
 
 void conv2d_backward_from_cols_into(ConstTensorView grad_out,
@@ -413,40 +386,6 @@ void conv2d_backward_from_cols_into(ConstTensorView grad_out,
               *grad_input);
 }
 
-void conv2d_backward_into(ConstTensorView grad_out, ConstTensorView x,
-                          ConstTensorView weight, const Conv2dSpec& spec,
-                          TensorView grad_input, TensorView grad_weight,
-                          TensorView grad_bias, util::Workspace& ws) {
-  checked_entry("conv2d_backward", grad_out, x, weight, grad_input,
-                grad_weight, grad_bias);
-  check_nchw(grad_out, "conv2d_backward");
-  check_nchw(x, "conv2d_backward");
-  const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = spec.out_size(h), ow = spec.out_size(w);
-  FHDNN_CHECK(grad_out.dim(0) == n && grad_out.dim(1) == spec.out_channels &&
-                  grad_out.dim(2) == oh && grad_out.dim(3) == ow,
-              "conv2d_backward grad shape " << grad_out.shape_string());
-  const util::Workspace::Scope scope(ws);
-  const std::int64_t ckk = spec.in_channels * spec.kernel * spec.kernel;
-  TensorView cols(ws.floats(n * oh * ow * ckk), {n * oh * ow, ckk});
-  im2col_into(x, spec, cols);
-  conv2d_backward_from_cols_into(grad_out, cols, weight, spec, &grad_input,
-                                 grad_weight, grad_bias, ws);
-}
-
-Conv2dGrads conv2d_backward(const Tensor& grad_out, const Tensor& x,
-                            const Tensor& weight, const Conv2dSpec& spec) {
-  check_nchw(x, "conv2d_backward");
-  Conv2dGrads grads;
-  grads.grad_input = Tensor(x.shape());
-  grads.grad_weight = Tensor(weight.shape());
-  grads.grad_bias = Tensor(Shape{spec.out_channels});
-  conv2d_backward_into(grad_out, x, weight, spec, grads.grad_input,
-                       grads.grad_weight, grads.grad_bias,
-                       util::tls_workspace());
-  return grads;
-}
-
 void maxpool2d_forward_into(ConstTensorView x, std::int64_t kernel,
                             TensorView out, std::span<std::int64_t> argmax) {
   checked_entry("maxpool2d_forward", x, out);
@@ -486,19 +425,6 @@ void maxpool2d_forward_into(ConstTensorView x, std::int64_t kernel,
   });
 }
 
-MaxPoolResult maxpool2d_forward(const Tensor& x, std::int64_t kernel) {
-  check_nchw(x, "maxpool2d");
-  FHDNN_CHECK(kernel >= 1, "pool kernel " << kernel);
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  FHDNN_CHECK(h % kernel == 0 && w % kernel == 0,
-              "maxpool2d requires H,W divisible by kernel; got "
-                  << shape_to_string(x.shape()) << " kernel " << kernel);
-  MaxPoolResult res{Tensor(Shape{n, c, h / kernel, w / kernel}), {}};
-  res.argmax.resize(static_cast<std::size_t>(res.output.numel()));
-  maxpool2d_forward_into(x, kernel, res.output, res.argmax);
-  return res;
-}
-
 void maxpool2d_backward_into(ConstTensorView grad_out,
                              std::span<const std::int64_t> argmax,
                              TensorView gx) {
@@ -515,14 +441,6 @@ void maxpool2d_backward_into(ConstTensorView grad_out,
                 "maxpool backward argmax " << idx << " out of range " << total);
     px[idx] += pg[i];
   }
-}
-
-Tensor maxpool2d_backward(const Tensor& grad_out,
-                          const std::vector<std::int64_t>& argmax,
-                          const Shape& input_shape) {
-  Tensor gx(input_shape);
-  maxpool2d_backward_into(grad_out, argmax, gx);
-  return gx;
 }
 
 void global_avgpool_forward_into(ConstTensorView x, TensorView y) {
@@ -544,13 +462,6 @@ void global_avgpool_forward_into(ConstTensorView x, TensorView y) {
   }
 }
 
-Tensor global_avgpool_forward(const Tensor& x) {
-  check_nchw(x, "global_avgpool");
-  Tensor y(Shape{x.dim(0), x.dim(1)});
-  global_avgpool_forward_into(x, y);
-  return y;
-}
-
 void global_avgpool_backward_into(ConstTensorView grad_out, TensorView gx) {
   checked_entry("global_avgpool_backward", grad_out, gx);
   check_nchw(gx, "global_avgpool_backward");
@@ -570,14 +481,6 @@ void global_avgpool_backward_into(ConstTensorView grad_out, TensorView gx) {
       for (std::int64_t i = 0; i < h * w; ++i) chan[i] = g;
     }
   }
-}
-
-Tensor global_avgpool_backward(const Tensor& grad_out,
-                               const Shape& input_shape) {
-  FHDNN_CHECK(input_shape.size() == 4, "global_avgpool_backward input shape");
-  Tensor gx(input_shape);
-  global_avgpool_backward_into(grad_out, gx);
-  return gx;
 }
 
 }  // namespace fhdnn::ops

@@ -14,12 +14,6 @@ namespace fhdnn::ops {
 
 namespace {
 
-void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  FHDNN_CHECK(a.same_shape(b), op << " shape mismatch: "
-                                  << shape_to_string(a.shape()) << " vs "
-                                  << shape_to_string(b.shape()));
-}
-
 void check_2d(ConstTensorView a, const char* op) {
   FHDNN_CHECK(a.ndim() == 2, op << " expects a 2-d tensor, got "
                                 << a.shape_string());
@@ -59,51 +53,10 @@ void add_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   simd::kernels().add_f32(out.data(), a.data(), b.data(), a.numel());
 }
 
-Tensor add(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "add");
-  Tensor c(a.shape());
-  add_into(a, b, c);
-  return c;
-}
-
-void sub_into(ConstTensorView a, ConstTensorView b, TensorView out) {
-  checked_entry("sub", a, b, out);
-  check_same_dims(a, b, "sub");
-  check_same_dims(a, out, "sub");
-  simd::kernels().sub_f32(out.data(), a.data(), b.data(), a.numel());
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
-  Tensor c(a.shape());
-  sub_into(a, b, c);
-  return c;
-}
-
-void mul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
-  checked_entry("mul", a, b, out);
-  check_same_dims(a, b, "mul");
-  check_same_dims(a, out, "mul");
-  simd::kernels().mul_f32(out.data(), a.data(), b.data(), a.numel());
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mul");
-  Tensor c(a.shape());
-  mul_into(a, b, c);
-  return c;
-}
-
 void scale_into(ConstTensorView a, float alpha, TensorView out) {
   checked_entry("scale", a, out);
   check_same_dims(a, out, "scale");
   simd::kernels().scale_f32(out.data(), a.data(), alpha, a.numel());
-}
-
-Tensor scale(const Tensor& a, float alpha) {
-  Tensor c(a.shape());
-  scale_into(a, alpha, c);
-  return c;
 }
 
 void accumulate(TensorView y, ConstTensorView x) {
@@ -209,14 +162,6 @@ void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
             .k = k});
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  check_2d(a, "matmul");
-  check_2d(b, "matmul");
-  Tensor c(Shape{a.dim(0), b.dim(1)});
-  matmul_into(a, b, c);
-  return c;
-}
-
 void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   checked_entry("matmul_bt", a, b, out);
   check_2d(a, "matmul_bt");
@@ -246,14 +191,6 @@ void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out) {
             .rows = lanes_are_cols ? m : n, .lanes = lanes, .k = k});
 }
 
-Tensor matmul_bt(const Tensor& a, const Tensor& b) {
-  check_2d(a, "matmul_bt");
-  check_2d(b, "matmul_bt");
-  Tensor c(Shape{a.dim(0), b.dim(0)});
-  matmul_bt_into(a, b, c);
-  return c;
-}
-
 void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   checked_entry("matmul_at", a, b, out);
   check_2d(a, "matmul_at");
@@ -274,14 +211,6 @@ void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out) {
             .k = k});
 }
 
-Tensor matmul_at(const Tensor& a, const Tensor& b) {
-  check_2d(a, "matmul_at");
-  check_2d(b, "matmul_at");
-  Tensor c(Shape{a.dim(1), b.dim(1)});
-  matmul_at_into(a, b, c);
-  return c;
-}
-
 void transpose_into(ConstTensorView a, TensorView out) {
   checked_entry("transpose", a, out);
   check_2d(a, "transpose");
@@ -294,13 +223,6 @@ void transpose_into(ConstTensorView a, TensorView out) {
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) po[j * m + i] = pa[i * n + j];
   }
-}
-
-Tensor transpose(const Tensor& a) {
-  check_2d(a, "transpose");
-  Tensor t(Shape{a.dim(1), a.dim(0)});
-  transpose_into(a, t);
-  return t;
 }
 
 void linear_forward_into(ConstTensorView x, ConstTensorView weight,
@@ -326,15 +248,6 @@ void linear_forward_into(ConstTensorView x, ConstTensorView weight,
   });
 }
 
-Tensor linear_forward(const Tensor& x, const Tensor& weight,
-                      const Tensor& bias) {
-  check_2d(x, "linear_forward");
-  check_2d(weight, "linear_forward");
-  Tensor y(Shape{x.dim(0), weight.dim(0)});
-  linear_forward_into(x, weight, bias, y);
-  return y;
-}
-
 void argmax_rows_into(ConstTensorView logits, std::span<std::int64_t> out) {
   checked_entry("argmax_rows", logits);
   check_2d(logits, "argmax_rows");
@@ -355,13 +268,6 @@ void argmax_rows_into(ConstTensorView logits, std::span<std::int64_t> out) {
     }
     out[static_cast<std::size_t>(i)] = best;
   }
-}
-
-std::vector<std::int64_t> argmax_rows(const Tensor& logits) {
-  check_2d(logits, "argmax_rows");
-  std::vector<std::int64_t> out(static_cast<std::size_t>(logits.dim(0)));
-  argmax_rows_into(logits, out);
-  return out;
 }
 
 void softmax_rows_into(ConstTensorView logits, TensorView out) {
@@ -390,13 +296,6 @@ void softmax_rows_into(ConstTensorView logits, TensorView out) {
   });
 }
 
-Tensor softmax_rows(const Tensor& logits) {
-  check_2d(logits, "softmax_rows");
-  Tensor p(logits.shape());
-  softmax_rows_into(logits, p);
-  return p;
-}
-
 void sum_rows_into(ConstTensorView a, TensorView out) {
   checked_entry("sum_rows", a, out);
   check_2d(a, "sum_rows");
@@ -411,27 +310,6 @@ void sum_rows_into(ConstTensorView a, TensorView out) {
     const float* row = pa + i * c;
     for (std::int64_t j = 0; j < c; ++j) po[j] += row[j];
   }
-}
-
-Tensor sum_rows(const Tensor& a) {
-  check_2d(a, "sum_rows");
-  Tensor out(Shape{a.dim(1)});
-  sum_rows_into(a, out);
-  return out;
-}
-
-double dot(const Tensor& a, const Tensor& b) {
-  FHDNN_CHECK(a.numel() == b.numel(), "dot numel mismatch");
-  double s;
-  dot_rows(a.data().data(), b.data().data(), 1, a.numel(), &s);
-  return s;
-}
-
-double cosine_similarity(const Tensor& a, const Tensor& b) {
-  const double na = a.l2_norm();
-  const double nb = b.l2_norm();
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return dot(a, b) / (na * nb);
 }
 
 // relu and its backward dispatch the compare-mask select kernels
@@ -450,12 +328,6 @@ void relu_into(ConstTensorView x, TensorView out) {
   });
 }
 
-Tensor relu(const Tensor& x) {
-  Tensor y(x.shape());
-  relu_into(x, y);
-  return y;
-}
-
 void relu_backward_into(ConstTensorView grad_out, ConstTensorView x,
                         TensorView out) {
   checked_entry("relu_backward", grad_out, x, out);
@@ -470,13 +342,6 @@ void relu_backward_into(ConstTensorView grad_out, ConstTensorView x,
                          [&](std::int64_t i0, std::int64_t i1) {
     relu_backward(po + i0, pg + i0, px + i0, i1 - i0);
   });
-}
-
-Tensor relu_backward(const Tensor& grad_out, const Tensor& x) {
-  FHDNN_CHECK(grad_out.same_shape(x), "relu_backward shape mismatch");
-  Tensor g(grad_out.shape());
-  relu_backward_into(grad_out, x, g);
-  return g;
 }
 
 }  // namespace fhdnn::ops

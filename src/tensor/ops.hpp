@@ -4,25 +4,20 @@
 // are (N, features) or (N, C, H, W). Functions validate shapes and throw
 // fhdnn::Error on mismatch.
 //
-// Every heavy kernel exists in two forms:
-//   * an explicit-output `_into` variant taking non-owning views — the
-//     allocation-free primitive (outputs come from a caller-owned Tensor
-//     buffer or a util::Workspace arena);
-//   * a value-returning wrapper that allocates the result and delegates to
-//     the `_into` core, preserved so call sites migrate incrementally.
-// Both run the same loops in the same order with the same parallel grain,
-// so results are bit-identical between the two forms and across thread
-// counts (see util/parallel.hpp).
+// Every kernel writes into a caller-owned output view (the `_into` form):
+// the output comes from a Tensor buffer the caller keeps, or from a
+// util::Workspace arena, so no kernel allocates. Each runs the same loops in
+// the same order with the same parallel grain at every thread count, so its
+// results are bit-identical across thread counts (see util/parallel.hpp).
 //
-// Aliasing: elementwise `_into` kernels (add/sub/mul/scale/relu family,
-// softmax_rows) read each element before writing it and therefore accept
-// out aliasing an input. The matmul family, transpose, and sum_rows read
-// inputs after writing out and CHECK that out does not overlap an input.
+// Aliasing: elementwise kernels (add, scale, the relu family, softmax_rows)
+// read each element before writing it and therefore accept out aliasing an
+// input. The matmul family, transpose, and sum_rows read inputs after
+// writing out and CHECK that out does not overlap an input.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "tensor/tensor.hpp"
 #include "tensor/view.hpp"
@@ -31,19 +26,9 @@ namespace fhdnn::ops {
 
 /// c = a + b (elementwise, same shape).
 /// Aliasing: out may alias a and/or b (each element is read before written).
-Tensor add(const Tensor& a, const Tensor& b);
 void add_into(ConstTensorView a, ConstTensorView b, TensorView out);
-/// c = a - b.
-/// Aliasing: out may alias a and/or b.
-Tensor sub(const Tensor& a, const Tensor& b);
-void sub_into(ConstTensorView a, ConstTensorView b, TensorView out);
-/// c = a * b (Hadamard).
-/// Aliasing: out may alias a and/or b.
-Tensor mul(const Tensor& a, const Tensor& b);
-void mul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 /// c = a * alpha.
 /// Aliasing: out may alias a (in-place scale).
-Tensor scale(const Tensor& a, float alpha);
 void scale_into(ConstTensorView a, float alpha, TensorView out);
 
 /// y += x elementwise (same numel). The parameter-gradient accumulation
@@ -55,7 +40,6 @@ void accumulate(TensorView y, ConstTensorView x);
 /// dispatched lane-mapped GEMM kernel (util/simd.hpp), so every SIMD tier
 /// and thread count gives the same bits.
 /// Aliasing: out must not overlap a or b (throws on overlap).
-Tensor matmul(const Tensor& a, const Tensor& b);
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// Matrix product with b transposed: a (m x k) * b^T where b is (n x k).
@@ -64,7 +48,6 @@ void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 /// smaller of a and b is packed into the calling thread's workspace for
 /// the lane-mapped kernel (DESIGN.md §11).
 /// Aliasing: out must not overlap a or b (throws on overlap).
-Tensor matmul_bt(const Tensor& a, const Tensor& b);
 void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// out[r] = sum over j of double(x[j]) * rows[r * len + j], r < nrows: the
@@ -77,53 +60,40 @@ void dot_rows(const float* x, const float* rows, std::int64_t nrows,
               std::int64_t len, double* out);
 
 /// Matrix product with a transposed: a^T * b where a is (k x m), b is (k x n).
-/// Same per-output float chain as matmul.
+/// Same per-output float chain as matmul_into.
 /// Aliasing: out must not overlap a or b (throws on overlap).
-Tensor matmul_at(const Tensor& a, const Tensor& b);
 void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// Transpose of a 2-d tensor.
 /// Aliasing: out must not overlap a (throws on overlap).
-Tensor transpose(const Tensor& a);
 void transpose_into(ConstTensorView a, TensorView out);
 
 /// y = x * W^T + bias for batched rows: x (N x in), W (out x in), bias (out).
 /// Aliasing: out must not overlap x, weight, or bias (throws on overlap).
-Tensor linear_forward(const Tensor& x, const Tensor& weight,
-                      const Tensor& bias);
 void linear_forward_into(ConstTensorView x, ConstTensorView weight,
                          ConstTensorView bias, TensorView out);
 
 /// Row-wise argmax of a 2-d tensor -> one index per row. Ties go to the
 /// first maximum; a NaN past the first column never wins.
 /// Aliasing: out holds indices, so it cannot overlap logits.
-std::vector<std::int64_t> argmax_rows(const Tensor& logits);
 void argmax_rows_into(ConstTensorView logits, std::span<std::int64_t> out);
 
 /// Row-wise softmax of a 2-d tensor (numerically stabilized).
 /// Aliasing: out may alias logits (row max is taken before any write).
-Tensor softmax_rows(const Tensor& logits);
 void softmax_rows_into(ConstTensorView logits, TensorView out);
 
 /// Sum over dimension 0 of a 2-d tensor -> 1-d of size cols.
-/// The `_into` form zero-fills out first.
+/// Zero-fills out first.
 /// Aliasing: out must not overlap a (throws on overlap).
-Tensor sum_rows(const Tensor& a);
 void sum_rows_into(ConstTensorView a, TensorView out);
 
-/// Dot product of two 1-d tensors (or equal-numel tensors, flattened).
-double dot(const Tensor& a, const Tensor& b);
-
-/// Cosine similarity of two flattened tensors; 0 if either is all-zero.
-double cosine_similarity(const Tensor& a, const Tensor& b);
-
-/// Elementwise ReLU (out of place) and its mask-based backward.
+/// Elementwise ReLU and its mask-based backward.
 /// Aliasing: out may alias x.
-Tensor relu(const Tensor& x);
 void relu_into(ConstTensorView x, TensorView out);
-/// grad_in = grad_out where x > 0 else 0.
+/// grad_in = grad_out where x > 0 or x is NaN, else +0. x may be the
+/// forward's output instead of its input: relu keeps every x > 0 and every
+/// NaN and maps the rest to a zero, so the mask is the same.
 /// Aliasing: out may alias grad_out and/or x.
-Tensor relu_backward(const Tensor& grad_out, const Tensor& x);
 void relu_backward_into(ConstTensorView grad_out, ConstTensorView x,
                         TensorView out);
 

@@ -25,14 +25,6 @@ void add_scalar(float* out, const float* a, const float* b, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void sub_scalar(float* out, const float* a, const float* b, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-void mul_scalar(float* out, const float* a, const float* b, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-
 // The select kernels clear an element's bits through an all-ones mask
 // instead of branching: x < 0 (false for NaN) zeroes a relu output, and
 // x <= 0 (false for NaN) zeroes a relu gradient.
@@ -198,8 +190,8 @@ void exact_accumulate_f32_scalar(std::int64_t* chunks, const float* x,
 
 constexpr Kernels kScalar = {
     axpy_scalar,         scale_scalar,          add_scalar,
-    sub_scalar,          mul_scalar,            gemm_dot_f64_scalar,
-    gemm_axpy_f32_scalar, pack_signs_scalar,    unpack_signs_scalar,
+    gemm_dot_f64_scalar, gemm_axpy_f32_scalar,  pack_signs_scalar,
+    unpack_signs_scalar,
     xor_words_scalar,    popcount_words_scalar, hamming_words_scalar,
     crc32_update_scalar, exact_accumulate_f32_scalar, relu_scalar,
     relu_backward_scalar,
@@ -212,8 +204,6 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
   if (tier->axpy_f32 != nullptr) out.axpy_f32 = tier->axpy_f32;
   if (tier->scale_f32 != nullptr) out.scale_f32 = tier->scale_f32;
   if (tier->add_f32 != nullptr) out.add_f32 = tier->add_f32;
-  if (tier->sub_f32 != nullptr) out.sub_f32 = tier->sub_f32;
-  if (tier->mul_f32 != nullptr) out.mul_f32 = tier->mul_f32;
   if (tier->gemm_dot_f64 != nullptr) out.gemm_dot_f64 = tier->gemm_dot_f64;
   if (tier->gemm_axpy_f32 != nullptr) out.gemm_axpy_f32 = tier->gemm_axpy_f32;
   if (tier->pack_signs != nullptr) out.pack_signs = tier->pack_signs;

@@ -86,10 +86,6 @@ struct Kernels {
   void (*scale_f32)(float* out, const float* x, float a, std::int64_t n);
   /// out[i] = a[i] + b[i]. out may alias a and/or b.
   void (*add_f32)(float* out, const float* a, const float* b, std::int64_t n);
-  /// out[i] = a[i] - b[i]. out may alias a and/or b.
-  void (*sub_f32)(float* out, const float* a, const float* b, std::int64_t n);
-  /// out[i] = a[i] * b[i]. out may alias a and/or b.
-  void (*mul_f32)(float* out, const float* a, const float* b, std::int64_t n);
   /// matmul_bt's reduction: each output is one sequential double sum
   /// acc = acc + double(x) * p from +0.0 in ascending kk, rounded to float
   /// once. The panel is pre-widened to double (the product of two floats

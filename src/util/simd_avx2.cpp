@@ -56,24 +56,6 @@ void add_avx2(float* out, const float* a, const float* b, std::int64_t n) {
   for (; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void sub_avx2(float* out, const float* a, const float* b, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-void mul_avx2(float* out, const float* a, const float* b, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
 void relu_avx2(float* out, const float* x, std::int64_t n) {
   const __m256 zero = _mm256_setzero_ps();
   std::int64_t i = 0;
@@ -325,8 +307,7 @@ std::uint32_t crc32_update_avx2(std::uint32_t crc, const std::uint8_t* data,
 
 constexpr Kernels kAvx2 = {
     axpy_avx2,         scale_avx2,     add_avx2,
-    sub_avx2,          mul_avx2,       gemm_dot_f64_avx2,
-    gemm_axpy_f32_avx2, pack_signs_avx2,
+    gemm_dot_f64_avx2, gemm_axpy_f32_avx2, pack_signs_avx2,
     unpack_signs_avx2, xor_words_avx2, popcount_words_avx2,
     hamming_words_avx2, crc32_update_avx2,
     nullptr /*exact_accumulate_f32: scalar*/, relu_avx2, relu_backward_avx2,

@@ -54,24 +54,6 @@ void add_avx512(float* out, const float* a, const float* b, std::int64_t n) {
   for (; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void sub_avx512(float* out, const float* a, const float* b, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        out + i, _mm512_sub_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-void mul_avx512(float* out, const float* a, const float* b, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        out + i, _mm512_mul_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
 void pack_signs_avx512(const float* src, std::uint64_t* dst,
                        std::int64_t nbits) {
   // One 16-bit compare mask per vector; four vectors fill a 64-bit word.
@@ -244,8 +226,8 @@ void relu_backward_avx512(float* out, const float* g, const float* x,
 
 constexpr Kernels kAvx512 = {
     axpy_avx512, scale_avx512,      add_avx512,
-    sub_avx512,  mul_avx512,        gemm_dot_f64_avx512,
-    gemm_axpy_f32_avx512,           pack_signs_avx512,
+    gemm_dot_f64_avx512,            gemm_axpy_f32_avx512,
+    pack_signs_avx512,
     unpack_signs_avx512, nullptr /*xor_words: AVX2*/,
     nullptr /*popcount_words: AVX2*/, nullptr /*hamming_words: AVX2*/,
     nullptr /*crc32_update: AVX2*/, exact_accumulate_f32_avx512,

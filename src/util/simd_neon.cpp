@@ -48,22 +48,6 @@ void add_neon(float* out, const float* a, const float* b, std::int64_t n) {
   for (; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void sub_neon(float* out, const float* a, const float* b, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(out + i, vsubq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-void mul_neon(float* out, const float* a, const float* b, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(out + i, vmulq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
 void xor_words_neon(const std::uint64_t* a, const std::uint64_t* b,
                     std::uint64_t* out, std::int64_t nwords) {
   std::int64_t w = 0;
@@ -108,7 +92,7 @@ std::uint64_t hamming_words_neon(const std::uint64_t* a,
 
 constexpr Kernels kNeon = {
     axpy_neon, scale_neon, add_neon,
-    sub_neon,  mul_neon,   nullptr /*gemm_dot_f64: scalar*/,
+    nullptr /*gemm_dot_f64: scalar*/,
     nullptr /*gemm_axpy_f32: scalar*/, nullptr /*pack_signs: scalar*/,
     nullptr /*unpack_signs: scalar*/, xor_words_neon,
     popcount_words_neon, hamming_words_neon,

@@ -181,6 +181,25 @@ TEST(Checked, Conv2dBackwardNeedsItsTrainingForward) {
   EXPECT_THROW((void)conv.backward(g1), Error);
 }
 
+// ---- Linear's viewed input -------------------------------------------------
+
+TEST(Checked, LinearBackwardRejectsAnInputChangedSinceForward) {
+  if (!util::checked_build()) {
+    GTEST_SKIP() << "the input-lifetime CRC is kept in FHDNN_CHECKED only";
+  }
+  Rng rng(42);
+  nn::Linear lin(4, 3, rng);
+  Tensor x = Tensor::randn(Shape{2, 4}, rng);
+  const Tensor g = Tensor::randn(Shape{2, 3}, rng);
+  (void)lin.forward(x);
+  EXPECT_NO_THROW((void)lin.backward(g));
+  // Backward reads the forward's input through a view: overwriting that
+  // buffer in between breaks Module::forward's input-lifetime contract.
+  (void)lin.forward(x);
+  x.at(5) += 1.0F;
+  EXPECT_THROW((void)lin.backward(g), Error);
+}
+
 // ---- FP-environment guard ------------------------------------------------
 
 TEST(Checked, FpEnvironmentIsStrictInTests) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "computed.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -70,8 +71,8 @@ TEST(Im2col, KnownSmallCase) {
   // 1x1x2x2 input, kernel 2, stride 1, no padding -> single column row.
   Conv2dSpec spec{1, 1, 2, 1, 0};
   Tensor x(Shape{1, 1, 2, 2}, {1, 2, 3, 4});
-  const Tensor cols = ops::im2col(x, spec);
-  EXPECT_EQ(cols.shape(), (Shape{1, 4}));
+  const Tensor cols =
+      computed({1, 4}, [&](Tensor& o) { ops::im2col_into(x, spec, o); });
   EXPECT_EQ(cols(0, 0), 1.0F);
   EXPECT_EQ(cols(0, 3), 4.0F);
 }
@@ -79,8 +80,8 @@ TEST(Im2col, KnownSmallCase) {
 TEST(Im2col, PaddingZeros) {
   Conv2dSpec spec{1, 1, 3, 1, 1};
   Tensor x(Shape{1, 1, 1, 1}, {5});
-  const Tensor cols = ops::im2col(x, spec);
-  EXPECT_EQ(cols.shape(), (Shape{1, 9}));
+  const Tensor cols =
+      computed({1, 9}, [&](Tensor& o) { ops::im2col_into(x, spec, o); });
   // Center element is the value, all others padding zeros.
   EXPECT_EQ(cols(0, 4), 5.0F);
   for (std::int64_t j = 0; j < 9; ++j) {
@@ -95,9 +96,12 @@ TEST(Im2colCol2im, AdjointProperty) {
   Rng rng(1);
   Conv2dSpec spec{2, 3, 3, 2, 1};
   const Tensor x = Tensor::randn(Shape{2, 2, 5, 5}, rng);
-  const Tensor cols = ops::im2col(x, spec);
+  const Tensor cols =
+      computed({2 * 3 * 3, 2 * 3 * 3},
+               [&](Tensor& o) { ops::im2col_into(x, spec, o); });
   const Tensor y = Tensor::randn(cols.shape(), rng);
-  const Tensor back = ops::col2im(y, spec, 2, 5, 5);
+  const Tensor back = computed(
+      x.shape(), [&](Tensor& o) { ops::col2im_into(y, spec, 2, 5, 5, o); });
   double lhs = 0.0, rhs = 0.0;
   for (std::int64_t i = 0; i < cols.numel(); ++i) lhs += cols.at(i) * y.at(i);
   for (std::int64_t i = 0; i < x.numel(); ++i) rhs += x.at(i) * back.at(i);
@@ -110,9 +114,10 @@ TEST(Conv2d, MatchesReferenceStride1) {
   const Tensor x = Tensor::randn(Shape{2, 2, 6, 6}, rng);
   const Tensor w = Tensor::randn(Shape{4, 2, 3, 3}, rng);
   const Tensor b = Tensor::randn(Shape{4}, rng);
-  const Tensor got = ops::conv2d_forward(x, w, b, spec);
   const Tensor want = conv2d_reference(x, w, b, spec);
-  ASSERT_EQ(got.shape(), want.shape());
+  const Tensor got = computed(want.shape(), [&](Tensor& o) {
+    ops::conv2d_forward_into(x, w, b, spec, o, util::tls_workspace());
+  });
   for (std::int64_t i = 0; i < got.numel(); ++i) {
     EXPECT_NEAR(got.at(i), want.at(i), 1e-3);
   }
@@ -124,9 +129,10 @@ TEST(Conv2d, MatchesReferenceStride2NoPad) {
   const Tensor x = Tensor::randn(Shape{1, 1, 4, 4}, rng);
   const Tensor w = Tensor::randn(Shape{2, 1, 2, 2}, rng);
   const Tensor b(Shape{2});
-  const Tensor got = ops::conv2d_forward(x, w, b, spec);
+  const Tensor got = computed({1, 2, 2, 2}, [&](Tensor& o) {
+    ops::conv2d_forward_into(x, w, b, spec, o, util::tls_workspace());
+  });
   const Tensor want = conv2d_reference(x, w, b, spec);
-  ASSERT_EQ(got.shape(), (Shape{1, 2, 2, 2}));
   for (std::int64_t i = 0; i < got.numel(); ++i) {
     EXPECT_NEAR(got.at(i), want.at(i), 1e-4);
   }
@@ -139,7 +145,9 @@ TEST(Conv2d, IdentityKernel) {
   const Tensor x = Tensor::randn(Shape{1, 1, 3, 3}, rng);
   const Tensor w = Tensor::ones(Shape{1, 1, 1, 1});
   const Tensor b(Shape{1});
-  const Tensor y = ops::conv2d_forward(x, w, b, spec);
+  const Tensor y = computed(x.shape(), [&](Tensor& o) {
+    ops::conv2d_forward_into(x, w, b, spec, o, util::tls_workspace());
+  });
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y.at(i), x.at(i));
 }
 
@@ -163,46 +171,58 @@ TEST(Conv2dBackward, GradientsMatchFiniteDifferences) {
   Tensor b = Tensor::randn(Shape{3}, rng);
   const Tensor g = Tensor::randn(Shape{1, 3, 3, 3}, rng);
 
+  util::Workspace& ws = util::tls_workspace();
+  Tensor y(g.shape());
+  Tensor cols(Shape{9, 18});
   auto loss = [&]() {
-    const Tensor y = ops::conv2d_forward(x, w, b, spec);
+    ops::conv2d_forward_into(x, w, b, spec, y, cols, ws);
     double s = 0.0;
     for (std::int64_t i = 0; i < y.numel(); ++i) s += y.at(i) * g.at(i);
     return s;
   };
-  const auto grads = ops::conv2d_backward(g, x, w, spec);
+  loss();
+  Tensor gx(x.shape());
+  Tensor gw(w.shape());
+  Tensor gb(b.shape());
+  TensorView gx_view(gx);
+  ops::conv2d_backward_from_cols_into(g, cols, w, spec, &gx_view, gw, gb, ws);
 
   // Spot-check a sample of coordinates in each gradient tensor.
   for (const std::int64_t idx : {0L, 7L, 23L}) {
     const double num = numeric_grad(loss, w.at(idx % w.numel()));
-    EXPECT_NEAR(grads.grad_weight.at(idx % w.numel()), num, 5e-2)
+    EXPECT_NEAR(gw.at(idx % w.numel()), num, 5e-2)
         << "weight idx " << idx;
   }
   for (const std::int64_t idx : {0L, 1L, 2L}) {
     const double num = numeric_grad(loss, b.at(idx));
-    EXPECT_NEAR(grads.grad_bias.at(idx), num, 5e-2) << "bias idx " << idx;
+    EXPECT_NEAR(gb.at(idx), num, 5e-2) << "bias idx " << idx;
   }
   for (const std::int64_t idx : {0L, 11L, 37L}) {
     const double num = numeric_grad(loss, x.at(idx % x.numel()));
-    EXPECT_NEAR(grads.grad_input.at(idx % x.numel()), num, 5e-2)
+    EXPECT_NEAR(gx.at(idx % x.numel()), num, 5e-2)
         << "input idx " << idx;
   }
 }
 
 TEST(MaxPool, ForwardAndArgmax) {
   Tensor x(Shape{1, 1, 2, 4}, {1, 5, 2, 0, 3, 4, 8, 7});
-  const auto res = ops::maxpool2d_forward(x, 2);
-  EXPECT_EQ(res.output.shape(), (Shape{1, 1, 1, 2}));
-  EXPECT_EQ(res.output(0, 0, 0, 0), 5.0F);
-  EXPECT_EQ(res.output(0, 0, 0, 1), 8.0F);
-  EXPECT_EQ(res.argmax[0], 1);
-  EXPECT_EQ(res.argmax[1], 6);
+  Tensor y(Shape{1, 1, 1, 2});
+  std::vector<std::int64_t> argmax(2);
+  ops::maxpool2d_forward_into(x, 2, y, argmax);
+  EXPECT_EQ(y(0, 0, 0, 0), 5.0F);
+  EXPECT_EQ(y(0, 0, 0, 1), 8.0F);
+  EXPECT_EQ(argmax[0], 1);
+  EXPECT_EQ(argmax[1], 6);
 }
 
 TEST(MaxPool, BackwardScattersToArgmax) {
   Tensor x(Shape{1, 1, 2, 2}, {1, 2, 3, 9});
-  const auto res = ops::maxpool2d_forward(x, 2);
+  Tensor y(Shape{1, 1, 1, 1});
+  std::vector<std::int64_t> argmax(1);
+  ops::maxpool2d_forward_into(x, 2, y, argmax);
   Tensor g(Shape{1, 1, 1, 1}, {2.5F});
-  const Tensor gx = ops::maxpool2d_backward(g, res.argmax, x.shape());
+  Tensor gx(x.shape(), {7, 7, 7, 7});  // the backward zero-fills it first
+  ops::maxpool2d_backward_into(g, argmax, gx);
   EXPECT_EQ(gx(0, 0, 1, 1), 2.5F);
   EXPECT_EQ(gx.sum(), 2.5);
 }
@@ -213,12 +233,15 @@ TEST(MaxPool, BackwardScattersToArgmax) {
 TEST(MaxPool, AllNegInfWindowKeepsGradientInItsImage) {
   const float ninf = -std::numeric_limits<float>::infinity();
   Tensor x(Shape{2, 1, 2, 2}, {1, 2, 3, 4, ninf, ninf, ninf, ninf});
-  const auto res = ops::maxpool2d_forward(x, 2);
-  EXPECT_EQ(res.output(1, 0, 0, 0), ninf);
-  EXPECT_EQ(res.argmax[0], 3);
-  EXPECT_EQ(res.argmax[1], 4);
+  Tensor y(Shape{2, 1, 1, 1});
+  std::vector<std::int64_t> argmax(2);
+  ops::maxpool2d_forward_into(x, 2, y, argmax);
+  EXPECT_EQ(y(1, 0, 0, 0), ninf);
+  EXPECT_EQ(argmax[0], 3);
+  EXPECT_EQ(argmax[1], 4);
   Tensor g(Shape{2, 1, 1, 1}, {1.0F, 10.0F});
-  const Tensor gx = ops::maxpool2d_backward(g, res.argmax, x.shape());
+  Tensor gx(x.shape());
+  ops::maxpool2d_backward_into(g, argmax, gx);
   EXPECT_EQ(gx(0, 0, 0, 0), 0.0F);
   EXPECT_EQ(gx(0, 0, 1, 1), 1.0F);
   EXPECT_EQ(gx(1, 0, 0, 0), 10.0F);
@@ -232,28 +255,34 @@ TEST(MaxPool, NanWindowPropagates) {
   Tensor x(Shape{1, 3, 2, 2}, {nan, nan, nan, nan,     //
                                5, nan, 9, nan,         //
                                -1, -2, -3, -4});
-  const auto res = ops::maxpool2d_forward(x, 2);
-  EXPECT_TRUE(std::isnan(res.output(0, 0, 0, 0)));
-  EXPECT_EQ(res.argmax[0], 0);
-  EXPECT_TRUE(std::isnan(res.output(0, 1, 0, 0)));
-  EXPECT_EQ(res.argmax[1], 5);
-  EXPECT_EQ(res.output(0, 2, 0, 0), -1.0F);
-  EXPECT_EQ(res.argmax[2], 8);
+  Tensor y(Shape{1, 3, 1, 1});
+  std::vector<std::int64_t> argmax(3);
+  ops::maxpool2d_forward_into(x, 2, y, argmax);
+  EXPECT_TRUE(std::isnan(y(0, 0, 0, 0)));
+  EXPECT_EQ(argmax[0], 0);
+  EXPECT_TRUE(std::isnan(y(0, 1, 0, 0)));
+  EXPECT_EQ(argmax[1], 5);
+  EXPECT_EQ(y(0, 2, 0, 0), -1.0F);
+  EXPECT_EQ(argmax[2], 8);
 }
 
 TEST(MaxPool, RequiresDivisibleShape) {
   Tensor x(Shape{1, 1, 3, 4});
-  EXPECT_THROW(ops::maxpool2d_forward(x, 2), Error);
+  Tensor y(Shape{1, 1, 1, 2});
+  std::vector<std::int64_t> argmax(2);
+  EXPECT_THROW(ops::maxpool2d_forward_into(x, 2, y, argmax), Error);
+  EXPECT_THROW(ops::maxpool2d_forward_into(x, 0, y, argmax), Error);
 }
 
 TEST(GlobalAvgPool, ForwardBackward) {
   Tensor x(Shape{1, 2, 2, 2}, {1, 2, 3, 4, 10, 10, 10, 10});
-  const Tensor y = ops::global_avgpool_forward(x);
-  EXPECT_EQ(y.shape(), (Shape{1, 2}));
+  const Tensor y = computed(
+      {1, 2}, [&](Tensor& o) { ops::global_avgpool_forward_into(x, o); });
   EXPECT_NEAR(y(0, 0), 2.5F, 1e-6);
   EXPECT_NEAR(y(0, 1), 10.0F, 1e-6);
   Tensor g(Shape{1, 2}, {4.0F, 8.0F});
-  const Tensor gx = ops::global_avgpool_backward(g, x.shape());
+  const Tensor gx = computed(
+      x.shape(), [&](Tensor& o) { ops::global_avgpool_backward_into(g, o); });
   EXPECT_NEAR(gx(0, 0, 0, 0), 1.0F, 1e-6);
   EXPECT_NEAR(gx(0, 1, 1, 1), 2.0F, 1e-6);
 }
@@ -263,12 +292,16 @@ TEST(Conv2d, RejectsBadShapes) {
   Tensor x3(Shape{2, 5, 5});
   Tensor w(Shape{3, 2, 3, 3});
   Tensor b(Shape{3});
-  EXPECT_THROW(ops::conv2d_forward(x3, w, b, spec), Error);
+  Tensor y(Shape{1, 3, 5, 5});
+  util::Workspace& ws = util::tls_workspace();
+  EXPECT_THROW(ops::conv2d_forward_into(x3, w, b, spec, y, ws), Error);
   Tensor x(Shape{1, 2, 5, 5});
   Tensor wbad(Shape{3, 1, 3, 3});
-  EXPECT_THROW(ops::conv2d_forward(x, wbad, b, spec), Error);
+  EXPECT_THROW(ops::conv2d_forward_into(x, wbad, b, spec, y, ws), Error);
   Tensor bbad(Shape{2});
-  EXPECT_THROW(ops::conv2d_forward(x, w, bbad, spec), Error);
+  EXPECT_THROW(ops::conv2d_forward_into(x, w, bbad, spec, y, ws), Error);
+  Tensor ybad(Shape{1, 3, 4, 5});
+  EXPECT_THROW(ops::conv2d_forward_into(x, w, b, spec, ybad, ws), Error);
 }
 
 /// Runs `call`, which must throw an Error naming the weight shape.
@@ -284,23 +317,26 @@ void expect_weight_shape_error(const std::function<void()>& call) {
 
 TEST(Conv2dBackward, RejectsWeightNotMatchingSpec) {
   // A (8, 4, 1, 1) weight holds 32 floats; spec 4 -> 8 with k = 3 needs
-  // 8 x 36. The forward rejects it, and so must both backward forms,
-  // before they read or write 8 x 36 floats through 32-float buffers.
+  // 8 x 36. The forward rejects it, and so must the backward, before
+  // either reads or writes 8 x 36 floats through 32-float buffers.
   const Conv2dSpec spec{4, 8, 3, 1, 1};
   Rng rng(5);
   const Tensor x = Tensor::randn(Shape{1, 4, 5, 5}, rng);
   const Tensor wbad = Tensor::randn(Shape{8, 4, 1, 1}, rng);
   const Tensor b(Shape{8});
   const Tensor g = Tensor::randn(Shape{1, 8, 5, 5}, rng);
+  Tensor y(g.shape());
   Tensor gx(x.shape());
+  TensorView gx_view(gx);
   Tensor gw(wbad.shape());
   Tensor gb(Shape{8});
   const Tensor cols(Shape{25, 36});
   util::Workspace& ws = util::tls_workspace();
-  expect_weight_shape_error([&] { ops::conv2d_forward(x, wbad, b, spec); });
-  expect_weight_shape_error([&] { ops::conv2d_backward(g, x, wbad, spec); });
+  expect_weight_shape_error(
+      [&] { ops::conv2d_forward_into(x, wbad, b, spec, y, ws); });
   expect_weight_shape_error([&] {
-    ops::conv2d_backward_into(g, x, wbad, spec, gx, gw, gb, ws);
+    ops::conv2d_backward_from_cols_into(g, cols, wbad, spec, &gx_view, gw, gb,
+                                        ws);
   });
   expect_weight_shape_error([&] {
     ops::conv2d_backward_from_cols_into(g, cols, wbad, spec, nullptr, gw, gb,
@@ -393,6 +429,11 @@ TEST(KernelExactness, ReluMatchesScalarExpressionsOnEveryTier) {
                                " seed " + std::to_string(seed);
       expect_bits(y.data(), want_y, "relu " + what);
       expect_bits(gx.data(), want_gx, "relu_backward " + what);
+      // ReLU and ResidualBlock mask their backward on the forward's output
+      // instead of its input: relu(x) must give the same mask as x.
+      Tensor gy(Shape{len});
+      ops::relu_backward_into(g, y, gy);
+      expect_bits(gy.data(), gx.data(), "relu_backward on relu(x) " + what);
     }
   }
 }
@@ -405,7 +446,9 @@ TEST(KernelExactness, MaxPoolMatchesScalarWindowScan) {
     const std::int64_t h = k * rng.randint(1, 5);
     const std::int64_t w = k * rng.randint(1, 5);
     const Tensor x = laced(Shape{n, c, h, w}, rng);
-    const auto got = ops::maxpool2d_forward(x, k);
+    Tensor got(Shape{n, c, h / k, w / k});
+    std::vector<std::int64_t> argmax(static_cast<std::size_t>(got.numel()));
+    ops::maxpool2d_forward_into(x, k, got, argmax);
     // Reference scan: seeded with the window's first element, a candidate
     // wins if strictly greater or a NaN over a number, in row-major
     // window order.
@@ -429,10 +472,10 @@ TEST(KernelExactness, MaxPoolMatchesScalarWindowScan) {
             }
           }
           const std::int64_t o = (plane * oh + oy) * ow + ox;
-          ASSERT_TRUE(same_bits(got.output.at(o), best_v))
-              << what << " at " << o << ": " << std::hexfloat
-              << got.output.at(o) << " vs " << best_v;
-          ASSERT_EQ(got.argmax[static_cast<std::size_t>(o)],
+          ASSERT_TRUE(same_bits(got.at(o), best_v))
+              << what << " at " << o << ": " << std::hexfloat << got.at(o)
+              << " vs " << best_v;
+          ASSERT_EQ(argmax[static_cast<std::size_t>(o)],
                     plane * h * w + best)
               << what << " at " << o;
         }
@@ -485,12 +528,25 @@ TEST(KernelExactness, Im2colAndCol2imMatchPatchOrderLoops) {
       }
     }
     const std::string what = " seed " + std::to_string(seed);
-    expect_bits(ops::im2col(x, spec).data(), want_cols, "im2col" + what);
-    expect_bits(ops::col2im(cols, spec, n, h, w).data(), want_img,
-                "col2im" + what);
+    expect_bits(computed(cols.shape(),
+                         [&](Tensor& o) { ops::im2col_into(x, spec, o); })
+                    .data(),
+                want_cols, "im2col" + what);
+    expect_bits(computed(x.shape(),
+                         [&](Tensor& o) {
+                           ops::col2im_into(cols, spec, n, h, w, o);
+                         })
+                    .data(),
+                want_img, "col2im" + what);
   }
 }
 
+// The backward reads the forward's kept im2col. Those columns must be the
+// input's im2col bit for bit, and every gradient must equal a scalar loop
+// over the input: grad_weight and each grad_cols element are one float
+// chain from +0.0F (output positions ascending, then output channels
+// ascending), folded into grad_input in (image, oy, ox) patch order;
+// grad_bias is one float chain per channel in (image, oy, ox) order.
 TEST(KernelExactness, BackwardFromKeptColsMatchesRebuild) {
   util::Workspace& ws = util::tls_workspace();
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
@@ -498,56 +554,80 @@ TEST(KernelExactness, BackwardFromKeptColsMatchesRebuild) {
     std::int64_t h = 0, w = 0;
     const Conv2dSpec spec = random_spec(rng, h, w);
     const std::int64_t n = rng.randint(1, 3);
-    const std::int64_t oc = spec.out_channels;
+    const std::int64_t ic = spec.in_channels, oc = spec.out_channels;
+    const std::int64_t k = spec.kernel, s = spec.stride, p = spec.padding;
     const std::int64_t oh = spec.out_size(h), ow = spec.out_size(w);
-    const Tensor x = laced(Shape{n, spec.in_channels, h, w}, rng, false);
-    const Tensor weight =
-        laced(Shape{oc, spec.in_channels, spec.kernel, spec.kernel}, rng,
-              false);
+    const std::int64_t rows = n * oh * ow, ckk = ic * k * k;
+    const Tensor x = laced(Shape{n, ic, h, w}, rng, false);
+    const Tensor weight = laced(Shape{oc, ic, k, k}, rng, false);
     const Tensor bias = laced(Shape{oc}, rng, false);
     const Tensor g = laced(Shape{n, oc, oh, ow}, rng, false);
 
     Tensor y(g.shape());
-    Tensor cols(Shape{n * oh * ow, spec.in_channels * spec.kernel *
-                                       spec.kernel});
+    Tensor cols(Shape{rows, ckk});
     ops::conv2d_forward_into(x, weight, bias, spec, y, cols, ws);
     const std::string what = " seed " + std::to_string(seed);
-    expect_bits(y.data(), ops::conv2d_forward(x, weight, bias, spec).data(),
+    expect_bits(cols.data(),
+                computed(cols.shape(),
+                         [&](Tensor& o) { ops::im2col_into(x, spec, o); })
+                    .data(),
+                "kept cols" + what);
+    expect_bits(y.data(),
+                computed(y.shape(),
+                         [&](Tensor& o) {
+                           ops::conv2d_forward_into(x, weight, bias, spec, o,
+                                                    ws);
+                         })
+                    .data(),
                 "forward with kept cols" + what);
 
-    const ops::Conv2dGrads rebuilt = ops::conv2d_backward(g, x, weight, spec);
+    // Scalar reference, one output position r = (image, oy, ox) at a time.
+    const auto grad_at = [&](std::int64_t r, std::int64_t c) {
+      const std::int64_t in = r / (oh * ow), pos = r % (oh * ow);
+      return g.at((in * oc + c) * oh * ow + pos);
+    };
+    std::vector<float> want_gw(static_cast<std::size_t>(oc * ckk), 0.0F);
+    std::vector<float> want_gx(static_cast<std::size_t>(x.numel()), 0.0F);
+    std::vector<float> want_gb(static_cast<std::size_t>(oc), 0.0F);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::int64_t in = r / (oh * ow), oy = (r / ow) % oh, ox = r % ow;
+      for (std::int64_t c = 0; c < oc; ++c) {
+        for (std::int64_t j = 0; j < ckk; ++j) {
+          want_gw[static_cast<std::size_t>(c * ckk + j)] +=
+              grad_at(r, c) * cols.at(r * ckk + j);
+        }
+        want_gb[static_cast<std::size_t>(c)] += grad_at(r, c);
+      }
+      for (std::int64_t j = 0; j < ckk; ++j) {
+        const std::int64_t ci = j / (k * k), ky = (j / k) % k, kx = j % k;
+        const std::int64_t iy = oy * s + ky - p, ix = ox * s + kx - p;
+        if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+        float gc = 0.0F;
+        for (std::int64_t c = 0; c < oc; ++c) {
+          gc += grad_at(r, c) * weight.at(c * ckk + j);
+        }
+        want_gx[static_cast<std::size_t>(((in * ic + ci) * h + iy) * w +
+                                         ix)] += gc;
+      }
+    }
+
     Tensor gx(x.shape());
     Tensor gw(weight.shape());
     Tensor gb(Shape{oc});
     TensorView gx_view(gx);
     ops::conv2d_backward_from_cols_into(g, cols, weight, spec, &gx_view, gw,
                                         gb, ws);
-    expect_bits(gx.data(), rebuilt.grad_input.data(), "grad_input" + what);
-    expect_bits(gw.data(), rebuilt.grad_weight.data(), "grad_weight" + what);
-    expect_bits(gb.data(), rebuilt.grad_bias.data(), "grad_bias" + what);
+    expect_bits(gx.data(), want_gx, "grad_input" + what);
+    expect_bits(gw.data(), want_gw, "grad_weight" + what);
+    expect_bits(gb.data(), want_gb, "grad_bias" + what);
 
     // Skipping the input gradient leaves the other two untouched.
     gw.zero();
     gb.zero();
     ops::conv2d_backward_from_cols_into(g, cols, weight, spec, nullptr, gw,
                                         gb, ws);
-    expect_bits(gw.data(), rebuilt.grad_weight.data(),
-                "grad_weight, input grad skipped" + what);
-    expect_bits(gb.data(), rebuilt.grad_bias.data(),
-                "grad_bias, input grad skipped" + what);
-
-    // grad_bias is one float chain per channel over the output positions
-    // in (image, oy, ox) order.
-    std::vector<float> want_gb(static_cast<std::size_t>(oc), 0.0F);
-    for (std::int64_t in = 0; in < n; ++in) {
-      for (std::int64_t c = 0; c < oc; ++c) {
-        for (std::int64_t i = 0; i < oh * ow; ++i) {
-          want_gb[static_cast<std::size_t>(c)] +=
-              g.at((in * oc + c) * oh * ow + i);
-        }
-      }
-    }
-    expect_bits(gb.data(), want_gb, "grad_bias order" + what);
+    expect_bits(gw.data(), want_gw, "grad_weight, input grad skipped" + what);
+    expect_bits(gb.data(), want_gb, "grad_bias, input grad skipped" + what);
   }
 }
 

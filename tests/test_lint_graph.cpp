@@ -75,6 +75,26 @@ TEST(LayerDag, HigherLayerIncludingLowerIsFine) {
   EXPECT_EQ(count_rule(diags, "layer-dag"), 0);
 }
 
+TEST(LayerDag, FlIncludingCoreIsAViolation) {
+  // core assembles trainers from fl/, so it ranks above it: the edge back
+  // down from fl into core is still an upward include.
+  const auto diags = run({
+      {"src/fl/x.hpp",
+       "#pragma once\n"
+       "#include \"core/y.hpp\"\n"},
+      {"src/core/y.hpp",
+       "#pragma once\n"
+       "#include \"fl/z.hpp\"\n"},
+      {"src/fl/z.hpp", "#pragma once\n"},
+  });
+  // Only the fl -> core edge is reported; core -> fl is the ordering.
+  ASSERT_EQ(count_rule(diags, "layer-dag"), 1);
+  const auto* d = find_rule(diags, "layer-dag");
+  EXPECT_EQ(d->path, "src/fl/x.hpp");
+  EXPECT_EQ(d->line, 2);
+  EXPECT_NE(d->message.find("layering violation"), std::string::npos);
+}
+
 TEST(LayerDag, ConsumerDirectoriesAreUnconstrained) {
   const auto diags = run({
       {"tests/test_widget.cpp",

@@ -113,6 +113,11 @@ TEST(MaxPoolLayer, GradCheck) {
   grad_check(pool, x, g, 1e-3F, 1e-2F, 1);
 }
 
+TEST(MaxPoolLayer, RejectsKernelBelowOne) {
+  EXPECT_THROW(nn::MaxPool2d(0), Error);
+  EXPECT_THROW(nn::MaxPool2d(-2), Error);
+}
+
 TEST(FlattenLayer, RoundTrip) {
   nn::Flatten flat;
   Tensor x(Shape{2, 3, 2, 2});

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "computed.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "fl/fedavg.hpp"
@@ -20,6 +21,7 @@
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
 #include "util/parallel.hpp"
+#include "util/workspace.hpp"
 
 namespace fhdnn {
 namespace {
@@ -133,14 +135,23 @@ TEST(ParallelKernels, MatmulBitIdenticalAcrossThreadCounts) {
   Rng rng(11);
   const Tensor a = Tensor::randn(Shape{64, 128}, rng);
   const Tensor b = Tensor::randn(Shape{128, 96}, rng);
+  const Tensor at =
+      computed({128, 64}, [&](Tensor& o) { ops::transpose_into(a, o); });
+  const Tensor bt =
+      computed({96, 128}, [&](Tensor& o) { ops::transpose_into(b, o); });
+  const auto products = [&] {
+    return std::vector<Tensor>{
+        computed({64, 96}, [&](Tensor& o) { ops::matmul_into(a, b, o); }),
+        computed({64, 96}, [&](Tensor& o) { ops::matmul_bt_into(a, bt, o); }),
+        computed({64, 96}, [&](Tensor& o) { ops::matmul_at_into(at, b, o); })};
+  };
   parallel::set_num_threads(1);
-  const Tensor c1 = ops::matmul(a, b);
-  const Tensor bt1 = ops::matmul_bt(a, ops::transpose(b));
-  const Tensor at1 = ops::matmul_at(ops::transpose(a), b);
+  const std::vector<Tensor> serial = products();
   parallel::set_num_threads(4);
-  EXPECT_TRUE(bit_identical(c1, ops::matmul(a, b)));
-  EXPECT_TRUE(bit_identical(bt1, ops::matmul_bt(a, ops::transpose(b))));
-  EXPECT_TRUE(bit_identical(at1, ops::matmul_at(ops::transpose(a), b)));
+  const std::vector<Tensor> threaded = products();
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(bit_identical(serial[i], threaded[i])) << "product " << i;
+  }
 }
 
 TEST(ParallelKernels, ConvForwardBackwardBitIdentical) {
@@ -150,17 +161,26 @@ TEST(ParallelKernels, ConvForwardBackwardBitIdentical) {
   const Tensor x = Tensor::randn(Shape{4, 3, 16, 16}, rng);
   const Tensor w = Tensor::randn(Shape{8, 3, 3, 3}, rng);
   const Tensor bias = Tensor::randn(Shape{8}, rng);
+  const Tensor g = Tensor::randn(Shape{4, 8, 16, 16}, rng);
+  // y, cols, grad_input, grad_weight, grad_bias.
+  const auto run = [&] {
+    std::vector<Tensor> out{Tensor(g.shape()), Tensor(Shape{4 * 16 * 16, 27}),
+                            Tensor(x.shape()), Tensor(w.shape()),
+                            Tensor(bias.shape())};
+    util::Workspace& ws = util::tls_workspace();
+    ops::conv2d_forward_into(x, w, bias, spec, out[0], out[1], ws);
+    TensorView gx(out[2]);
+    ops::conv2d_backward_from_cols_into(g, out[1], w, spec, &gx, out[3],
+                                        out[4], ws);
+    return out;
+  };
   parallel::set_num_threads(1);
-  const Tensor y1 = ops::conv2d_forward(x, w, bias, spec);
-  const Tensor g = Tensor::randn(y1.shape(), rng);
-  const auto grads1 = ops::conv2d_backward(g, x, w, spec);
+  const std::vector<Tensor> serial = run();
   parallel::set_num_threads(4);
-  const Tensor y4 = ops::conv2d_forward(x, w, bias, spec);
-  const auto grads4 = ops::conv2d_backward(g, x, w, spec);
-  EXPECT_TRUE(bit_identical(y1, y4));
-  EXPECT_TRUE(bit_identical(grads1.grad_weight, grads4.grad_weight));
-  EXPECT_TRUE(bit_identical(grads1.grad_bias, grads4.grad_bias));
-  EXPECT_TRUE(bit_identical(grads1.grad_input, grads4.grad_input));
+  const std::vector<Tensor> threaded = run();
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(bit_identical(serial[i], threaded[i])) << "output " << i;
+  }
 }
 
 TEST(ParallelKernels, Im2ColBitIdentical) {
@@ -168,12 +188,21 @@ TEST(ParallelKernels, Im2ColBitIdentical) {
   Rng rng(13);
   const ops::Conv2dSpec spec{2, 4, 3, 2, 1};
   const Tensor x = Tensor::randn(Shape{3, 2, 15, 15}, rng);
+  const auto im2col = [&] {
+    return computed({3 * 8 * 8, 18},
+                    [&](Tensor& o) { ops::im2col_into(x, spec, o); });
+  };
+  const auto col2im = [&](const Tensor& cols) {
+    return computed(x.shape(), [&](Tensor& o) {
+      ops::col2im_into(cols, spec, 3, 15, 15, o);
+    });
+  };
   parallel::set_num_threads(1);
-  const Tensor cols1 = ops::im2col(x, spec);
-  const Tensor folded1 = ops::col2im(cols1, spec, 3, 15, 15);
+  const Tensor cols1 = im2col();
+  const Tensor folded1 = col2im(cols1);
   parallel::set_num_threads(4);
-  EXPECT_TRUE(bit_identical(cols1, ops::im2col(x, spec)));
-  EXPECT_TRUE(bit_identical(folded1, ops::col2im(cols1, spec, 3, 15, 15)));
+  EXPECT_TRUE(bit_identical(cols1, im2col()));
+  EXPECT_TRUE(bit_identical(folded1, col2im(cols1)));
 }
 
 // ------------------------------------------------- IEEE NaN propagation
@@ -185,17 +214,21 @@ TEST(ParallelKernels, MatmulPropagatesNanAgainstZero) {
   const float inf = std::numeric_limits<float>::infinity();
   const Tensor a(Shape{2, 2}, {0.0F, 0.0F, 1.0F, 1.0F});
   const Tensor b_nan(Shape{2, 2}, {nan, 1.0F, 2.0F, 3.0F});
-  const Tensor c_nan = ops::matmul(a, b_nan);
+  const Tensor c_nan =
+      computed({2, 2}, [&](Tensor& o) { ops::matmul_into(a, b_nan, o); });
   EXPECT_TRUE(std::isnan(c_nan(0, 0)));  // 0*NaN + 0*2
   EXPECT_FALSE(std::isnan(c_nan(0, 1)));
 
   const Tensor b_inf(Shape{2, 2}, {inf, 1.0F, 2.0F, 3.0F});
-  const Tensor c_inf = ops::matmul(a, b_inf);
+  const Tensor c_inf =
+      computed({2, 2}, [&](Tensor& o) { ops::matmul_into(a, b_inf, o); });
   EXPECT_TRUE(std::isnan(c_inf(0, 0)));  // 0*Inf = NaN
 
   // matmul_at: a^T has the zero column in the same position.
-  const Tensor at = ops::transpose(a);
-  const Tensor c_at = ops::matmul_at(at, b_nan);
+  const Tensor at =
+      computed({2, 2}, [&](Tensor& o) { ops::transpose_into(a, o); });
+  const Tensor c_at =
+      computed({2, 2}, [&](Tensor& o) { ops::matmul_at_into(at, b_nan, o); });
   EXPECT_TRUE(std::isnan(c_at(0, 0)));
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "channel/channel.hpp"
+#include "computed.hpp"
 #include "channel/fading.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
@@ -31,6 +32,7 @@
 #include "util/rng.hpp"
 #include "util/snapshot.hpp"
 #include "util/stats.hpp"
+#include "util/workspace.hpp"
 
 namespace fhdnn {
 namespace {
@@ -51,9 +53,11 @@ TEST_P(ConvGeometry, ForwardMatchesDirectDefinition) {
   const Tensor x = Tensor::randn(Shape{2, ic, hw, hw}, rng);
   const Tensor w = Tensor::randn(Shape{oc, ic, k, k}, rng);
   const Tensor b = Tensor::randn(Shape{oc}, rng);
-  const Tensor got = ops::conv2d_forward(x, w, b, spec);
-
   const std::int64_t oh = spec.out_size(hw);
+  const Tensor got = computed({2, oc, oh, oh}, [&](Tensor& o) {
+    ops::conv2d_forward_into(x, w, b, spec, o, util::tls_workspace());
+  });
+
   for (std::int64_t n = 0; n < 2; ++n) {
     for (std::int64_t o = 0; o < oc; ++o) {
       for (std::int64_t oy = 0; oy < oh; ++oy) {
@@ -84,9 +88,14 @@ TEST_P(ConvGeometry, Col2imIsAdjointOfIm2col) {
   if (spec.out_size(hw) <= 0) GTEST_SKIP() << "degenerate geometry";
   Rng rng(static_cast<std::uint64_t>(ic + k + s + p + hw));
   const Tensor x = Tensor::randn(Shape{1, ic, hw, hw}, rng);
-  const Tensor cols = ops::im2col(x, spec);
+  const std::int64_t oh = spec.out_size(hw);
+  const Tensor cols = computed({oh * oh, ic * k * k}, [&](Tensor& o) {
+    ops::im2col_into(x, spec, o);
+  });
   const Tensor y = Tensor::randn(cols.shape(), rng);
-  const Tensor back = ops::col2im(y, spec, 1, hw, hw);
+  const Tensor back = computed(x.shape(), [&](Tensor& o) {
+    ops::col2im_into(y, spec, 1, hw, hw, o);
+  });
   double lhs = 0.0, rhs = 0.0;
   for (std::int64_t i = 0; i < cols.numel(); ++i) lhs += cols.at(i) * y.at(i);
   for (std::int64_t i = 0; i < x.numel(); ++i) rhs += x.at(i) * back.at(i);
@@ -315,8 +324,10 @@ TEST_P(LogitShift, SoftmaxShiftInvariant) {
   const Tensor logits = Tensor::randn(Shape{4, 6}, rng, 2.0F);
   Tensor shifted = logits;
   for (auto& v : shifted.data()) v += shift;
-  const Tensor p1 = ops::softmax_rows(logits);
-  const Tensor p2 = ops::softmax_rows(shifted);
+  const Tensor p1 = computed(
+      logits.shape(), [&](Tensor& o) { ops::softmax_rows_into(logits, o); });
+  const Tensor p2 = computed(
+      logits.shape(), [&](Tensor& o) { ops::softmax_rows_into(shifted, o); });
   for (std::int64_t i = 0; i < p1.numel(); ++i) {
     EXPECT_NEAR(p1.at(i), p2.at(i), 1e-4);
   }

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "computed.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/cpu.hpp"
@@ -175,22 +176,35 @@ TEST(Tensor, AssertInvariantDetectsResizedBuffer) {
 
 // ---------------------------------------------------------------- ops
 
-TEST(Ops, AddSubMul) {
+TEST(Ops, AddAndScale) {
   const Tensor a(Shape{2}, {1, 2});
   const Tensor b(Shape{2}, {3, 5});
-  EXPECT_EQ(ops::add(a, b)(1), 7.0F);
-  EXPECT_EQ(ops::sub(b, a)(0), 2.0F);
-  EXPECT_EQ(ops::mul(a, b)(1), 10.0F);
-  EXPECT_EQ(ops::scale(a, 3.0F)(0), 3.0F);
-  const Tensor c(Shape{3});
-  EXPECT_THROW(ops::add(a, c), Error);
+  EXPECT_EQ(computed({2}, [&](Tensor& o) { ops::add_into(a, b, o); })(1),
+            7.0F);
+  EXPECT_EQ(computed({2}, [&](Tensor& o) { ops::scale_into(a, 3.0F, o); })(0),
+            3.0F);
+  Tensor c(Shape{3});
+  EXPECT_THROW(ops::add_into(a, c, c), Error);
+}
+
+TEST(Ops, AccumulateIsAxpyByOne) {
+  Rng rng(101);
+  const Tensor x = Tensor::randn(Shape{7, 13}, rng);
+  Tensor acc = Tensor::randn(Shape{7, 13}, rng);
+  Tensor want = acc;
+  ops::accumulate(acc, x);
+  want.axpy(1.0F, x);
+  for (std::int64_t i = 0; i < acc.numel(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(acc.at(i)),
+              std::bit_cast<std::uint32_t>(want.at(i)));
+  }
 }
 
 TEST(Ops, MatmulSmall) {
   const Tensor a(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
   const Tensor b(Shape{3, 2}, {7, 8, 9, 10, 11, 12});
-  const Tensor c = ops::matmul(a, b);
-  EXPECT_EQ(c.shape(), (Shape{2, 2}));
+  const Tensor c =
+      computed({2, 2}, [&](Tensor& o) { ops::matmul_into(a, b, o); });
   EXPECT_EQ(c(0, 0), 58.0F);
   EXPECT_EQ(c(0, 1), 64.0F);
   EXPECT_EQ(c(1, 0), 139.0F);
@@ -200,20 +214,26 @@ TEST(Ops, MatmulSmall) {
 TEST(Ops, MatmulShapeMismatch) {
   const Tensor a(Shape{2, 3});
   const Tensor b(Shape{2, 2});
-  EXPECT_THROW(ops::matmul(a, b), Error);
+  Tensor c(Shape{2, 2});
+  EXPECT_THROW(ops::matmul_into(a, b, c), Error);
 }
 
 TEST(Ops, MatmulVariantsAgree) {
   Rng rng(3);
   const Tensor a = Tensor::randn(Shape{4, 6}, rng);
   const Tensor b = Tensor::randn(Shape{6, 5}, rng);
-  const Tensor c = ops::matmul(a, b);
+  const Tensor c =
+      computed({4, 5}, [&](Tensor& o) { ops::matmul_into(a, b, o); });
   // matmul_bt(a, b^T) == a b
-  const Tensor bt = ops::transpose(b);
-  const Tensor c2 = ops::matmul_bt(a, bt);
+  const Tensor bt =
+      computed({5, 6}, [&](Tensor& o) { ops::transpose_into(b, o); });
+  const Tensor c2 =
+      computed({4, 5}, [&](Tensor& o) { ops::matmul_bt_into(a, bt, o); });
   // matmul_at(a^T, b) == a b
-  const Tensor at = ops::transpose(a);
-  const Tensor c3 = ops::matmul_at(at, b);
+  const Tensor at =
+      computed({6, 4}, [&](Tensor& o) { ops::transpose_into(a, o); });
+  const Tensor c3 =
+      computed({4, 5}, [&](Tensor& o) { ops::matmul_at_into(at, b, o); });
   for (std::int64_t i = 0; i < c.numel(); ++i) {
     EXPECT_NEAR(c.at(i), c2.at(i), 1e-4);
     EXPECT_NEAR(c.at(i), c3.at(i), 1e-4);
@@ -223,7 +243,11 @@ TEST(Ops, MatmulVariantsAgree) {
 TEST(Ops, TransposeRoundTrip) {
   Rng rng(4);
   const Tensor a = Tensor::rand(Shape{3, 5}, rng);
-  const Tensor t = ops::transpose(ops::transpose(a));
+  const Tensor t1 =
+      computed({5, 3}, [&](Tensor& o) { ops::transpose_into(a, o); });
+  EXPECT_EQ(t1(4, 1), a(1, 4));
+  const Tensor t =
+      computed({3, 5}, [&](Tensor& o) { ops::transpose_into(t1, o); });
   for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a.at(i), t.at(i));
 }
 
@@ -231,7 +255,8 @@ TEST(Ops, LinearForward) {
   const Tensor x(Shape{1, 2}, {1, 2});
   const Tensor w(Shape{3, 2}, {1, 0, 0, 1, 1, 1});
   const Tensor b(Shape{3}, {0.5F, -0.5F, 0});
-  const Tensor y = ops::linear_forward(x, w, b);
+  const Tensor y = computed(
+      {1, 3}, [&](Tensor& o) { ops::linear_forward_into(x, w, b, o); });
   EXPECT_EQ(y(0, 0), 1.5F);
   EXPECT_EQ(y(0, 1), 1.5F);
   EXPECT_EQ(y(0, 2), 3.0F);
@@ -239,14 +264,18 @@ TEST(Ops, LinearForward) {
 
 TEST(Ops, ArgmaxRows) {
   const Tensor t(Shape{2, 3}, {0, 5, 2, 7, 1, 3});
-  const auto idx = ops::argmax_rows(t);
+  std::vector<std::int64_t> idx(2, -1);
+  ops::argmax_rows_into(t, idx);
   EXPECT_EQ(idx[0], 1);
   EXPECT_EQ(idx[1], 0);
+  idx.resize(3);
+  EXPECT_THROW(ops::argmax_rows_into(t, idx), Error);
 }
 
 TEST(Ops, SoftmaxRowsSumToOne) {
   const Tensor t(Shape{2, 3}, {1, 2, 3, 1000, 1000, 1000});
-  const Tensor p = ops::softmax_rows(t);
+  const Tensor p =
+      computed({2, 3}, [&](Tensor& o) { ops::softmax_rows_into(t, o); });
   for (std::int64_t i = 0; i < 2; ++i) {
     double s = 0.0;
     for (std::int64_t j = 0; j < 3; ++j) {
@@ -261,29 +290,22 @@ TEST(Ops, SoftmaxRowsSumToOne) {
 
 TEST(Ops, SumRows) {
   const Tensor t(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
-  const Tensor s = ops::sum_rows(t);
+  // The kernel zero-fills its output before summing into it.
+  Tensor s(Shape{3}, {-9, -9, -9});
+  ops::sum_rows_into(t, s);
   EXPECT_EQ(s(0), 5.0F);
   EXPECT_EQ(s(1), 7.0F);
   EXPECT_EQ(s(2), 9.0F);
 }
 
-TEST(Ops, DotAndCosine) {
-  const Tensor a(Shape{3}, {1, 0, 1});
-  const Tensor b(Shape{3}, {1, 1, 0});
-  EXPECT_EQ(ops::dot(a, b), 1.0);
-  EXPECT_NEAR(ops::cosine_similarity(a, b), 0.5, 1e-6);
-  EXPECT_NEAR(ops::cosine_similarity(a, a), 1.0, 1e-6);
-  const Tensor z(Shape{3});
-  EXPECT_EQ(ops::cosine_similarity(a, z), 0.0);
-}
-
 TEST(Ops, ReluAndBackward) {
   const Tensor x(Shape{4}, {-1, 0, 2, -3});
-  const Tensor y = ops::relu(x);
+  const Tensor y = computed({4}, [&](Tensor& o) { ops::relu_into(x, o); });
   EXPECT_EQ(y(0), 0.0F);
   EXPECT_EQ(y(2), 2.0F);
   const Tensor g(Shape{4}, {1, 1, 1, 1});
-  const Tensor gx = ops::relu_backward(g, x);
+  const Tensor gx =
+      computed({4}, [&](Tensor& o) { ops::relu_backward_into(g, x, o); });
   EXPECT_EQ(gx(0), 0.0F);
   EXPECT_EQ(gx(1), 0.0F);  // sign(0) treated as non-positive for grad
   EXPECT_EQ(gx(2), 1.0F);
@@ -294,7 +316,8 @@ TEST(Ops, MatmulRandomAgainstNaive) {
   const std::int64_t m = 7, k = 9, n = 8;
   const Tensor a = Tensor::randn(Shape{m, k}, rng);
   const Tensor b = Tensor::randn(Shape{k, n}, rng);
-  const Tensor c = ops::matmul(a, b);
+  const Tensor c =
+      computed({m, n}, [&](Tensor& o) { ops::matmul_into(a, b, o); });
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
       double acc = 0.0;
@@ -303,7 +326,6 @@ TEST(Ops, MatmulRandomAgainstNaive) {
     }
   }
 }
-
 
 // The matmul family against per-element oracles: matmul and matmul_at keep
 // one float chain per output (c = c + a * b from +0.0F, kk ascending),

@@ -18,10 +18,11 @@ struct LayerEntry {
   int layer;
 };
 
-/// The architecture ordering (ISSUE 10 / DESIGN.md §15):
-///   util -> tensor -> {nn, hdc, data, features, perf} -> core -> channel
-///   -> fl -> {wire, net} -> fl/serving -> tools
-/// tests/, bench/, examples/ are unconstrained consumers.
+/// The architecture ordering (DESIGN.md §15):
+///   util -> tensor -> {nn, hdc, data, features, perf} -> channel -> fl
+///   -> {wire, net, core} -> fl/serving -> tools
+/// core assembles whole trainers from channel/ and fl/, and nothing in
+/// src/ includes it. tests/, bench/, examples/ are unconstrained consumers.
 constexpr std::array<LayerEntry, 14> kLayers = {{
     {"util", 0},
     {"tensor", 1},
@@ -30,13 +31,13 @@ constexpr std::array<LayerEntry, 14> kLayers = {{
     {"data", 2},
     {"features", 2},
     {"perf", 2},
-    {"core", 3},
-    {"channel", 4},
-    {"fl", 5},
-    {"wire", 6},
-    {"net", 6},
-    {"fl/serving", 7},
-    {"tools", 8},
+    {"channel", 3},
+    {"fl", 4},
+    {"wire", 5},
+    {"net", 5},
+    {"core", 5},
+    {"fl/serving", 6},
+    {"tools", 7},
 }};
 
 bool ident_char(char c) {

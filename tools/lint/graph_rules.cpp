@@ -50,8 +50,8 @@ class LayerDagRule : public GraphRule {
   std::string_view name() const override { return "layer-dag"; }
   std::string_view description() const override {
     return "[whole-program] module includes respect the architecture "
-           "ordering util -> tensor -> {nn,hdc,data,features,perf} -> core "
-           "-> channel -> fl -> {wire,net} -> fl/serving -> tools, and the "
+           "ordering util -> tensor -> {nn,hdc,data,features,perf} -> "
+           "channel -> fl -> {wire,net,core} -> fl/serving -> tools, and the "
            "file-level include graph is acyclic";
   }
 
