@@ -101,13 +101,14 @@ fl::TrainingHistory run_golden_fedavg(const channel::Channel* chan) {
 /// refinement keeps making mistakes, so train_loss is nonzero), C=0.5,
 /// dropout 0.3, bit-error uplink, AWGN downlink — exercises the "downlink"
 /// round fork, the "channel-<id>" per-client forks, and bundling.
-/// `tweak` adjusts the config before the run (the binary-uplink pin).
+/// `tweak` adjusts the config before the run (the binary-uplink pin);
+/// `classes` sets K for both the data and the model.
 fl::TrainingHistory run_golden_fedhd(
-    void (*tweak)(fl::FedHdConfig&) = nullptr) {
+    void (*tweak)(fl::FedHdConfig&) = nullptr, std::int64_t classes = 4) {
   Rng rng(31);
   data::IsoletSpec spec;
   spec.dims = 32;
-  spec.classes = 4;
+  spec.classes = classes;
   spec.n = 400;
   spec.separation = 0.5;
   const auto ds = data::make_isolet_like(spec, rng);
@@ -126,7 +127,7 @@ fl::TrainingHistory run_golden_fedhd(
   cfg.client_fraction = 0.5;
   cfg.local_epochs = 2;
   cfg.rounds = 3;
-  cfg.num_classes = 4;
+  cfg.num_classes = classes;
   cfg.hd_dim = 512;
   cfg.seed = 32;
   cfg.dropout_prob = 0.3;
@@ -197,6 +198,20 @@ TEST(GoldenHistory, FedHdBinaryUplinkIsPinnedAtEveryTierAndThreadCount) {
   at_every_tier_and_thread_count([&] {
     expect_matches_golden(run_golden_fedhd(&binary_uplink), golden);
   });
+}
+
+/// K = 26 (ISOLET's class count) over the default BER 1e-4 bit-error
+/// uplink, whose prototypes cross the 16-bit AGC quantizer: the class lanes
+/// run past one 16-lane register, so the refine and cosine kernels' lane
+/// edges and the quantizer are covered end to end.
+TEST(GoldenHistory, FedHdTwentySixClassesIsPinnedAtEveryTierAndThreadCount) {
+  const std::vector<GoldenRound> golden = {
+      {0x1p-2, 0x1.9c2d14ee4a101p-6, 3, 79872, 638976, 71, 0},
+      {0x1.ccccccccccccdp-3, 0x1.3521cfb2b78c1p-3, 3, 79872, 638976, 65, 0},
+      {0x1.ccccccccccccdp-3, 0x1.f656f1826a43ap-4, 2, 53248, 425984, 54, 0},
+  };
+  at_every_tier_and_thread_count(
+      [&] { expect_matches_golden(run_golden_fedhd(nullptr, 26), golden); });
 }
 
 // ------------------------------------- sampling/dropout stream prediction
