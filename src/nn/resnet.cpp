@@ -37,16 +37,14 @@ const Tensor& ResidualBlock::backward(const Tensor& grad_out) {
   // Through the output ReLU, masked on its output (see ReLU).
   g_sum_.ensure_shape(y_.shape());
   ops::relu_backward_into(grad_out, y_, g_sum_);
-  // Main path. The chain's result lives in conv1_'s buffer; copy it into
-  // ours so the skip-path accumulation doesn't clobber conv1_'s state.
-  gx_ = conv1_.backward(bn1_.backward(
+  // Main path, then skip path; each result lives in its own layer's buffer
+  // (or is g_sum_ itself), and their sum is written once into ours.
+  const Tensor& main = conv1_.backward(bn1_.backward(
       relu1_.backward(conv2_.backward(bn2_.backward(g_sum_)))));
-  // Skip path.
-  if (proj_conv_) {
-    gx_.axpy(1.0F, proj_conv_->backward(proj_bn_->backward(g_sum_)));
-  } else {
-    gx_.axpy(1.0F, g_sum_);
-  }
+  const Tensor& skip =
+      proj_conv_ ? proj_conv_->backward(proj_bn_->backward(g_sum_)) : g_sum_;
+  gx_.ensure_shape(main.shape());
+  ops::add_into(main, skip, gx_);
   return gx_;
 }
 
