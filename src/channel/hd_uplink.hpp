@@ -54,7 +54,8 @@ struct HdUplinkConfig {
 /// quantization, 32-bit floats otherwise). `error_scale` is the fault
 /// model's per-client link-quality multiplier: BER/loss rates scale up by
 /// it, analog SNR scales down (1.0 = the configured link, bit-identical to
-/// the unscaled call).
+/// the unscaled call). The AGC path throws on a non-finite scalar, and
+/// then leaves the rows before it already received.
 TransportStats transmit_hd_model(Tensor& prototypes,
                                  const HdUplinkConfig& config, Rng& rng,
                                  double error_scale = 1.0);
