@@ -338,13 +338,13 @@ bool WorkerLoop::serve() {
   }
 }
 
-void WorkerLoop::serve_round(const wire::RoundAssignMsg& assign) {
+void WorkerLoop::serve_round(wire::RoundAssignMsg assign) {
   // Reconstruct the server's round context: protocol state, then the round
   // stream at its prologue state — from here every named fork (downlink,
   // client-<id>, channel-<id>, mask) replays exactly as in process.
   Rng round_rng;
   round_rng.set_state(assign.rng);
-  decode_state(protocol_, assign.state_blob);
+  decode_state(protocol_, std::move(assign.state_blob));
   const auto n = static_cast<std::size_t>(assign.n_participants);
   protocol_.begin_round(round_rng, n);
 

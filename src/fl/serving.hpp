@@ -128,7 +128,7 @@ class WorkerLoop {
   }
 
  private:
-  void serve_round(const wire::RoundAssignMsg& assign);
+  void serve_round(wire::RoundAssignMsg assign);
   /// Flush queued updates, parking any frames that arrive meanwhile.
   void flush_blocking();
 
