@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "channel/bits.hpp"
-#include "channel/fading.hpp"
 #include "hdc/packed.hpp"
 #include "hdc/quantizer.hpp"
 #include "util/error.hpp"
@@ -55,19 +54,6 @@ TransportStats transmit_hd_model(Tensor& prototypes,
     }
     case HdUplinkMode::PacketLoss: {
       const PacketLossChannel ch(config.loss_rate, config.packet_bits);
-      return apply_float_channel(prototypes, ch, rng, error_scale);
-    }
-    case HdUplinkMode::BurstLoss: {
-      GilbertElliottChannel::Params p;
-      p.p_good_to_bad = config.burst_p_good_to_bad;
-      p.p_bad_to_good = config.burst_p_bad_to_good;
-      p.loss_bad = config.burst_loss_bad;
-      p.packet_bits = config.packet_bits;
-      const GilbertElliottChannel ch(p);
-      return apply_float_channel(prototypes, ch, rng, error_scale);
-    }
-    case HdUplinkMode::Rayleigh: {
-      const RayleighFadingChannel ch(config.snr_db, config.fading_block_len);
       return apply_float_channel(prototypes, ch, rng, error_scale);
     }
     case HdUplinkMode::BitErrors: {
@@ -141,14 +127,6 @@ std::string describe(const HdUplinkConfig& config) {
       break;
     case HdUplinkMode::PacketLoss:
       os << "packet-loss p=" << config.loss_rate << " Np=" << config.packet_bits;
-      break;
-    case HdUplinkMode::BurstLoss:
-      os << "burst-loss bad=" << config.burst_loss_bad << " gb="
-         << config.burst_p_good_to_bad << " bg=" << config.burst_p_bad_to_good;
-      break;
-    case HdUplinkMode::Rayleigh:
-      os << "rayleigh avg-snr=" << config.snr_db << "dB block="
-         << config.fading_block_len;
       break;
   }
   return os.str();

@@ -22,8 +22,6 @@ enum class HdUplinkMode {
   Awgn,        ///< analog uncoded, Gaussian noise at `snr_db`
   BitErrors,   ///< BSC at `ber` over B-bit AGC-quantized integers
   PacketLoss,  ///< packet erasures at `loss_rate`, zero-filled
-  BurstLoss,   ///< Gilbert-Elliott bursty packet erasures (channel/fading.hpp)
-  Rayleigh,    ///< block-Rayleigh fading at average `snr_db`
 };
 
 struct HdUplinkConfig {
@@ -40,12 +38,6 @@ struct HdUplinkConfig {
   /// the receiver sees a bipolar model.
   bool binary_transport = false;
   std::size_t packet_bits = 8192;
-  /// BurstLoss parameters; `loss_bad`/transition rates tune burstiness.
-  double burst_p_good_to_bad = 0.05;
-  double burst_p_bad_to_good = 0.2;
-  double burst_loss_bad = 0.7;
-  /// Rayleigh coherence-block length in scalars.
-  std::size_t fading_block_len = 256;
 };
 
 /// Corrupt `prototypes` (K x d) in place according to `config`.

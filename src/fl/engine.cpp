@@ -270,10 +270,6 @@ RoundMetrics RoundEngine::round(int round_index) {
     // deadline round posts its kDeadline sentinel.
     pending_.accepted = pending_.delivered;
     pending_.late.assign(n, 0);
-    pending_.cap = target;
-    if (async_on && config_.async.buffer_size > 0) {
-      pending_.cap = config_.async.buffer_size;
-    }
     if (timed) {
       events_.clear(0.0);
       for (std::size_t slot = 0; slot < n; ++slot) {
@@ -339,7 +335,7 @@ RoundMetrics RoundEngine::round(int round_index) {
       } else if (e.kind == EventKind::kUploadArrival) {
         ++pending_.arrivals;
         pending_.last_arrival = e.time;
-        if (!pending_.deadline_passed && pending_.taken < pending_.cap) {
+        if (!pending_.deadline_passed && pending_.taken < target) {
           pending_.accepted[e.slot] = 1;
           pending_.last_accept = e.time;
           ++pending_.taken;
@@ -361,7 +357,7 @@ RoundMetrics RoundEngine::round(int round_index) {
     if (deadline_on) {
       // The round ends the moment the server has its target count of
       // updates; short rounds wait out the full deadline.
-      simulated_seconds = (pending_.taken == pending_.cap)
+      simulated_seconds = (pending_.taken == target)
                               ? pending_.last_accept
                               : deadline_seconds();
     } else {
@@ -371,7 +367,7 @@ RoundMetrics RoundEngine::round(int round_index) {
       simulated_seconds =
           pending_.arrivals == 0
               ? timeline_->nominal_round_seconds()
-              : (pending_.taken == pending_.cap ? pending_.last_accept
+              : (pending_.taken == target ? pending_.last_accept
                                                 : pending_.last_arrival);
     }
   }
@@ -493,7 +489,6 @@ std::uint32_t RoundEngine::config_fingerprint() const {
   put_u64(c.deadline.timeline.fhdnn ? 1 : 0);
   put_f64(c.deadline.timeline.compute_jitter);
   put_u64(c.async.enabled ? 1 : 0);
-  put_u64(c.async.buffer_size);
   put_f64(c.async.over_selection);
   put_f64(c.async.staleness_exponent);
   put_u64(static_cast<std::uint64_t>(c.async.max_staleness));
@@ -569,7 +564,6 @@ void RoundEngine::save_snapshot(util::SnapshotWriter& w) {
     w.write_u64(pending_.arrivals);
     w.write_f64(pending_.last_accept);
     w.write_f64(pending_.last_arrival);
-    w.write_u64(pending_.cap);
     w.end_chunk();
 
     w.begin_chunk("EVTQ");
@@ -653,7 +647,6 @@ void RoundEngine::resume(const std::string& path) {
     pending_.arrivals = static_cast<std::size_t>(r.read_u64());
     pending_.last_accept = r.read_f64();
     pending_.last_arrival = r.read_f64();
-    pending_.cap = static_cast<std::size_t>(r.read_u64());
     r.leave_chunk();
 
     const std::size_t n = pending_.participants.size();

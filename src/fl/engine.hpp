@@ -183,8 +183,9 @@ class Aggregator {
     commit(n_updates);
   }
 
-  /// Snapshot seam: persist / restore mid-aggregation accumulator state.
-  /// Default: stateless.
+  /// Snapshot seam: persist / restore state the aggregator carries from
+  /// one round to the next. No checkpoint falls inside reduce(), so an
+  /// accumulator that begin_round replaces needs none. Default: stateless.
   virtual void save_state(util::SnapshotWriter& w) { (void)w; }
   virtual void load_state(util::SnapshotReader& r) { (void)r; }
 };
@@ -502,17 +503,16 @@ struct DeadlineConfig {
 };
 
 /// Buffered-async acceptance (FedBuff-style). The round boundary is the
-/// Kth upload arrival instead of a deadline: the server aggregates as
-/// soon as its buffer fills, and anything still in flight lands in a
-/// later round's aggregate, down-weighted by how many rounds it missed.
+/// clients_per_round()-th upload arrival instead of a deadline: the
+/// server aggregates as soon as its buffer fills, and anything still in
+/// flight lands in a later round's aggregate, down-weighted by how many
+/// rounds it missed.
 /// Mutually exclusive with DeadlineConfig.
 struct AsyncConfig {
   bool enabled = false;
   /// Device / LTE model the event times come from; timeline.update_bits
   /// must be set when enabled.
   TimelineConfig timeline;
-  /// Arrivals that close the round; 0 means clients_per_round().
-  std::size_t buffer_size = 0;
   double over_selection = 0.25;     ///< eps: extra participants sampled
   double staleness_exponent = 0.5;  ///< weight = (1+staleness)^-exponent
   int max_staleness = 2;            ///< buffered rounds before expiry
@@ -637,7 +637,6 @@ class RoundEngine {
     std::size_t arrivals = 0;
     double last_accept = 0.0;
     double last_arrival = 0.0;
-    std::size_t cap = 0;
   };
 
   void save_snapshot(util::SnapshotWriter& w);

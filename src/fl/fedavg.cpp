@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
 #include "tensor/ops.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -121,8 +123,18 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
     w.write_floats(nn::get_state(*global_));
   }
 
+  /// An image always carries every state scalar; any other count is
+  /// rejected before the weights change.
   void load_state(util::SnapshotReader& r) override {
-    nn::set_state(*global_, r.read_floats());
+    const std::size_t at = r.offset();
+    const std::vector<float> state = r.read_floats();
+    if (state.size() != static_cast<std::size_t>(state_scalars_)) {
+      throw util::DecodeError(
+          util::DecodeErrorKind::kSchema, at,
+          "FedAvg state holds " + std::to_string(state.size()) +
+              " scalars, the model needs " + std::to_string(state_scalars_));
+    }
+    nn::set_state(*global_, state);
   }
 
  private:
@@ -262,7 +274,8 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
 };
 
 /// Aggregator seam: example-count weighted averaging, serial in fixed
-/// participant order.
+/// participant order. begin_round replaces the sum and its weight before
+/// any read, so the aggregator carries no state across a snapshot.
 class FedAvgAggregator final : public Aggregator<std::vector<float>> {
  public:
   explicit FedAvgAggregator(FedAvgLearner& learner) : learner_(learner) {}
@@ -301,16 +314,6 @@ class FedAvgAggregator final : public Aggregator<std::vector<float>> {
                        double /*total_weight*/) override {
     // weight_total_ already folds the staleness discounts in.
     commit(delivered);
-  }
-
-  void save_state(util::SnapshotWriter& w) override {
-    w.write_floats(aggregate_);
-    w.write_f64(weight_total_);
-  }
-
-  void load_state(util::SnapshotReader& r) override {
-    aggregate_ = r.read_floats();
-    weight_total_ = r.read_f64();
   }
 
  private:

@@ -1,10 +1,11 @@
 #include "fl/fedhd.hpp"
 
+#include <string>
 #include <utility>
 
 #include "channel/transport.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
-#include "util/exactsum.hpp"
 
 namespace fhdnn::fl {
 
@@ -65,11 +66,7 @@ class FedHdLearner final : public LocalLearner<Tensor> {
     }
     std::int64_t updates = 0;
     for (int e = 0; e < config_.local_epochs; ++e) {
-      updates = config_.adaptive_refine
-                    ? local.refine_epoch_adaptive(cdata.h, cdata.labels,
-                                                  config_.refine_lr)
-                    : local.refine_epoch(cdata.h, cdata.labels,
-                                         config_.refine_lr);
+      updates = local.refine_epoch(cdata.h, cdata.labels);
     }
     return {std::move(local.prototypes()),
             static_cast<double>(updates) /
@@ -93,12 +90,19 @@ class FedHdLearner final : public LocalLearner<Tensor> {
     w.write_floats(global_.prototypes().vec());
   }
 
+  /// An image always carries all K x d scalars; any other count, zero
+  /// included, is rejected before the prototypes change.
   void load_state(util::SnapshotReader& r) override {
+    const std::size_t at = r.offset();
     auto v = r.read_floats();
-    if (v.empty()) return;
-    FHDNN_CHECK(v.size() == static_cast<std::size_t>(config_.num_classes) *
-                                static_cast<std::size_t>(config_.hd_dim),
-                "snapshot prototype scalars " << v.size());
+    const auto n = static_cast<std::size_t>(config_.num_classes) *
+                   static_cast<std::size_t>(config_.hd_dim);
+    if (v.size() != n) {
+      throw util::DecodeError(util::DecodeErrorKind::kSchema, at,
+                              "FedHd state holds " + std::to_string(v.size()) +
+                                  " prototype scalars, the config needs " +
+                                  std::to_string(n));
+    }
     global_.set_prototypes(
         Tensor(Shape{config_.num_classes, config_.hd_dim}, std::move(v)));
   }
@@ -113,53 +117,26 @@ class FedHdLearner final : public LocalLearner<Tensor> {
   Tensor broadcast_;
 };
 
-/// Aggregator seam: Eq. 1 bundling, serial in fixed participant order;
-/// optional division by the delivered count (see the file header).
-///
-/// With aggregation_fan_in >= 2 the sum runs through an ExactSumVector
-/// (fl/hierarchy.hpp): accumulation becomes error-free fixed-point, so the
-/// committed prototypes are the correctly-rounded exact sum — identical to
-/// hierarchical_sum of the same updates at ANY edge fan-in. That is what
-/// lets a deployment put edge aggregators between clients and the server
-/// without changing the model by a single bit.
+/// Aggregator seam: Eq. 1 bundling, serial in fixed participant order,
+/// divided by the delivered count (see the file header). begin_round
+/// replaces the sum before any read, so the aggregator carries no state
+/// across a snapshot.
 class FedHdAggregator final : public Aggregator<Tensor> {
  public:
   FedHdAggregator(FedHdLearner& learner, const FedHdConfig& config)
       : learner_(learner), config_(config) {}
 
   void begin_round() override {
-    if (hierarchical()) {
-      const auto n = static_cast<std::size_t>(config_.num_classes) *
-                     static_cast<std::size_t>(config_.hd_dim);
-      if (exact_.size() != n) exact_ = util::ExactSumVector(n);
-      exact_.clear();
-    } else {
-      aggregate_ = Tensor(Shape{config_.num_classes, config_.hd_dim});
-    }
+    aggregate_ = Tensor(Shape{config_.num_classes, config_.hd_dim});
   }
 
   void accumulate(std::size_t /*client*/, Tensor&& update) override {
-    if (hierarchical()) {
-      exact_.add(update.data());
-    } else {
-      aggregate_.axpy(1.0F, update);
-    }
+    aggregate_.axpy(1.0F, update);
   }
 
-  void accumulate_weighted(std::size_t client, Tensor&& update,
+  void accumulate_weighted(std::size_t /*client*/, Tensor&& update,
                            double weight) override {
-    if (weight == 1.0) {
-      accumulate(client, std::move(update));
-      return;
-    }
-    // Stale updates fold in pre-scaled; the exact path then sums the
-    // scaled floats exactly, same as any edge aggregator would see them.
-    if (hierarchical()) {
-      update.scale(static_cast<float>(weight));
-      exact_.add(update.data());
-    } else {
-      aggregate_.axpy(static_cast<float>(weight), update);
-    }
+    aggregate_.axpy(static_cast<float>(weight), update);
   }
 
   void commit(std::size_t delivered) override {
@@ -171,49 +148,15 @@ class FedHdAggregator final : public Aggregator<Tensor> {
     commit_scaled(total_weight);
   }
 
-  void save_state(util::SnapshotWriter& w) override {
-    w.write_u8(hierarchical() ? 1 : 0);
-    if (hierarchical()) exact_.save(w);
-    // Outside reduce() — the only place checkpoints happen — aggregate_ is
-    // either the default 0-d scalar or a moved-from husk, never meaningful
-    // state; persist it only when it actually has the round shape.
-    const auto n = config_.num_classes * config_.hd_dim;
-    if (aggregate_.numel() == n && aggregate_.ndim() == 2) {
-      w.write_floats(aggregate_.vec());
-    } else {
-      w.write_floats({});
-    }
-  }
-
-  void load_state(util::SnapshotReader& r) override {
-    FHDNN_CHECK((r.read_u8() != 0) == hierarchical(),
-                "snapshot aggregation mode mismatch");
-    if (hierarchical()) exact_.load(r);
-    auto v = r.read_floats();
-    aggregate_ = v.empty()
-                     ? Tensor{}
-                     : Tensor(Shape{config_.num_classes, config_.hd_dim},
-                              std::move(v));
-  }
-
  private:
-  bool hierarchical() const { return config_.aggregation_fan_in >= 2; }
-
   void commit_scaled(double denom) {
-    if (hierarchical()) {
-      aggregate_ = Tensor(Shape{config_.num_classes, config_.hd_dim});
-      exact_.round_to(aggregate_.data());
-    }
-    if (config_.average_aggregation) {
-      aggregate_.scale(1.0F / static_cast<float>(denom));
-    }
+    aggregate_.scale(1.0F / static_cast<float>(denom));
     learner_.global().set_prototypes(std::move(aggregate_));
   }
 
   FedHdLearner& learner_;
   const FedHdConfig& config_;
   Tensor aggregate_;
-  util::ExactSumVector exact_;
 };
 
 /// Owns the three seams and the adapter gluing them into a RoundProtocol.

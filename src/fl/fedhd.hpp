@@ -3,18 +3,16 @@
 //   * LocalLearner: set the local model to the round's broadcast prototype
 //     matrix C_t (optionally pushed once through a corrupting downlink),
 //     one-shot bundle on first contact while the global model is still
-//     empty, then E epochs of HD refinement;
+//     empty, then E epochs of unit-step HD refinement;
 //   * Transport: channel::HdModelTransport — the §3.5 unreliable uplink
 //     (bit errors / packet loss / analog AWGN, binary or AGC-quantized
 //     payloads) with uniform byte/bit accounting;
 //   * Aggregator: serial fixed-order bundling (Eq. 1). The paper writes the
-//     aggregate as a plain sum; we divide by the participant count by
-//     default (average_aggregation = true) because repeated summing grows
-//     the prototype norm geometrically across rounds (overflowing float32
-//     in long runs) while changing nothing else: cosine inference is
-//     scale-invariant and the Eq. 4 SNR bundling gain is a ratio, identical
-//     under sum and mean. Set average_aggregation = false for the literal
-//     Eq. 1 behaviour in short runs.
+//     aggregate as a plain sum; we divide by the participant count because
+//     repeated summing grows the prototype norm geometrically across rounds
+//     (overflowing float32 in long runs) while changing nothing else: cosine
+//     inference is scale-invariant and the Eq. 4 SNR bundling gain is a
+//     ratio, identical under sum and mean.
 // The engine owns sampling, pre-drawn dropout coins, the client-parallel
 // schedule, and per-round accounting, so results are bit-identical at
 // every FHDNN_THREADS setting (DESIGN.md §6).
@@ -43,11 +41,6 @@ struct FedHdConfig {
   int rounds = 20;
   std::int64_t num_classes = 10;
   std::int64_t hd_dim = 10'000;
-  bool average_aggregation = true;
-  /// Use margin-scaled adaptive refinement (HdClassifier::
-  /// refine_epoch_adaptive) instead of the paper's fixed-step rule.
-  bool adaptive_refine = false;
-  float refine_lr = 1.0F;
   int eval_every = 1;
   /// Probability that a sampled participant fails to deliver its update
   /// (straggler / power loss / link outage).
@@ -65,14 +58,6 @@ struct FedHdConfig {
   /// Deadline-based rounds with over-selection — fl/engine.hpp. Off by
   /// default.
   DeadlineConfig deadline;
-  /// Hierarchical aggregation fan-in (fl/hierarchy.hpp). 0 (default)
-  /// keeps the legacy serial float bundling; >= 2 switches the aggregator
-  /// to the exact-summation path, whose result is independent of the edge
-  /// fan-in tree shape by construction (bundling is associative) — the
-  /// committed prototypes equal hierarchical_sum(updates, fan_in) for any
-  /// fan_in. Opt-in because the correctly-rounded exact sum can differ
-  /// from the legacy left-to-right float sum in the last ulp.
-  std::size_t aggregation_fan_in = 0;
   /// Sparse registered-client fleet — fl/population.hpp. Off by default;
   /// requires deadline or async mode.
   PopulationConfig population;

@@ -86,18 +86,17 @@ void cosine_rows(std::int64_t n, const RowsAt& rows_at, const float* panel,
   });
 }
 
-/// Panel lanes up and down gain gain_up * x and lose gain_down * x, and
-/// their squared norms in cn are recomputed from the updated values, one
-/// chain each in ascending j as ops::pack_panel runs them. Every other lane
-/// keeps its bits.
+/// Panel lane up gains x and lane down loses it, and their squared norms in
+/// cn are recomputed from the updated values, one chain each in ascending j
+/// as ops::pack_panel runs them. Every other lane keeps its bits.
 void update_lanes(float* panel, std::int64_t k, std::int64_t d,
-                  const float* x, std::int64_t up, float gain_up,
-                  std::int64_t down, float gain_down, double* cn) {
+                  const float* x, std::int64_t up, std::int64_t down,
+                  double* cn) {
   double nu = 0.0, nd = 0.0;
   for (std::int64_t j = 0; j < d; ++j) {
     float* pj = panel + j * k;
-    pj[up] += gain_up * x[j];
-    pj[down] -= gain_down * x[j];
+    pj[up] += x[j];
+    pj[down] -= x[j];
     nu += static_cast<double>(pj[up]) * pj[up];
     nd += static_cast<double>(pj[down]) * pj[down];
   }
@@ -109,10 +108,8 @@ void update_lanes(float* panel, std::int64_t k, std::int64_t d,
 /// every later prediction. For the epoch the prototypes live in a k-major
 /// float panel, so each sample's dots against every class take one pass
 /// of the dispatched dot kernel, and an update touches two lanes of it.
-/// Adaptive selects refine_epoch_adaptive's cosine and margin-scaled gains.
-template <bool Adaptive>
 std::int64_t refine(float* pc, std::int64_t k, std::int64_t d, const Tensor& h,
-                    const std::vector<std::int64_t>& labels, float lr) {
+                    const std::vector<std::int64_t>& labels) {
   const float* ph = h.data().data();
   util::Workspace& ws = util::tls_workspace();
   const util::Workspace::Scope scope(ws);
@@ -127,34 +124,19 @@ std::int64_t refine(float* pc, std::int64_t k, std::int64_t d, const Tensor& h,
   for (std::int64_t i = 0; i < h.dim(0); ++i) {
     const std::int64_t y = labels[static_cast<std::size_t>(i)];
     const float* x = ph + i * d;
-    double x_sq = 0.0;
-    dots(x, d, 1, panel, k, d, dot, Adaptive ? &x_sq : nullptr);
-    const double hnorm = Adaptive ? std::sqrt(x_sq) : 0.0;
+    dots(x, d, 1, panel, k, d, dot, nullptr);
+    // The query's own norm scales every class alike, so the argmax skips it.
     std::int64_t best = 0;
-    double best_sim = -2.0, y_sim = 0.0;
+    double best_sim = -2.0;
     for (std::int64_t l = 0; l < k; ++l) {
-      double sim = 0.0;
-      if constexpr (Adaptive) {
-        const double denom = hnorm * std::sqrt(cn[l]);
-        sim = denom > 0.0 ? dot[l] / denom : 0.0;
-      } else {
-        sim = cn[l] > 0.0 ? dot[l] / std::sqrt(cn[l]) : 0.0;
-      }
+      const double sim = cn[l] > 0.0 ? dot[l] / std::sqrt(cn[l]) : 0.0;
       if (sim > best_sim) {
         best_sim = sim;
         best = l;
       }
-      if (l == y) y_sim = sim;
     }
     if (best != y) {
-      // Margin scaling (adaptive): the correct prototype gains
-      // (1 - sim_correct) * h, the mispredicted one loses
-      // (1 - sim_wrong) * h.
-      const float gain_up =
-          Adaptive ? lr * static_cast<float>(1.0 - y_sim) : lr;
-      const float gain_down =
-          Adaptive ? lr * static_cast<float>(1.0 - best_sim) : lr;
-      update_lanes(panel, k, d, x, y, gain_up, best, gain_down, cn);
+      update_lanes(panel, k, d, x, y, best, cn);
       ++updates;
     }
   }
@@ -264,21 +246,12 @@ std::vector<std::int64_t> HdClassifier::predict(const Tensor& h) const {
   return out;
 }
 
-std::int64_t HdClassifier::refine_epoch(const Tensor& h,
-                                        const std::vector<std::int64_t>& labels,
-                                        float lr) {
+std::int64_t HdClassifier::refine_epoch(
+    const Tensor& h, const std::vector<std::int64_t>& labels) {
   check_batch(h, d_);
   check_labels(labels, h.dim(0), k_, "refine");
   FHDNN_CHECKED_TENSOR(c_);
-  return refine<false>(c_.data().data(), k_, d_, h, labels, lr);
-}
-
-std::int64_t HdClassifier::refine_epoch_adaptive(
-    const Tensor& h, const std::vector<std::int64_t>& labels, float lr) {
-  check_batch(h, d_);
-  check_labels(labels, h.dim(0), k_, "refine");
-  FHDNN_CHECKED_TENSOR(c_);
-  return refine<true>(c_.data().data(), k_, d_, h, labels, lr);
+  return refine(c_.data().data(), k_, d_, h, labels);
 }
 
 double HdClassifier::accuracy(const Tensor& h,

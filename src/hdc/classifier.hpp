@@ -6,7 +6,7 @@
 //     prototype, c_k = sum_i h_i^k;
 //   * refinement: for each training hypervector, if the current prediction
 //     is wrong, subtract it from the mispredicted prototype and add it to
-//     the correct one.
+//     the correct one, with the paper's fixed unit step.
 // Inference: cosine similarity against each prototype, argmax.
 //
 // The prototype matrix is ordinary float storage here; the transmission
@@ -47,21 +47,10 @@ class HdClassifier {
   /// h: (N, d) encoded batch; labels: N entries.
   void bundle(const Tensor& h, const std::vector<std::int64_t>& labels);
 
-  /// One refinement epoch over the batch; returns the number of updates
-  /// (mispredictions) performed. `lr` scales the subtract/add step (the
-  /// paper uses 1).
+  /// One refinement epoch over the batch (unit step); returns the number
+  /// of updates (mispredictions) performed.
   std::int64_t refine_epoch(const Tensor& h,
-                            const std::vector<std::int64_t>& labels,
-                            float lr = 1.0F);
-
-  /// Margin-scaled ("OnlineHD"-style) refinement: on a mispredict, the
-  /// correct prototype gains (1 - sim_correct) * h and the mispredicted one
-  /// loses (1 - sim_wrong) * h, so confidently-wrong examples move the
-  /// model more and nearly-correct ones barely perturb it. An extension
-  /// beyond the paper's fixed-step rule; compare with refine_epoch.
-  std::int64_t refine_epoch_adaptive(const Tensor& h,
-                                     const std::vector<std::int64_t>& labels,
-                                     float lr = 1.0F);
+                            const std::vector<std::int64_t>& labels);
 
   /// Cosine similarities of each row of h against each prototype: (N, K).
   Tensor similarities(const Tensor& h) const;

@@ -1,14 +1,11 @@
-// Tests for the extended channels (Gilbert-Elliott burst loss, Rayleigh
-// fading), sign-bit flips on packed models, the binary-sign HD uplink, and
+// Tests for sign-bit flips on packed models, the binary-sign HD uplink, and
 // flat NN state transfer.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include "channel/bits.hpp"
-#include "channel/fading.hpp"
 #include "channel/hd_uplink.hpp"
 #include "hdc/packed.hpp"
 #include "nn/resnet.hpp"
@@ -16,167 +13,17 @@
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace fhdnn {
 namespace {
 
 using namespace fhdnn::channel;
 
-// ------------------------------------------------------- Gilbert-Elliott
-
-GilbertElliottChannel::Params ge_params() {
-  GilbertElliottChannel::Params p;
-  p.p_good_to_bad = 0.05;
-  p.p_bad_to_good = 0.2;
-  p.loss_good = 0.001;
-  p.loss_bad = 0.7;
-  p.packet_bits = 32 * 32;  // 32 floats per packet
-  return p;
-}
-
-TEST(GilbertElliott, AverageLossMatchesStationary) {
-  const GilbertElliottChannel ch(ge_params());
-  // pi_bad = 0.05/0.25 = 0.2 -> avg = 0.8*0.001 + 0.2*0.7 = 0.1408
-  EXPECT_NEAR(ch.average_loss_rate(), 0.1408, 1e-6);
-
-  Rng rng(1);
-  std::size_t lost = 0, total = 0;
-  for (int t = 0; t < 30; ++t) {
-    std::vector<float> payload(32 * 500, 1.0F);
-    const auto stats = ch.apply(payload, rng);
-    lost += stats.packets_lost;
-    total += stats.packets_total;
-  }
-  EXPECT_NEAR(static_cast<double>(lost) / static_cast<double>(total),
-              ch.average_loss_rate(), 0.02);
-}
-
-TEST(GilbertElliott, LossesAreBursty) {
-  // With the same average loss, the burst channel's lost packets should be
-  // far more temporally clustered than i.i.d. loss: compare the number of
-  // loss "runs" (maximal consecutive lost stretches) — fewer runs for the
-  // same number of losses = burstier.
-  const GilbertElliottChannel ge(ge_params());
-  const PacketLossChannel iid(ge.average_loss_rate(), 32 * 32);
-  auto runs_per_loss = [](const std::vector<bool>& lost) {
-    std::size_t runs = 0, losses = 0;
-    for (std::size_t i = 0; i < lost.size(); ++i) {
-      losses += lost[i];
-      if (lost[i] && (i == 0 || !lost[i - 1])) ++runs;
-    }
-    return losses ? static_cast<double>(runs) / static_cast<double>(losses)
-                  : 1.0;
-  };
-  auto measure = [&](const Channel& ch, std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<float> payload(32 * 4000, 1.0F);
-    ch.apply(payload, rng);
-    std::vector<bool> lost(4000);
-    for (std::size_t p = 0; p < 4000; ++p) lost[p] = payload[32 * p] == 0.0F;
-    return runs_per_loss(lost);
-  };
-  // i.i.d.: runs/losses ~ (1-p) ~ 0.86; bursty: much lower.
-  EXPECT_LT(measure(ge, 2), measure(iid, 2) - 0.2);
-}
-
-TEST(GilbertElliott, Validation) {
-  auto p = ge_params();
-  p.p_good_to_bad = 0.0;
-  EXPECT_THROW(GilbertElliottChannel{p}, Error);
-  p = ge_params();
-  p.loss_bad = 1.5;
-  EXPECT_THROW(GilbertElliottChannel{p}, Error);
-  p = ge_params();
-  p.packet_bits = 8;
-  EXPECT_THROW(GilbertElliottChannel{p}, Error);
-}
-
-// --------------------------------------------------------------- Rayleigh
-
-TEST(Rayleigh, AverageSnrInRightRegime) {
-  // Equalized Rayleigh noise is heavier-tailed than AWGN; with the deep-
-  // fade clamp the average realized SNR lands below the configured average
-  // but within a few dB.
-  const RayleighFadingChannel ch(15.0, 64);
-  Rng rng(3);
-  std::vector<float> payload(64 * 600, 1.0F);
-  const auto orig = payload;
-  ch.apply(payload, rng);
-  double noise = 0.0;
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    const double d = payload[i] - orig[i];
-    noise += d * d;
-  }
-  const double snr_db =
-      10.0 * std::log10(static_cast<double>(payload.size()) / noise);
-  EXPECT_LT(snr_db, 15.0);
-  EXPECT_GT(snr_db, 2.0);
-}
-
-TEST(Rayleigh, BlockStructure) {
-  // Noise variance is constant within a block but varies across blocks:
-  // per-block noise power should have a much larger spread than AWGN's.
-  const std::size_t block = 128;
-  auto block_power_cv = [&](const Channel& ch, std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<float> payload(block * 200, 1.0F);
-    const auto orig = payload;
-    ch.apply(payload, rng);
-    stats::Accumulator acc;
-    for (std::size_t b = 0; b < 200; ++b) {
-      double p = 0.0;
-      for (std::size_t i = 0; i < block; ++i) {
-        const double d = payload[b * block + i] - orig[b * block + i];
-        p += d * d;
-      }
-      acc.add(p / block);
-    }
-    return acc.stddev() / acc.mean();  // coefficient of variation
-  };
-  const RayleighFadingChannel ray(10.0, block);
-  const AwgnChannel awgn(10.0);
-  EXPECT_GT(block_power_cv(ray, 4), 3.0 * block_power_cv(awgn, 4));
-}
-
-TEST(Rayleigh, SilentPayloadUntouched) {
-  const RayleighFadingChannel ch(10.0);
-  Rng rng(5);
-  std::vector<float> payload(64, 0.0F);
-  ch.apply(payload, rng);
-  for (const float v : payload) EXPECT_EQ(v, 0.0F);
-}
-
-// ----------------------------------------------------- HD uplink (extended)
+// ---------------------------------------------------------------- HD uplink
 
 Tensor protos(std::uint64_t seed) {
   Rng rng(seed);
   return Tensor::randn(Shape{4, 512}, rng, 3.0F);
-}
-
-TEST(HdUplinkExt, BurstLossZeroFills) {
-  Tensor m = protos(10);
-  HdUplinkConfig cfg;
-  cfg.mode = HdUplinkMode::BurstLoss;
-  cfg.burst_loss_bad = 0.9;
-  cfg.packet_bits = 1024;
-  Rng rng(11);
-  const auto stats = transmit_hd_model(m, cfg, rng);
-  EXPECT_GT(stats.packets_total, 0U);
-  std::size_t zeros = 0;
-  for (const float v : m.vec()) zeros += (v == 0.0F);
-  EXPECT_EQ(zeros, stats.packets_lost * (1024 / 32));
-}
-
-TEST(HdUplinkExt, RayleighPerturbs) {
-  Tensor m = protos(12);
-  const auto orig = m.vec();
-  HdUplinkConfig cfg;
-  cfg.mode = HdUplinkMode::Rayleigh;
-  cfg.snr_db = 10.0;
-  Rng rng(13);
-  transmit_hd_model(m, cfg, rng);
-  EXPECT_NE(m.vec(), orig);
 }
 
 TEST(HdUplinkExt, BinaryTransportPerfect) {
@@ -245,12 +92,8 @@ TEST(HdUplinkExt, BinaryTransportOutputIsPinned) {
   }
 }
 
-TEST(HdUplinkExt, DescribeNewModes) {
+TEST(HdUplinkExt, DescribeBinaryTransport) {
   HdUplinkConfig cfg;
-  cfg.mode = HdUplinkMode::BurstLoss;
-  EXPECT_NE(describe(cfg).find("burst"), std::string::npos);
-  cfg.mode = HdUplinkMode::Rayleigh;
-  EXPECT_NE(describe(cfg).find("rayleigh"), std::string::npos);
   cfg.mode = HdUplinkMode::BitErrors;
   cfg.binary_transport = true;
   EXPECT_NE(describe(cfg).find("binary"), std::string::npos);

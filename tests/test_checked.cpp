@@ -144,7 +144,6 @@ TEST(Checked, BrokenInvariantCaughtAtClassifierEntry) {
   EXPECT_THROW((void)clf.similarities(h), Error);
   EXPECT_THROW((void)clf.predict(h), Error);
   EXPECT_THROW((void)clf.refine_epoch(h, labels), Error);
-  EXPECT_THROW((void)clf.refine_epoch_adaptive(h, labels), Error);
 
   hdc::HdClassifier ok(2, 8);
   Tensor broken(Shape{2, 8});

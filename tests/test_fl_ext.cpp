@@ -1,6 +1,5 @@
 // Tests for the extended FL components: convergence diagnostics, the
-// wall-clock timeline, update-subsampling compression, and adaptive HD
-// refinement.
+// wall-clock timeline, and update-subsampling compression.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -244,52 +243,6 @@ TEST(UpdateSubsampling, ValidatesFraction) {
   cfg.n_clients = 2;
   cfg.update_fraction = 0.0;
   EXPECT_THROW(fl::FedAvgTrainer(factory, full, parts, full, cfg), Error);
-}
-
-// ----------------------------------------------- adaptive HD refinement
-
-TEST(AdaptiveRefine, LearnsAtLeastAsWellOnHardData) {
-  Rng rng(10);
-  data::IsoletSpec spec;
-  spec.dims = 32;
-  spec.classes = 6;
-  spec.n = 600;
-  spec.separation = 0.6;  // hard
-  const auto ds = data::make_isolet_like(spec, rng);
-  const auto split = data::train_test_split(ds, 0.25, rng);
-  Rng er = rng.fork("enc");
-  hdc::RandomProjectionEncoder enc(32, 2048, er);
-  const Tensor htr = enc.encode(split.train.x);
-  const Tensor hte = enc.encode(split.test.x);
-
-  hdc::HdClassifier plain(6, 2048), adaptive(6, 2048);
-  plain.bundle(htr, split.train.labels);
-  adaptive.bundle(htr, split.train.labels);
-  for (int e = 0; e < 4; ++e) {
-    plain.refine_epoch(htr, split.train.labels);
-    adaptive.refine_epoch_adaptive(htr, split.train.labels);
-  }
-  const double acc_plain = plain.accuracy(hte, split.test.labels);
-  const double acc_adaptive = adaptive.accuracy(hte, split.test.labels);
-  EXPECT_GE(acc_adaptive, acc_plain - 0.03);
-  EXPECT_GT(acc_adaptive, 0.6);
-}
-
-TEST(AdaptiveRefine, UpdateCountDropsOverEpochs) {
-  Rng rng(11);
-  data::IsoletSpec spec;
-  spec.dims = 32;
-  spec.classes = 4;
-  spec.n = 300;
-  const auto ds = data::make_isolet_like(spec, rng);
-  Rng er = rng.fork("enc");
-  hdc::RandomProjectionEncoder enc(32, 1024, er);
-  const Tensor h = enc.encode(ds.x);
-  hdc::HdClassifier clf(4, 1024);
-  const auto first = clf.refine_epoch_adaptive(h, ds.labels);
-  std::int64_t last = first;
-  for (int e = 0; e < 4; ++e) last = clf.refine_epoch_adaptive(h, ds.labels);
-  EXPECT_LT(last, first);
 }
 
 }  // namespace

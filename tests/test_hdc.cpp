@@ -276,8 +276,6 @@ TEST(Classifier, BadLastLabelLeavesPrototypesUntouched) {
   EXPECT_TRUE(unchanged());
   EXPECT_THROW(clf.refine_epoch(h, bad), Error);
   EXPECT_TRUE(unchanged());
-  EXPECT_THROW(clf.refine_epoch_adaptive(h, bad), Error);
-  EXPECT_TRUE(unchanged());
 }
 
 // ------------------------------------------- bit-exactness vs. reference
@@ -339,52 +337,29 @@ std::vector<std::int64_t> predict(const Tensor& c, const Tensor& h) {
 }
 
 std::int64_t refine_epoch(Tensor& c, const Tensor& h,
-                          const std::vector<std::int64_t>& labels, float lr,
-                          bool adaptive) {
+                          const std::vector<std::int64_t>& labels) {
   const std::int64_t k_n = c.dim(0), d = c.dim(1);
   std::int64_t updates = 0;
   for (std::int64_t i = 0; i < h.dim(0); ++i) {
     const std::int64_t y = labels[static_cast<std::size_t>(i)];
-    double hnorm = 0.0;
-    for (std::int64_t j = 0; j < d; ++j) {
-      hnorm += static_cast<double>(h(i, j)) * h(i, j);
-    }
-    hnorm = std::sqrt(hnorm);
     std::int64_t best = 0;
-    double best_sim = -2.0, y_sim = 0.0;
+    double best_sim = -2.0;
     for (std::int64_t k = 0; k < k_n; ++k) {
       double dot = 0.0, cn = 0.0;
       for (std::int64_t j = 0; j < d; ++j) {
         dot += static_cast<double>(h(i, j)) * c(k, j);
         cn += static_cast<double>(c(k, j)) * c(k, j);
       }
-      double sim = 0.0;
-      if (adaptive) {
-        const double denom = hnorm * std::sqrt(cn);
-        sim = denom > 0.0 ? dot / denom : 0.0;
-      } else {
-        sim = cn > 0.0 ? dot / std::sqrt(cn) : 0.0;
-      }
+      const double sim = cn > 0.0 ? dot / std::sqrt(cn) : 0.0;
       if (sim > best_sim) {
         best_sim = sim;
         best = k;
       }
-      if (k == y) y_sim = sim;
     }
     if (best == y) continue;
-    if (adaptive) {
-      const float gain_y = lr * static_cast<float>(1.0 - y_sim);
-      const float gain_b = lr * static_cast<float>(1.0 - best_sim);
-      for (std::int64_t j = 0; j < d; ++j) {
-        c(y, j) += gain_y * h(i, j);
-        c(best, j) -= gain_b * h(i, j);
-      }
-    } else {
-      for (std::int64_t j = 0; j < d; ++j) {
-        const float v = lr * h(i, j);
-        c(y, j) += v;
-        c(best, j) -= v;
-      }
+    for (std::int64_t j = 0; j < d; ++j) {
+      c(y, j) += h(i, j);
+      c(best, j) -= h(i, j);
     }
     ++updates;
   }
@@ -562,33 +537,26 @@ TEST(ClassifierBitExact, InferenceMatchesReference) {
 TEST(ClassifierBitExact, RefinementMatchesReference) {
   TierSweep sweep;
   for (const auto& bc : bit_exact_cases()) {
-    for (const bool adaptive : {false, true}) {
-      const CaseData data = make_case(bc);
-      // Two epochs: the second starts from prototypes the first updated.
-      Tensor want[2];
-      std::int64_t want_updates[2];
-      Tensor c = data.c;
-      for (int e = 0; e < 2; ++e) {
-        want_updates[e] =
-            ref::refine_epoch(c, data.h, data.labels, 0.5F, adaptive);
-        want[e] = c;
-      }
-      sweep.run([&](const std::string& at) {
-        const std::string name = std::string(adaptive ? "refine_epoch_adaptive "
-                                                      : "refine_epoch ") +
-                                 case_name(bc) + at;
-        HdClassifier clf(bc.k, bc.d);
-        clf.set_prototypes(data.c);
-        for (int e = 0; e < 2; ++e) {
-          const std::int64_t got_updates =
-              adaptive ? clf.refine_epoch_adaptive(data.h, data.labels, 0.5F)
-                       : clf.refine_epoch(data.h, data.labels, 0.5F);
-          EXPECT_EQ(got_updates, want_updates[e]) << name << " epoch " << e;
-          expect_hexfloat_eq(clf.prototypes(), want[e],
-                             name + " epoch " + std::to_string(e));
-        }
-      });
+    const CaseData data = make_case(bc);
+    // Two epochs: the second starts from prototypes the first updated.
+    Tensor want[2];
+    std::int64_t want_updates[2];
+    Tensor c = data.c;
+    for (int e = 0; e < 2; ++e) {
+      want_updates[e] = ref::refine_epoch(c, data.h, data.labels);
+      want[e] = c;
     }
+    sweep.run([&](const std::string& at) {
+      const std::string name = "refine_epoch " + case_name(bc) + at;
+      HdClassifier clf(bc.k, bc.d);
+      clf.set_prototypes(data.c);
+      for (int e = 0; e < 2; ++e) {
+        EXPECT_EQ(clf.refine_epoch(data.h, data.labels), want_updates[e])
+            << name << " epoch " << e;
+        expect_hexfloat_eq(clf.prototypes(), want[e],
+                           name + " epoch " + std::to_string(e));
+      }
+    });
   }
 }
 

@@ -368,7 +368,6 @@ void expect_refine_allocation_free(int threads) {
   const auto spy0 = util::alloc_spy_snapshot();
   for (int i = 0; i < 3; ++i) {
     (void)clf.refine_epoch(h, labels);
-    (void)clf.refine_epoch_adaptive(h, labels);
   }
   const auto spy1 = util::alloc_spy_snapshot();
   EXPECT_EQ(spy1.count - spy0.count, 0U)

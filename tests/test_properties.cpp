@@ -14,7 +14,6 @@
 
 #include "channel/channel.hpp"
 #include "computed.hpp"
-#include "channel/fading.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "fl/events.hpp"
@@ -254,38 +253,6 @@ TEST_P(QuantizerNoiseInteraction, QuantizerErrorBelowChannelNoise) {
 
 INSTANTIATE_TEST_SUITE_P(Bits, QuantizerNoiseInteraction,
                          ::testing::Values(8, 12, 16));
-
-// ----------------------------------------------------------------------
-// Gilbert-Elliott: measured loss matches the stationary rate for several
-// parameterizations.
-using GeCase = std::tuple<double, double, double>;
-class GeSweep : public ::testing::TestWithParam<GeCase> {};
-
-TEST_P(GeSweep, StationaryLossRate) {
-  const auto [gb, bg, bad] = GetParam();
-  channel::GilbertElliottChannel::Params p;
-  p.p_good_to_bad = gb;
-  p.p_bad_to_good = bg;
-  p.loss_good = 0.0;
-  p.loss_bad = bad;
-  p.packet_bits = 32 * 8;
-  const channel::GilbertElliottChannel ch(p);
-  Rng rng(23);
-  std::size_t lost = 0, total = 0;
-  for (int t = 0; t < 40; ++t) {
-    std::vector<float> payload(8 * 500, 1.0F);
-    const auto stats = ch.apply(payload, rng);
-    lost += stats.packets_lost;
-    total += stats.packets_total;
-  }
-  EXPECT_NEAR(static_cast<double>(lost) / static_cast<double>(total),
-              ch.average_loss_rate(), 0.025);
-}
-
-INSTANTIATE_TEST_SUITE_P(Chains, GeSweep,
-                         ::testing::Values(GeCase{0.05, 0.2, 0.7},
-                                           GeCase{0.01, 0.5, 0.9},
-                                           GeCase{0.2, 0.2, 0.5}));
 
 // ----------------------------------------------------------------------
 // BatchNorm normalizes every channel count in the sweep.

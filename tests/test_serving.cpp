@@ -3,7 +3,9 @@
 // must reproduce the in-process golden histories BIT-FOR-BIT — every
 // double, every byte counter — at 1 and 4 threads, for both trainers.
 // Plus: checkpoint/restart mid-run with a fresh worker, wire-level
-// accounting equality, and rejection of protocol violations.
+// accounting equality, rejection of protocol violations, and what the
+// protocol state image (the PROT chunk every round's state blob carries)
+// holds.
 //
 // This test runs under TSan in CI (the `serving` job): the worker thread
 // and the server thread pump opposite ends of the same pipe concurrently.
@@ -16,10 +18,13 @@
 #include <utility>
 #include <vector>
 
+#include "fl/fedhd.hpp"
 #include "fl/serving.hpp"
 #include "net/connection.hpp"
 #include "net/loopback.hpp"
+#include "util/bytes.hpp"
 #include "util/parallel.hpp"
+#include "util/snapshot.hpp"
 #include "wire/messages.hpp"
 #include "workload.hpp"
 
@@ -267,6 +272,98 @@ TEST(Serving, DriveRejectsUpdateForWrongRound) {
   server->set_round_driver(&driver);
   EXPECT_THROW((void)server->round(1), net::NetError);
   malicious.join();
+}
+
+// ------------------------------------------------------- protocol state
+
+/// The protocol's state image: one PROT chunk, as in a checkpoint and in
+/// every round's state blob.
+std::vector<std::uint8_t> protocol_image(fl::RoundProtocol& protocol) {
+  util::SnapshotWriter w;
+  w.begin_chunk("PROT");
+  protocol.save_state(w);
+  w.end_chunk();
+  return w.finish();
+}
+
+/// A PROT image with empty adapter buffers and a learner model of
+/// `scalars` floats.
+std::vector<std::uint8_t> model_image(std::size_t scalars) {
+  util::SnapshotWriter w;
+  w.begin_chunk("PROT");
+  w.write_u64(0);  // retained updates
+  w.write_u64(0);  // buffered-async backlog
+  w.write_floats(std::vector<float>(scalars, 1.0F));
+  w.end_chunk();
+  return w.finish();
+}
+
+/// Loading a model of each size in `scalars` throws DecodeError (kSchema)
+/// and leaves the protocol's state image as it was.
+void expect_rejected_before_the_model_changes(
+    fl::RoundProtocol& protocol, const std::vector<std::size_t>& scalars) {
+  const std::vector<std::uint8_t> before = protocol_image(protocol);
+  for (const std::size_t n : scalars) {
+    SCOPED_TRACE(std::to_string(n) + " scalars");
+    util::SnapshotReader r =
+        util::SnapshotReader::from_bytes(model_image(n), "test:state");
+    r.enter_chunk("PROT");
+    try {
+      protocol.load_state(r);
+      ADD_FAILURE() << "a model of the wrong size was accepted";
+    } catch (const util::DecodeError& e) {
+      EXPECT_EQ(e.kind(), util::DecodeErrorKind::kSchema) << e.what();
+    }
+    EXPECT_EQ(protocol_image(protocol), before)
+        << "a rejected image changed the model";
+  }
+}
+
+TEST(ProtocolState, HoldsOnlyTheLearnersModel) {
+  // Aggregators rebuild their sums in begin_round, so between rounds the
+  // image holds the learner's model and the adapter's buffers only: a
+  // round leaves it the size it had before round 0.
+  for (const char* proto : {"fedavg", "fedhd"}) {
+    SCOPED_TRACE(proto);
+    auto wl = workload::make_workload({proto, 3, "", 0, false, 0});
+    const std::size_t before = protocol_image(wl->protocol()).size();
+    EXPECT_GT(wl->round(1).clients, 0U);
+    EXPECT_EQ(protocol_image(wl->protocol()).size(), before);
+  }
+
+  // A round in which every client drops never commits the sum it began.
+  Rng rng(41);
+  const std::vector<std::int64_t> labels = {0, 1, 2, 3, 0, 1, 2, 3};
+  std::vector<fl::HdClientData> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.push_back({Tensor::randn(Shape{8, 512}, rng), labels});
+  }
+  const fl::HdClientData test{Tensor::randn(Shape{8, 512}, rng), labels};
+  fl::FedHdConfig cfg;
+  cfg.n_clients = 4;
+  cfg.client_fraction = 0.5;
+  cfg.rounds = 1;
+  cfg.num_classes = 4;
+  cfg.hd_dim = 512;
+  cfg.dropout_prob = 0.999;
+  fl::FedHdTrainer trainer(std::move(clients), test, cfg);
+  const std::size_t before = protocol_image(trainer.protocol()).size();
+  EXPECT_EQ(trainer.round(1).clients, 0U);
+  EXPECT_EQ(protocol_image(trainer.protocol()).size(), before);
+}
+
+TEST(ProtocolState, FedHdRejectsAModelOfTheWrongSize) {
+  // The learner always saves K x d prototype scalars, so an image with
+  // none is as malformed as one with too few.
+  auto wl = workload::make_workload({"fedhd", 3, "", 0, false, 0});
+  (void)wl->round(1);
+  expect_rejected_before_the_model_changes(wl->protocol(), {0, 5});
+}
+
+TEST(ProtocolState, FedAvgRejectsAModelOfTheWrongSize) {
+  auto wl = workload::make_workload({"fedavg", 3, "", 0, false, 0});
+  (void)wl->round(1);
+  expect_rejected_before_the_model_changes(wl->protocol(), {0, 5});
 }
 
 }  // namespace
