@@ -12,8 +12,10 @@
 //                         or the WorkerLoop round path reaches wall-clock
 //                         or nondeterministic sources, and no chain from
 //                         an `_into` kernel reaches heap allocation
-//                         outside util/workspace — the transitive upgrade
-//                         of sim-clock/nondet-rng/arena-discipline
+//                         outside util/workspace — the transitive
+//                         complement of sim-clock/nondet-rng/
+//                         arena-discipline, which see lines it does not
+//                         (DESIGN.md §15)
 //   include-graph-hygiene headers included but unused-by-symbol, and
 //                         TU-private headers (detail/, *_impl, *_private)
 //                         included from outside their module
