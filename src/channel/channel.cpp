@@ -117,16 +117,6 @@ std::string PacketLossChannel::name() const {
   return "packet-loss(p=" + std::to_string(loss_rate_) + ")";
 }
 
-double packet_error_rate(double bit_error_rate, std::size_t packet_bits) {
-  FHDNN_CHECK(bit_error_rate >= 0.0 && bit_error_rate <= 1.0,
-              "BER " << bit_error_rate);
-  return 1.0 - std::pow(1.0 - bit_error_rate,
-                        static_cast<double>(packet_bits));
-}
-
-std::unique_ptr<Channel> make_perfect() {
-  return std::make_unique<PerfectChannel>();
-}
 std::unique_ptr<Channel> make_awgn(double snr_db) {
   return std::make_unique<AwgnChannel>(snr_db);
 }

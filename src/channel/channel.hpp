@@ -119,12 +119,7 @@ class PacketLossChannel final : public Channel {
   std::size_t packet_bits_;
 };
 
-/// Packet error probability from bit error probability (paper Eq. 8):
-///   p_p = 1 - (1 - p_e)^{N_p}.
-double packet_error_rate(double bit_error_rate, std::size_t packet_bits);
-
 /// Factory helpers.
-std::unique_ptr<Channel> make_perfect();
 std::unique_ptr<Channel> make_awgn(double snr_db);
 std::unique_ptr<Channel> make_bit_error(double ber);
 std::unique_ptr<Channel> make_packet_loss(double loss_rate,

@@ -5,12 +5,6 @@
 
 namespace fhdnn::core {
 
-Distribution distribution_from_string(const std::string& s) {
-  if (s == "iid") return Distribution::Iid;
-  if (s == "noniid" || s == "non-iid") return Distribution::NonIid;
-  throw Error("unknown distribution '" + s + "' (want iid|noniid)");
-}
-
 std::string to_string(Distribution d) {
   return d == Distribution::Iid ? "iid" : "non-iid";
 }

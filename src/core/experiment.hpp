@@ -14,7 +14,6 @@ namespace fhdnn::core {
 /// Data distribution across clients.
 enum class Distribution { Iid, NonIid };
 
-Distribution distribution_from_string(const std::string& s);
 std::string to_string(Distribution d);
 
 /// A fully prepared federated experiment: train/test split + client shards.

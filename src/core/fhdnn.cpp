@@ -1,6 +1,5 @@
 #include "core/fhdnn.hpp"
 
-#include "channel/hd_uplink.hpp"
 #include "tensor/view.hpp"
 #include "util/error.hpp"
 #include "util/workspace.hpp"
@@ -31,8 +30,7 @@ hdc::RandomProjectionEncoder make_encoder(const FhdnnConfig& c) {
 FhdnnModel::FhdnnModel(FhdnnConfig config)
     : config_(config),
       extractor_(extractor_config(config)),
-      encoder_(make_encoder(config)),
-      classifier_(config.num_classes, config.hd_dim) {
+      encoder_(make_encoder(config)) {
   FHDNN_CHECK(config_.num_classes > 1 && config_.hd_dim > 0 &&
                   config_.feature_dim > 0,
               "FhdnnConfig invalid");
@@ -58,34 +56,6 @@ Tensor FhdnnModel::encode_images(const Tensor& images) const {
 fl::HdClientData FhdnnModel::encode_dataset(const data::Dataset& ds) const {
   FHDNN_CHECK(ds.is_image(), "encode_dataset expects image data");
   return fl::HdClientData{encode_images(ds.x), ds.labels};
-}
-
-std::int64_t FhdnnModel::train_local(const fl::HdClientData& data, int epochs) {
-  FHDNN_CHECK(epochs > 0, "train_local epochs " << epochs);
-  if (classifier_.prototypes().l2_norm() == 0.0) {
-    classifier_.bundle(data.h, data.labels);
-  }
-  std::int64_t updates = 0;
-  for (int e = 0; e < epochs; ++e) {
-    updates = classifier_.refine_epoch(data.h, data.labels);
-  }
-  return updates;
-}
-
-std::vector<std::int64_t> FhdnnModel::predict(const Tensor& images) const {
-  return classifier_.predict(encode_images(images));
-}
-
-double FhdnnModel::accuracy(const data::Dataset& ds) const {
-  const auto enc = encode_dataset(ds);
-  return classifier_.accuracy(enc.h, enc.labels);
-}
-
-std::uint64_t FhdnnModel::update_bytes() const {
-  channel::HdUplinkConfig raw;  // Perfect mode, raw float bits
-  raw.use_quantizer = false;
-  return channel::hd_update_bytes(
-      raw, static_cast<std::uint64_t>(classifier_.prototypes().numel()));
 }
 
 }  // namespace fhdnn::core

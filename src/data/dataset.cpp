@@ -55,12 +55,6 @@ Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
   return Dataset{std::move(b.x), std::move(b.labels), num_classes, name};
 }
 
-std::vector<std::int64_t> Dataset::label_histogram() const {
-  std::vector<std::int64_t> hist(static_cast<std::size_t>(num_classes), 0);
-  for (const auto y : labels) ++hist[static_cast<std::size_t>(y)];
-  return hist;
-}
-
 TrainTestSplit train_test_split(const Dataset& ds, double test_fraction,
                                 Rng& rng) {
   FHDNN_CHECK(test_fraction > 0.0 && test_fraction < 1.0,

@@ -41,9 +41,6 @@ struct Dataset {
 
   /// Subset copy (used to build per-client shards and train/test splits).
   Dataset subset(const std::vector<std::size_t>& indices) const;
-
-  /// Histogram of labels (size num_classes).
-  std::vector<std::int64_t> label_histogram() const;
 };
 
 /// Split a dataset into train/test by a deterministic shuffle.

@@ -26,7 +26,6 @@ FrozenFeatureExtractor::FrozenFeatureExtractor(Config config)
   const std::int64_t w1 = config_.conv_width;
   const std::int64_t w2 = 2 * w1;
   const std::int64_t w3 = 4 * w1;
-  trunk_channels_ = w3;
   trunk_ = std::make_unique<nn::Sequential>();
   trunk_->add(std::make_unique<nn::Conv2d>(config_.in_channels, w1, 3, 2, 1,
                                            trunk_rng));
@@ -41,13 +40,13 @@ FrozenFeatureExtractor::FrozenFeatureExtractor(Config config)
   // Final feature-map geometry: three stride-2 convs with padding 1.
   std::int64_t hw = config_.image_hw;
   for (int layer = 0; layer < 3; ++layer) hw = (hw + 2 - 3) / 2 + 1;
-  trunk_out_dim_ = w3 * hw * hw;
+  const std::int64_t trunk_out_dim = w3 * hw * hw;
 
   Rng exp_rng = rng.fork("expansion");
   // Random-features projection with tanh: scale ~ 1/sqrt(fan_in).
   expansion_ = Tensor::randn(
-      Shape{config_.output_dim, trunk_out_dim_}, exp_rng,
-      1.0F / std::sqrt(static_cast<float>(trunk_out_dim_)));
+      Shape{config_.output_dim, trunk_out_dim}, exp_rng,
+      1.0F / std::sqrt(static_cast<float>(trunk_out_dim)));
   expansion_bias_ = Tensor::rand(Shape{config_.output_dim}, exp_rng, -0.1F,
                                  0.1F);
   mean_ = Tensor(Shape{config_.output_dim});
@@ -116,23 +115,6 @@ void FrozenFeatureExtractor::fit_standardization(
     scale_(j) = static_cast<float>(1.0 / std::sqrt(var + 1e-6));
   }
   standardized_ = true;
-}
-
-std::uint64_t FrozenFeatureExtractor::macs_per_image() const {
-  // Three stride-2 convs + the expansion matmul.
-  std::uint64_t macs = 0;
-  std::int64_t hw = config_.image_hw;
-  std::int64_t ic = config_.in_channels;
-  std::int64_t oc = config_.conv_width;
-  for (int layer = 0; layer < 3; ++layer) {
-    const std::int64_t out_hw = (hw + 2 - 3) / 2 + 1;
-    macs += static_cast<std::uint64_t>(out_hw * out_hw * oc * ic * 9);
-    hw = out_hw;
-    ic = oc;
-    oc *= 2;
-  }
-  macs += static_cast<std::uint64_t>(trunk_out_dim_ * config_.output_dim);
-  return macs;
 }
 
 }  // namespace fhdnn::features

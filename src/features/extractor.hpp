@@ -54,14 +54,9 @@ class FrozenFeatureExtractor {
   /// Fit the output standardization (per-dimension mean/scale) on a
   /// calibration batch, then freeze it. May be called at most once.
   void fit_standardization(const Tensor& calibration_images);
-  bool standardized() const { return standardized_; }
 
   std::int64_t output_dim() const { return config_.output_dim; }
   const Config& config() const { return config_; }
-
-  /// Multiply-accumulate count for one image through the extractor
-  /// (used by the perf model for Table 1).
-  std::uint64_t macs_per_image() const;
 
  private:
   Config config_;
@@ -75,8 +70,6 @@ class FrozenFeatureExtractor {
   Tensor mean_;   // (output_dim) standardization mean
   Tensor scale_;  // (output_dim) standardization 1/std
   bool standardized_ = false;
-  std::int64_t trunk_channels_ = 0;
-  std::int64_t trunk_out_dim_ = 0;  // channels * spatial after flatten
 };
 
 }  // namespace fhdnn::features

@@ -567,7 +567,6 @@ class RoundEngine {
   TrainingHistory run();
 
   const TrainingHistory& history() const { return history_; }
-  const ClientSampler& sampler() const { return sampler_; }
   const EngineConfig& config() const { return config_; }
 
   /// The per-client fault layer (disabled when config.faults is all-off).
@@ -578,11 +577,6 @@ class RoundEngine {
   /// rounds are disabled.
   double deadline_seconds() const;
 
-  /// Simulated campaign clock: total simulated seconds elapsed across the
-  /// rounds run so far (0 when no timed mode is configured). Availability
-  /// windows of the sparse population are evaluated against this clock.
-  double sim_seconds() const { return sim_now_; }
-
   /// The sparse registered fleet, when population mode is on.
   const ClientPopulation* population() const {
     return population_ ? &*population_ : nullptr;
@@ -591,6 +585,7 @@ class RoundEngine {
   /// Discrete events processed across the whole run so far (cumulative
   /// over rounds — the counter CrashPlan::at_event and
   /// CheckpointConfig::every_n_events are expressed in).
+  // fhdnn-lint: allow(test-only-api) the crash sweep walks every event
   std::uint64_t total_events() const { return total_events_; }
 
   /// Commit a snapshot of the engine's full deterministic state to `path`

@@ -387,10 +387,6 @@ nn::Module& FedAvgTrainer::global_model() {
   return protocol_->learner().global_model();
 }
 
-std::int64_t FedAvgTrainer::update_scalars() const {
-  return protocol_->learner().state_scalars();
-}
-
 RoundProtocol& FedAvgTrainer::protocol() { return protocol_->protocol(); }
 
 void FedAvgTrainer::set_round_driver(RoundDriver* driver) {

@@ -96,7 +96,6 @@ class FedAvgTrainer {
 
   nn::Module& global_model();
   const TrainingHistory& history() const { return engine_->history(); }
-  std::int64_t update_scalars() const;
 
   /// The engine driving the rounds (sampling / dropout / schedule state).
   const RoundEngine& engine() const { return *engine_; }

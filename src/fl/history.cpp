@@ -1,17 +1,9 @@
 #include "fl/history.hpp"
 
-#include <algorithm>
-
 namespace fhdnn::fl {
 
 double TrainingHistory::final_accuracy() const {
   return rounds_.empty() ? 0.0 : rounds_.back().test_accuracy;
-}
-
-double TrainingHistory::best_accuracy() const {
-  double best = 0.0;
-  for (const auto& m : rounds_) best = std::max(best, m.test_accuracy);
-  return best;
 }
 
 std::optional<std::int64_t> TrainingHistory::rounds_to_accuracy(
@@ -20,30 +12,6 @@ std::optional<std::int64_t> TrainingHistory::rounds_to_accuracy(
     if (m.test_accuracy >= target) return m.round;
   }
   return std::nullopt;
-}
-
-std::uint64_t TrainingHistory::total_uplink_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& m : rounds_) total += m.bytes_uplink;
-  return total;
-}
-
-double TrainingHistory::total_wall_seconds() const {
-  double total = 0.0;
-  for (const auto& m : rounds_) total += m.wall_seconds;
-  return total;
-}
-
-std::size_t TrainingHistory::total_sampled() const {
-  std::size_t total = 0;
-  for (const auto& m : rounds_) total += m.sampled;
-  return total;
-}
-
-std::size_t TrainingHistory::total_dropped() const {
-  std::size_t total = 0;
-  for (const auto& m : rounds_) total += m.dropped;
-  return total;
 }
 
 std::size_t TrainingHistory::total_timed_out() const {
@@ -67,12 +35,6 @@ std::uint64_t TrainingHistory::total_retransmissions() const {
 std::uint64_t TrainingHistory::total_residual_errors() const {
   std::uint64_t total = 0;
   for (const auto& m : rounds_) total += m.residual_errors;
-  return total;
-}
-
-std::uint64_t TrainingHistory::total_events() const {
-  std::uint64_t total = 0;
-  for (const auto& m : rounds_) total += m.events;
   return total;
 }
 

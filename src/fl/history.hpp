@@ -55,22 +55,10 @@ class TrainingHistory : public util::Snapshotable {
   /// Final-round accuracy (0 if no rounds ran).
   double final_accuracy() const;
 
-  /// Best accuracy seen over all rounds.
-  double best_accuracy() const;
-
   /// First (1-based) round whose accuracy reached `target`, if any.
   std::optional<std::int64_t> rounds_to_accuracy(double target) const;
 
-  /// Total uplink traffic across all rounds, bytes.
-  std::uint64_t total_uplink_bytes() const;
-
-  /// Total engine-measured wall-clock seconds across all rounds.
-  double total_wall_seconds() const;
-
-  /// Total participants sampled / dropped / deadline-rejected across all
-  /// rounds.
-  std::size_t total_sampled() const;
-  std::size_t total_dropped() const;
+  /// Total deadline-rejected participants across all rounds.
   std::size_t total_timed_out() const;
 
   /// Total channel-level traffic and ARQ reliability cost across all rounds.
@@ -80,9 +68,6 @@ class TrainingHistory : public util::Snapshotable {
 
   /// Total simulated campaign time under the deadline model, seconds.
   double total_simulated_seconds() const;
-
-  /// Total discrete events processed across all rounds.
-  std::uint64_t total_events() const;
 
   /// Snapshot every RoundMetrics field bit-exactly (doubles as raw IEEE
   /// bits, wall_seconds included — it is state, just not golden-compared).

@@ -52,9 +52,6 @@ class RandomProjectionEncoder {
   Tensor reconstruct(const Tensor& h) const;
   void reconstruct_into(ConstTensorView h, TensorView z) const;
 
-  /// Read-only access to the projection matrix (d x n).
-  const Tensor& projection() const { return phi_; }
-
  private:
   std::int64_t n_;
   std::int64_t d_;

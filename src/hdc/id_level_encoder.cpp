@@ -79,14 +79,4 @@ Tensor IdLevelEncoder::encode(const Tensor& z) const {
   return batched ? h : h.reshaped(Shape{d_});
 }
 
-double IdLevelEncoder::level_similarity(std::int64_t a, std::int64_t b) const {
-  FHDNN_CHECK(a >= 0 && a < q_ && b >= 0 && b < q_,
-              "level index out of range");
-  double dot = 0.0;
-  for (std::int64_t j = 0; j < d_; ++j) {
-    dot += static_cast<double>(levels_(a, j)) * levels_(b, j);
-  }
-  return dot / static_cast<double>(d_);
-}
-
 }  // namespace fhdnn::hdc

@@ -35,10 +35,6 @@ class IdLevelEncoder {
   /// Encode (n) or (N, n) features to bipolar hypervectors (d) / (N, d).
   Tensor encode(const Tensor& z) const;
 
-  /// Similarity of two level hypervectors, for tests: nearby levels are
-  /// similar, far levels ~orthogonal.
-  double level_similarity(std::int64_t a, std::int64_t b) const;
-
  private:
   std::int64_t n_;
   std::int64_t d_;

@@ -46,36 +46,6 @@ Tensor bundle_majority(const std::vector<Tensor>& vs) {
   return acc;
 }
 
-Tensor permute(const Tensor& v, std::int64_t k) {
-  const std::int64_t d = v.numel();
-  FHDNN_CHECK(d > 0, "permute of empty vector");
-  std::int64_t shift = k % d;
-  if (shift < 0) shift += d;
-  Tensor out(v.shape());
-  auto src = v.data();
-  auto dst = out.data();
-  for (std::int64_t i = 0; i < d; ++i) {
-    dst[static_cast<std::size_t>((i + shift) % d)] =
-        src[static_cast<std::size_t>(i)];
-  }
-  return out;
-}
-
-double hamming_distance(const Tensor& a, const Tensor& b) {
-  FHDNN_CHECK(a.same_shape(b), "hamming shape mismatch");
-  auto ad = a.data();
-  auto bd = b.data();
-  FHDNN_CHECK(!ad.empty(), "hamming of empty vectors");
-  std::size_t differ = 0;
-  for (std::size_t i = 0; i < ad.size(); ++i) {
-    FHDNN_CHECK((ad[i] == 1.0F || ad[i] == -1.0F) &&
-                    (bd[i] == 1.0F || bd[i] == -1.0F),
-                "hamming_distance requires bipolar inputs");
-    differ += (ad[i] != bd[i]);
-  }
-  return static_cast<double>(differ) / static_cast<double>(ad.size());
-}
-
 Tensor sign(const Tensor& v) {
   Tensor out = v;
   for (auto& x : out.data()) x = (x >= 0.0F) ? 1.0F : -1.0F;

@@ -39,13 +39,6 @@ Tensor bundle(const std::vector<Tensor>& vs);
 /// (hdc::bundle_majority_packed).
 Tensor bundle_majority(const std::vector<Tensor>& vs);
 
-/// Cyclic rotation by k positions (k may be negative or exceed d).
-Tensor permute(const Tensor& v, std::int64_t k);
-
-/// Normalized Hamming distance between two bipolar hypervectors: fraction
-/// of positions that differ, in [0, 1]. Requires entries in {-1, +1}.
-double hamming_distance(const Tensor& a, const Tensor& b);
-
 /// Elementwise sign with sign(0) := +1 (the library-wide convention).
 Tensor sign(const Tensor& v);
 

@@ -57,15 +57,6 @@ PackedHV pack_hv(const Tensor& v) {
   return out;
 }
 
-Tensor unpack_hv(const PackedHV& v) {
-  FHDNN_CHECK(v.d > 0, "unpack_hv of empty PackedHV");
-  FHDNN_CHECK(static_cast<std::int64_t>(v.words.size()) == words_for_bits(v.d),
-              "PackedHV word storage inconsistent");
-  Tensor out(Shape{v.d});
-  simd::kernels().unpack_signs(v.words.data(), out.data().data(), v.d);
-  return out;
-}
-
 PackedModel pack_rows(const Tensor& m) {
   FHDNN_CHECK(m.ndim() == 2, "pack_rows expects (N, d), got "
                                  << shape_to_string(m.shape()));
@@ -90,85 +81,6 @@ Tensor unpack_rows(const PackedModel& m) {
     k.unpack_signs(m.row(r).data(), dst + r * m.d, m.d);
   }
   return out;
-}
-
-PackedHV xor_bind(const PackedHV& a, const PackedHV& b) {
-  FHDNN_CHECK(a.d == b.d, "xor_bind dim mismatch: " << a.d << " vs " << b.d);
-  FHDNN_CHECK(a.d > 0, "xor_bind of empty PackedHV");
-  PackedHV out(a.d);
-  const std::int64_t nw = words_for_bits(a.d);
-  simd::kernels().xor_words(a.words.data(), b.words.data(), out.words.data(),
-                            nw);
-  // Bit 1 encodes +1, so equal signs (product +1) must yield a set bit:
-  // under this convention bind is the *complement* of the XOR the kernel
-  // computes (XNOR). The complement sets the dead tail bits, so re-mask.
-  for (std::int64_t w = 0; w < nw; ++w) {
-    out.words[static_cast<std::size_t>(w)] =
-        ~out.words[static_cast<std::size_t>(w)];
-  }
-  out.words[static_cast<std::size_t>(nw - 1)] &= tail_mask(a.d);
-  return out;
-}
-
-PackedHV rotate(const PackedHV& v, std::int64_t k) {
-  const std::int64_t d = v.d;
-  FHDNN_CHECK(d > 0, "rotate of empty PackedHV");
-  std::int64_t s = k % d;
-  if (s < 0) s += d;
-  PackedHV out(d);
-  if (s == 0) {
-    out.words = v.words;
-    return out;
-  }
-  // out = ((v << s) | (v >> (d - s))) over the d-bit integer: the rotated
-  // vector places input bit i at position (i + s) mod d, matching permute.
-  const std::int64_t nw = words_for_bits(d);
-  const auto& in = v.words;
-  {
-    // Left part: v << s.
-    const std::int64_t ws = s / 64;
-    const int bs = static_cast<int>(s % 64);
-    for (std::int64_t w = nw - 1; w >= ws; --w) {
-      const std::uint64_t lo = in[static_cast<std::size_t>(w - ws)];
-      const std::uint64_t hi =
-          (bs != 0 && w - ws - 1 >= 0)
-              ? in[static_cast<std::size_t>(w - ws - 1)]
-              : 0ULL;
-      out.words[static_cast<std::size_t>(w)] =
-          bs != 0 ? (lo << bs) | (hi >> (64 - bs)) : lo;
-    }
-  }
-  {
-    // Right part: v >> (d - s); the zeroed input tail keeps this exact.
-    const std::int64_t t = d - s;
-    const std::int64_t ws = t / 64;
-    const int bs = static_cast<int>(t % 64);
-    for (std::int64_t w = 0; w + ws < nw; ++w) {
-      const std::uint64_t lo = in[static_cast<std::size_t>(w + ws)];
-      const std::uint64_t hi = (bs != 0 && w + ws + 1 < nw)
-                                   ? in[static_cast<std::size_t>(w + ws + 1)]
-                                   : 0ULL;
-      out.words[static_cast<std::size_t>(w)] |=
-          bs != 0 ? (lo >> bs) | (hi << (64 - bs)) : lo;
-    }
-  }
-  out.words[static_cast<std::size_t>(nw - 1)] &= tail_mask(d);
-  return out;
-}
-
-std::uint64_t hamming(const PackedHV& a, const PackedHV& b) {
-  FHDNN_CHECK(a.d == b.d, "hamming dim mismatch: " << a.d << " vs " << b.d);
-  return simd::kernels().hamming_words(a.words.data(), b.words.data(),
-                                       words_for_bits(a.d));
-}
-
-double hamming_norm(const PackedHV& a, const PackedHV& b) {
-  FHDNN_CHECK(a.d > 0, "hamming_norm of empty PackedHV");
-  return static_cast<double>(hamming(a, b)) / static_cast<double>(a.d);
-}
-
-double cosine(const PackedHV& a, const PackedHV& b) {
-  return 1.0 - 2.0 * hamming_norm(a, b);
 }
 
 PackedHV bundle_majority_packed(const std::vector<PackedHV>& vs) {

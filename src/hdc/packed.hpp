@@ -5,14 +5,8 @@
 // ceil(d/64) uint64 words: bit i set <=> element i is +1 (the library's
 // sign(0) := +1 convention). On this representation the HD algebra
 // collapses to word-wide integer ops:
-//   * bind            -> complemented XOR (bit 1 encodes +1, so the
-//                        product is +1 exactly when the bits agree: XNOR;
-//                        plain XOR is bind only in the bit-encodes-sign
-//                        convention)
-//   * hamming         -> popcount(XOR)   (differing bits = differing signs)
-//   * cosine          -> 1 - 2*hamming/d  (all bipolar vectors have norm
-//                        sqrt(d), so cosine is a linear map of hamming)
-//   * permute         -> word-level rotate
+//   * hamming         -> popcount(XOR)   (differing bits = differing signs;
+//                        the packed classifier's distance)
 //   * majority bundle -> per-bit vote counting (bit-sliced adders)
 // Every operation here is pinned bit-exact against the float/scalar path
 // by tests/test_packed.cpp and tests/test_properties.cpp.
@@ -64,13 +58,6 @@ struct PackedHV {
   PackedHV() = default;
   explicit PackedHV(std::int64_t dim)
       : d(dim), words(static_cast<std::size_t>(words_for_bits(dim)), 0) {}
-
-  /// Sign of element i as ±1 (bit set -> +1).
-  float element(std::int64_t i) const {
-    return (words[static_cast<std::size_t>(i / 64)] >> (i % 64)) & 1ULL
-               ? 1.0F
-               : -1.0F;
-  }
 };
 
 /// A row-aligned stack of packed hypervectors (e.g. class prototypes or an
@@ -102,34 +89,11 @@ struct PackedModel {
 /// Pack a 1-D float hypervector: bit i = (v[i] >= 0), i.e. sign(0) := +1.
 PackedHV pack_hv(const Tensor& v);
 
-/// Unpack to a bipolar float hypervector (entries ±1).
-Tensor unpack_hv(const PackedHV& v);
-
 /// Pack each row of a (N, d) float matrix into a row-aligned PackedModel.
 PackedModel pack_rows(const Tensor& m);
 
 /// Unpack to a bipolar (N, d) float matrix.
 Tensor unpack_rows(const PackedModel& m);
-
-/// Packed bind via the word-XOR kernel (complemented to the bit-means-+1
-/// convention). Equals pack(bind(unpack(a), unpack(b))) exactly. Requires
-/// d > 0.
-PackedHV xor_bind(const PackedHV& a, const PackedHV& b);
-
-/// Packed cyclic rotation by k positions (k may be negative or exceed d);
-/// matches hdc::permute: out element (i + k) mod d = in element i.
-PackedHV rotate(const PackedHV& v, std::int64_t k);
-
-/// Raw hamming distance: number of differing positions, in [0, d].
-std::uint64_t hamming(const PackedHV& a, const PackedHV& b);
-
-/// Normalized hamming distance (fraction of differing positions); equal to
-/// hdc::hamming_distance on the unpacked vectors. Requires d > 0.
-double hamming_norm(const PackedHV& a, const PackedHV& b);
-
-/// Cosine similarity of the bipolar vectors: 1 - 2*hamming/d. Requires
-/// d > 0.
-double cosine(const PackedHV& a, const PackedHV& b);
 
 /// Exact majority-vote bundle: output bit i is the majority of the input
 /// bits i; a tie (even member count) resolves by index parity (+1 when i

@@ -39,12 +39,6 @@ void Quantizer::quantize_into(std::span<const float> values,
   kern.agc_round_f32(values.data(), q.values.data(), n, q.gain, max_level_);
 }
 
-std::vector<float> Quantizer::dequantize(const QuantizedVector& q) const {
-  std::vector<float> out(q.values.size());
-  dequantize_into(q, out);
-  return out;
-}
-
 void Quantizer::dequantize_into(const QuantizedVector& q,
                                 std::span<float> out) const {
   FHDNN_CHECK(q.gain > 0.0, "dequantize gain " << q.gain);
@@ -82,14 +76,6 @@ Tensor Quantizer::dequantize_rows(const std::vector<QuantizedVector>& rows,
                                           static_cast<std::size_t>(hd_dim)));
   }
   return out;
-}
-
-double Quantizer::max_roundtrip_error(double max_abs) const {
-  if (max_abs <= 0.0) return 0.0;
-  // Half a quantization step + one float32 ulp of the value range (the
-  // dequantized result is stored as float).
-  return max_abs / (2.0 * static_cast<double>(max_level_)) +
-         max_abs * 1.2e-7;
 }
 
 }  // namespace fhdnn::hdc

@@ -45,9 +45,8 @@ class Quantizer {
   /// Aliasing: q holds integers, so it cannot overlap values.
   void quantize_into(std::span<const float> values, QuantizedVector& q) const;
 
-  /// Scale-down (receiver side).
-  std::vector<float> dequantize(const QuantizedVector& q) const;
-  /// dequantize into out, which holds q.values.size() floats.
+  /// Scale-down (receiver side) into out, which holds q.values.size()
+  /// floats.
   /// Aliasing: out holds floats, so it cannot overlap q.
   void dequantize_into(const QuantizedVector& q, std::span<float> out) const;
 
@@ -58,12 +57,6 @@ class Quantizer {
   /// Rebuild a (K, d) matrix from per-row quantized vectors.
   Tensor dequantize_rows(const std::vector<QuantizedVector>& rows,
                          std::int64_t hd_dim) const;
-
-  /// Worst-case absolute round-trip error for a vector with the given max
-  /// magnitude: half a quantization step, max|c| / (2 * (2^(B-1)-1)), plus
-  /// the float32 representation error of the dequantized value (relevant
-  /// once B exceeds the 24-bit float mantissa).
-  double max_roundtrip_error(double max_abs) const;
 
  private:
   int bitwidth_;

@@ -28,6 +28,7 @@ struct LoopbackOptions {
 /// Create a connected pair (first = "client" end, second = "server" end).
 /// Either endpoint may outlive the other; the shared pipe state is
 /// reference-counted.
+// fhdnn-lint: allow(test-only-api) the in-process transport fake of the tests
 std::pair<std::unique_ptr<Connection>, std::unique_ptr<Connection>>
 make_loopback_pair(const LoopbackOptions& options = {});
 

@@ -24,9 +24,6 @@ class BatchNorm2d : public Module {
   }
   std::string name() const override { return "BatchNorm2d"; }
 
-  /// Non-learnable state synchronized by the FL layer.
-  Tensor& running_mean() { return running_mean_; }
-  Tensor& running_var() { return running_var_; }
   std::int64_t channels() const { return channels_; }
 
  private:

@@ -211,15 +211,4 @@ const Tensor& Flatten::backward(const Tensor& grad_out) {
   return gx_;
 }
 
-std::unique_ptr<Linear> make_linear(std::int64_t in, std::int64_t out,
-                                    Rng& rng) {
-  return std::make_unique<Linear>(in, out, rng);
-}
-
-std::unique_ptr<Conv2d> make_conv(std::int64_t ic, std::int64_t oc,
-                                  std::int64_t k, std::int64_t stride,
-                                  std::int64_t pad, Rng& rng) {
-  return std::make_unique<Conv2d>(ic, oc, k, stride, pad, rng);
-}
-
 }  // namespace fhdnn::nn

@@ -134,10 +134,4 @@ class Flatten : public Module {
   Tensor gx_;
 };
 
-/// Helpers for building Sequential models tersely.
-std::unique_ptr<Linear> make_linear(std::int64_t in, std::int64_t out, Rng& rng);
-std::unique_ptr<Conv2d> make_conv(std::int64_t ic, std::int64_t oc,
-                                  std::int64_t k, std::int64_t stride,
-                                  std::int64_t pad, Rng& rng);
-
 }  // namespace fhdnn::nn

@@ -5,12 +5,6 @@
 
 namespace fhdnn::nn {
 
-std::int64_t Module::parameter_count() {
-  std::int64_t n = 0;
-  for (const Parameter* p : parameters()) n += p->value.numel();
-  return n;
-}
-
 void Module::zero_grad() {
   for (Parameter* p : parameters()) p->zero_grad();
 }

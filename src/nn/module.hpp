@@ -71,16 +71,12 @@ class Module {
   virtual void set_input_grad_needed(bool needed) {
     input_grad_needed_ = needed;
   }
-  bool input_grad_needed() const { return input_grad_needed_; }
 
   /// The 0-d placeholder backward() returns in place of a skipped input
   /// gradient.
   static const Tensor& no_input_grad();
 
   virtual std::string name() const = 0;
-
-  /// Total learnable scalar count.
-  std::int64_t parameter_count();
 
   /// Zero all parameter gradients.
   void zero_grad();

@@ -29,7 +29,6 @@ class Sgd {
   void zero_grad();
 
   const Options& options() const { return options_; }
-  void set_lr(float lr) { options_.lr = lr; }
 
  private:
   std::vector<Parameter*> params_;

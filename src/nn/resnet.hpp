@@ -34,8 +34,6 @@ class ResidualBlock : public Module {
   void set_training(bool training) override;
   std::string name() const override { return "ResidualBlock"; }
 
-  bool has_projection() const { return proj_conv_ != nullptr; }
-
  private:
   Conv2d conv1_;
   BatchNorm2d bn1_;

@@ -35,30 +35,4 @@ std::uint64_t cnn2_fwd_macs(std::int64_t in_channels, std::int64_t image_hw,
   return macs;
 }
 
-std::uint64_t mini_resnet_fwd_macs(std::int64_t in_channels,
-                                   std::int64_t image_hw,
-                                   std::int64_t num_classes,
-                                   std::int64_t base_width) {
-  std::uint64_t macs = 0;
-  const std::int64_t w1 = base_width, w2 = 2 * base_width, w3 = 4 * base_width;
-  auto stride2 = [](std::int64_t hw) { return (hw + 2 - 3) / 2 + 1; };
-  // Stem.
-  macs += conv2d_macs(in_channels, w1, 3, image_hw, image_hw);
-  // Block 1 (stride 1, identity skip): two 3x3 convs at full resolution.
-  macs += 2 * conv2d_macs(w1, w1, 3, image_hw, image_hw);
-  // Block 2 (stride 2, projection): conv w1->w2 s2, conv w2->w2, 1x1 proj.
-  const std::int64_t hw2 = stride2(image_hw);
-  macs += conv2d_macs(w1, w2, 3, hw2, hw2);
-  macs += conv2d_macs(w2, w2, 3, hw2, hw2);
-  macs += conv2d_macs(w1, w2, 1, hw2, hw2);
-  // Block 3 (stride 2, projection).
-  const std::int64_t hw3 = stride2(hw2);
-  macs += conv2d_macs(w2, w3, 3, hw3, hw3);
-  macs += conv2d_macs(w3, w3, 3, hw3, hw3);
-  macs += conv2d_macs(w2, w3, 1, hw3, hw3);
-  // Head.
-  macs += linear_macs(w3, num_classes);
-  return macs;
-}
-
 }  // namespace fhdnn::perf

@@ -19,12 +19,6 @@ std::uint64_t linear_macs(std::int64_t in_features, std::int64_t out_features);
 std::uint64_t cnn2_fwd_macs(std::int64_t in_channels, std::int64_t image_hw,
                             std::int64_t num_classes);
 
-/// Forward MACs per image of nn::make_mini_resnet.
-std::uint64_t mini_resnet_fwd_macs(std::int64_t in_channels,
-                                   std::int64_t image_hw,
-                                   std::int64_t num_classes,
-                                   std::int64_t base_width);
-
 /// Parameter counts for communication accounting at paper scale.
 constexpr std::uint64_t kResNet18Params = 11'000'000;  ///< paper §4.4
 constexpr std::uint64_t kResNet18UpdateBytes = 22'000'000;  ///< 22 MB

@@ -73,6 +73,7 @@ void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// Transpose of a 2-d tensor.
 /// Aliasing: out must not overlap a (throws on overlap).
+// fhdnn-lint: allow(test-only-api) builds the matmul_at/_bt test operands
 void transpose_into(ConstTensorView a, TensorView out);
 
 /// y = x * W^T + bias for batched rows: x (N x in), W (out x in), bias (out).

@@ -48,8 +48,6 @@ Tensor::Tensor(Shape shape, std::vector<float> values)
                        << data_.size() << " values");
 }
 
-Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
-
 Tensor Tensor::ones(Shape shape) { return full(std::move(shape), 1.0F); }
 
 Tensor Tensor::full(Shape shape, float value) {

@@ -37,7 +37,6 @@ class Tensor {
   /// Tensor with the given shape adopting `values` (size must match).
   Tensor(Shape shape, std::vector<float> values);
 
-  static Tensor zeros(Shape shape);
   static Tensor ones(Shape shape);
   static Tensor full(Shape shape, float value);
   /// I.i.d. N(0, stddev^2).

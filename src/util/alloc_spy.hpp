@@ -18,6 +18,7 @@ struct AllocSpySnapshot {
 
 /// Current counters. Only targets that compile alloc_spy.cpp may call this
 /// (the symbol lives there).
+// fhdnn-lint: allow(test-only-api) the zero-allocation tests' probe
 AllocSpySnapshot alloc_spy_snapshot();
 
 }  // namespace fhdnn::util

@@ -74,7 +74,6 @@ void CsvWriter::end_row() {
                                               << " values");
   os_ << '\n';
   col_ = 0;
-  ++rows_;
 }
 
 }  // namespace fhdnn

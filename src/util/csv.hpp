@@ -28,15 +28,12 @@ class CsvWriter {
   CsvWriter& add(int value);
   void end_row();
 
-  std::size_t rows_written() const { return rows_; }
-
  private:
   void put(const std::string& formatted);
 
   std::ostream& os_;
   std::size_t n_cols_;
   std::size_t col_ = 0;
-  std::size_t rows_ = 0;
 };
 
 /// Quote a CSV field if needed (RFC 4180).

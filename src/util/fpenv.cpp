@@ -62,8 +62,6 @@ std::string fp_environment_issues() {
   return issues;
 }
 
-bool fp_environment_strict() { return fp_environment_issues().empty(); }
-
 void assert_fp_environment() {
   const std::string issues = fp_environment_issues();
   FHDNN_CHECK(issues.empty(),

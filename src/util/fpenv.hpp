@@ -19,9 +19,6 @@ namespace fhdnn::util {
 /// plus the MXCSR bits directly on x86.
 std::string fp_environment_issues();
 
-/// True when fp_environment_issues() is empty.
-bool fp_environment_strict();
-
 /// Throw fhdnn::Error describing the problems when the environment is not
 /// strict. Compiling the library with -ffast-math is rejected at compile
 /// time (fpenv.cpp has a #error for __FAST_MATH__).

@@ -67,7 +67,6 @@ class LogLine {
 inline detail::LogLine log_debug() { return detail::LogLine(LogLevel::Debug); }
 inline detail::LogLine log_info() { return detail::LogLine(LogLevel::Info); }
 inline detail::LogLine log_warn() { return detail::LogLine(LogLevel::Warn); }
-inline detail::LogLine log_error() { return detail::LogLine(LogLevel::Error); }
 
 inline detail::LogLine log_debug(std::string source) {
   return {LogLevel::Debug, std::move(source)};
@@ -77,9 +76,6 @@ inline detail::LogLine log_info(std::string source) {
 }
 inline detail::LogLine log_warn(std::string source) {
   return {LogLevel::Warn, std::move(source)};
-}
-inline detail::LogLine log_error(std::string source) {
-  return {LogLevel::Error, std::move(source)};
 }
 
 }  // namespace fhdnn

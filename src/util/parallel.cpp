@@ -162,8 +162,6 @@ void set_num_threads(int n) {
   configured_threads().store(clamp_threads(n), std::memory_order_relaxed);
 }
 
-bool in_parallel_region() { return tl_in_parallel; }
-
 std::int64_t grain_for(std::int64_t work_per_item, std::int64_t min_work) {
   return std::max<std::int64_t>(1, min_work / std::max<std::int64_t>(
                                                   1, work_per_item));

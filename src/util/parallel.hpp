@@ -76,10 +76,6 @@ void set_num_threads(int n);
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   ChunkFn fn);
 
-/// True while the current thread executes inside a parallel_for body —
-/// nested parallel_for calls from such a context run inline.
-bool in_parallel_region();
-
 /// Grain size that puts at least `min_work` scalar operations into each
 /// chunk when one item costs `work_per_item` ops — keeps small loops serial
 /// and bounds per-chunk dispatch overhead.

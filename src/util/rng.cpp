@@ -181,21 +181,4 @@ std::vector<double> Rng::dirichlet(double alpha, std::size_t k) {
   return out;
 }
 
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  FHDNN_CHECK(!weights.empty(), "categorical needs at least one weight");
-  double total = 0.0;
-  for (const double w : weights) {
-    FHDNN_CHECK(w >= 0.0, "categorical weight " << w << " < 0");
-    total += w;
-  }
-  FHDNN_CHECK(total > 0.0, "categorical weights sum to zero");
-  const double r = uniform() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  return weights.size() - 1;
-}
-
 }  // namespace fhdnn

@@ -82,11 +82,6 @@ class Rng {
   /// Draw from a Dirichlet(alpha, ..., alpha) distribution of dimension k.
   std::vector<double> dirichlet(double alpha, std::size_t k);
 
-  /// Draw an index in [0, weights.size()) with probability proportional to
-  /// weights[i] (weights need not be normalized; must be non-negative with a
-  /// positive sum).
-  std::size_t categorical(const std::vector<double>& weights);
-
   /// Capture the exact stream position (see RngState).
   [[nodiscard]] RngState state() const {
     return RngState{{s_[0], s_[1], s_[2], s_[3]}, has_cached_normal_,

@@ -165,20 +165,6 @@ void unpack_signs_scalar(const std::uint64_t* src, float* dst,
   }
 }
 
-void xor_words_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                      std::uint64_t* out, std::int64_t nwords) {
-  for (std::int64_t w = 0; w < nwords; ++w) out[w] = a[w] ^ b[w];
-}
-
-std::uint64_t popcount_words_scalar(const std::uint64_t* a,
-                                    std::int64_t nwords) {
-  std::uint64_t total = 0;
-  for (std::int64_t w = 0; w < nwords; ++w) {
-    total += static_cast<std::uint64_t>(std::popcount(a[w]));
-  }
-  return total;
-}
-
 std::uint64_t hamming_words_scalar(const std::uint64_t* a,
                                    const std::uint64_t* b,
                                    std::int64_t nwords) {
@@ -273,8 +259,6 @@ constexpr Kernels kScalar = {
     .agc_scale_down_i32 = agc_scale_down_i32_scalar,
     .pack_signs = pack_signs_scalar,
     .unpack_signs = unpack_signs_scalar,
-    .xor_words = xor_words_scalar,
-    .popcount_words = popcount_words_scalar,
     .hamming_words = hamming_words_scalar,
     .crc32_update = crc32_update_scalar,
     .exact_accumulate_f32 = exact_accumulate_f32_scalar,
@@ -300,8 +284,6 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
   take(&Kernels::agc_scale_down_i32);
   take(&Kernels::pack_signs);
   take(&Kernels::unpack_signs);
-  take(&Kernels::xor_words);
-  take(&Kernels::popcount_words);
   take(&Kernels::hamming_words);
   take(&Kernels::crc32_update);
   take(&Kernels::exact_accumulate_f32);

@@ -133,11 +133,6 @@ struct Kernels {
   /// No aliasing.
   void (*unpack_signs)(const std::uint64_t* src, float* dst,
                        std::int64_t nbits);
-  /// out[w] = a[w] ^ b[w]. out may alias a and/or b.
-  void (*xor_words)(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* out, std::int64_t nwords);
-  /// Total set bits across nwords words.
-  std::uint64_t (*popcount_words)(const std::uint64_t* a, std::int64_t nwords);
   /// popcount(a ^ b) across nwords words — the packed hamming primitive.
   std::uint64_t (*hamming_words)(const std::uint64_t* a,
                                  const std::uint64_t* b, std::int64_t nwords);

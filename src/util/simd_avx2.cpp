@@ -130,20 +130,6 @@ void unpack_signs_avx2(const std::uint64_t* src, float* dst,
   }
 }
 
-void xor_words_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* out, std::int64_t nwords) {
-  std::int64_t w = 0;
-  for (; w + 4 <= nwords; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w),
-                        _mm256_xor_si256(va, vb));
-  }
-  for (; w < nwords; ++w) out[w] = a[w] ^ b[w];
-}
-
 /// Muła nibble-LUT popcount of one 256-bit lane, returned as 4 partial
 /// 64-bit sums (one per 64-bit element).
 __m256i popcount256(__m256i v) {
@@ -164,22 +150,6 @@ std::uint64_t horizontal_sum_epi64(__m256i acc) {
   const __m128i s = _mm_add_epi64(lo, hi);
   return static_cast<std::uint64_t>(_mm_extract_epi64(s, 0)) +
          static_cast<std::uint64_t>(_mm_extract_epi64(s, 1));
-}
-
-std::uint64_t popcount_words_avx2(const std::uint64_t* a,
-                                  std::int64_t nwords) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t w = 0;
-  for (; w + 4 <= nwords; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    acc = _mm256_add_epi64(acc, popcount256(v));
-  }
-  std::uint64_t total = horizontal_sum_epi64(acc);
-  for (; w < nwords; ++w) {
-    total += static_cast<std::uint64_t>(std::popcount(a[w]));
-  }
-  return total;
 }
 
 std::uint64_t hamming_words_avx2(const std::uint64_t* a,
@@ -402,8 +372,6 @@ constexpr Kernels kAvx2 = {
     .agc_scale_down_i32 = agc_scale_down_i32_avx2,
     .pack_signs = pack_signs_avx2,
     .unpack_signs = unpack_signs_avx2,
-    .xor_words = xor_words_avx2,
-    .popcount_words = popcount_words_avx2,
     .hamming_words = hamming_words_avx2,
     .crc32_update = crc32_update_avx2,
     .exact_accumulate_f32 = nullptr,  // scalar

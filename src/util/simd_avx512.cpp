@@ -330,10 +330,8 @@ constexpr Kernels kAvx512 = {
     .agc_scale_down_i32 = agc_scale_down_i32_avx512,
     .pack_signs = pack_signs_avx512,
     .unpack_signs = unpack_signs_avx512,
-    .xor_words = nullptr,       // AVX2
-    .popcount_words = nullptr,  // AVX2
-    .hamming_words = nullptr,   // AVX2
-    .crc32_update = nullptr,    // AVX2
+    .hamming_words = nullptr,  // AVX2
+    .crc32_update = nullptr,   // AVX2
     .exact_accumulate_f32 = exact_accumulate_f32_avx512,
     .relu_f32 = relu_avx512,
     .relu_backward_f32 = relu_backward_avx512,

@@ -48,32 +48,10 @@ void add_neon(float* out, const float* a, const float* b, std::int64_t n) {
   for (; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void xor_words_neon(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* out, std::int64_t nwords) {
-  std::int64_t w = 0;
-  for (; w + 2 <= nwords; w += 2) {
-    vst1q_u64(out + w, veorq_u64(vld1q_u64(a + w), vld1q_u64(b + w)));
-  }
-  for (; w < nwords; ++w) out[w] = a[w] ^ b[w];
-}
-
 /// Per-128-bit popcount via vcnt (bytewise) + pairwise widening adds.
 inline std::uint64_t popcount128(uint8x16_t v) {
   return vaddvq_u64(
       vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(v)))));
-}
-
-std::uint64_t popcount_words_neon(const std::uint64_t* a,
-                                  std::int64_t nwords) {
-  std::uint64_t total = 0;
-  std::int64_t w = 0;
-  for (; w + 2 <= nwords; w += 2) {
-    total += popcount128(vreinterpretq_u8_u64(vld1q_u64(a + w)));
-  }
-  for (; w < nwords; ++w) {
-    total += static_cast<std::uint64_t>(std::popcount(a[w]));
-  }
-  return total;
 }
 
 std::uint64_t hamming_words_neon(const std::uint64_t* a,
@@ -103,8 +81,6 @@ constexpr Kernels kNeon = {
     .agc_scale_down_i32 = nullptr,
     .pack_signs = nullptr,
     .unpack_signs = nullptr,
-    .xor_words = xor_words_neon,
-    .popcount_words = popcount_words_neon,
     .hamming_words = hamming_words_neon,
     .crc32_update = nullptr,
     .exact_accumulate_f32 = nullptr,

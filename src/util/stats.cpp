@@ -47,23 +47,6 @@ double max(std::span<const double> xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  FHDNN_CHECK(xs.size() == ys.size() && xs.size() >= 2,
-              "pearson needs two equal-length spans with n >= 2");
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  FHDNN_CHECK(sxx > 0.0 && syy > 0.0, "pearson with zero-variance input");
-  return sxy / std::sqrt(sxx * syy);
-}
-
 double mse(std::span<const float> a, std::span<const float> b) {
   FHDNN_CHECK(a.size() == b.size() && !a.empty(), "mse size mismatch");
   double s = 0.0;
@@ -72,13 +55,6 @@ double mse(std::span<const float> a, std::span<const float> b) {
     s += d * d;
   }
   return s / static_cast<double>(a.size());
-}
-
-double psnr(std::span<const float> reference, std::span<const float> test,
-            double peak) {
-  const double e = mse(reference, test);
-  if (e <= 0.0) return 1e9;  // identical signals: effectively infinite PSNR
-  return 10.0 * std::log10(peak * peak / e);
 }
 
 void Accumulator::add(double x) {

@@ -22,16 +22,8 @@ double stddev(std::span<const double> xs);
 double min(std::span<const double> xs);
 double max(std::span<const double> xs);
 
-/// Pearson correlation of two equal-length spans; requires n >= 2 and
-/// nonzero variance in both.
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
 /// Mean squared error between two equal-length spans.
 double mse(std::span<const float> a, std::span<const float> b);
-
-/// Peak signal-to-noise ratio in dB, given a peak signal value.
-double psnr(std::span<const float> reference, std::span<const float> test,
-            double peak);
 
 /// Running mean/variance accumulator (Welford).
 class Accumulator {

@@ -25,8 +25,6 @@ class TextTable {
   /// Render with a header underline and two-space gutters.
   void print(std::ostream& os) const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;

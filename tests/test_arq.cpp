@@ -1,8 +1,8 @@
 // Tests for the reliable-delivery layer (channel/arq.hpp): CRC-32 known-
 // answer vectors and every SIMD tier's CRC-32 kernel against a bytewise
 // oracle, backoff schedule, ARQ framing/retransmission/residual
-// behavior and its determinism, plus the channel/LTE edge cases that the
-// deadline-round machinery leans on (packet_error_rate, LteLinkModel).
+// behavior and its determinism, plus the LTE edge cases that the
+// deadline-round machinery leans on (LteLinkModel).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -313,16 +313,7 @@ TEST(ReliableChannel, NameDescribesModeAndInner) {
   EXPECT_NE(bare.name().find("perfect"), std::string::npos);
 }
 
-// --------------------------------------- packet_error_rate / LTE edge cases
-
-TEST(PacketErrorRate, MonotoneInBerAndPacketSize) {
-  EXPECT_DOUBLE_EQ(packet_error_rate(0.0, 8192), 0.0);
-  EXPECT_DOUBLE_EQ(packet_error_rate(1.0, 8), 1.0);
-  EXPECT_LT(packet_error_rate(1e-5, 1024), packet_error_rate(1e-4, 1024));
-  EXPECT_LT(packet_error_rate(1e-4, 1024), packet_error_rate(1e-4, 8192));
-  // Small-p limit: 1 - (1-p)^n ~= n*p.
-  EXPECT_NEAR(packet_error_rate(1e-8, 1000), 1e-5, 1e-8);
-}
+// ------------------------------------------------------- LTE edge cases
 
 TEST(LteLinkModel, UploadSecondsEdgeCases) {
   LteLinkModel link;

@@ -200,16 +200,7 @@ TEST(PacketLoss, RateZeroAndOne) {
   for (const float v : payload) EXPECT_EQ(v, 0.0F);
 }
 
-TEST(PacketErrorRate, MatchesEq8) {
-  // p_p = 1 - (1-p_e)^Np
-  EXPECT_NEAR(packet_error_rate(0.0, 1000), 0.0, 1e-12);
-  EXPECT_NEAR(packet_error_rate(1e-4, 10000),
-              1.0 - std::pow(1.0 - 1e-4, 10000.0), 1e-12);
-  EXPECT_NEAR(packet_error_rate(1.0, 10), 1.0, 1e-12);
-}
-
 TEST(ChannelFactories, ProduceRightTypes) {
-  EXPECT_EQ(make_perfect()->name(), "perfect");
   EXPECT_NE(make_awgn(10)->name().find("awgn"), std::string::npos);
   EXPECT_NE(make_bit_error(0.1)->name().find("bsc"), std::string::npos);
   EXPECT_NE(make_packet_loss(0.1)->name().find("packet"), std::string::npos);
@@ -249,7 +240,8 @@ TEST(QuantizedFlips, BoundedRelativeDamage) {
   for (const float x : v) max_abs = std::max(max_abs, std::abs(x));
   auto q = quant.quantize(v);
   flip_quantized_bits(q, 1e-3, rng);
-  const auto back = quant.dequantize(q);
+  std::vector<float> back(q.values.size());
+  quant.dequantize_into(q, back);
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_LE(std::abs(back[i] - v[i]), 2.0F * max_abs + 1e-4F);
   }

@@ -424,6 +424,21 @@ TEST(RoundEngine, AllDroppedRoundSkipsCommitButStillReduces) {
   EXPECT_EQ(protocol.reduce_calls, cfg.rounds);
 }
 
+TEST(RoundEngine, HistoryRecordsPerRoundFields) {
+  MockProtocol protocol;
+  fl::RoundEngine engine(small_engine_config(), protocol);
+  const auto h = engine.run();
+  ASSERT_EQ(h.rounds().size(), 4U);
+  double wall_seconds = 0.0;
+  for (const auto& m : h.rounds()) {
+    EXPECT_EQ(m.sampled, 4U);
+    EXPECT_EQ(m.dropped, 0U);
+    EXPECT_EQ(m.bytes_uplink, 400U);
+    wall_seconds += m.wall_seconds;
+  }
+  EXPECT_GT(wall_seconds, 0.0);
+}
+
 TEST(RoundEngine, RejectsInvalidConfig) {
   MockProtocol protocol;
   auto bad_rounds = small_engine_config();
@@ -432,16 +447,6 @@ TEST(RoundEngine, RejectsInvalidConfig) {
   auto bad_dropout = small_engine_config();
   bad_dropout.dropout_prob = 1.0;
   EXPECT_THROW(fl::RoundEngine(bad_dropout, protocol), Error);
-}
-
-TEST(RoundEngine, HistoryTotalsAccumulateNewFields) {
-  MockProtocol protocol;
-  fl::RoundEngine engine(small_engine_config(), protocol);
-  const auto h = engine.run();
-  EXPECT_EQ(h.total_sampled(), 16U);  // 4 rounds x 4 participants
-  EXPECT_EQ(h.total_dropped(), 0U);
-  EXPECT_GT(h.total_wall_seconds(), 0.0);
-  EXPECT_EQ(h.total_uplink_bytes(), 4U * 400U);
 }
 
 // ------------------------------------------------- transport accounting

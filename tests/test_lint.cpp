@@ -457,3 +457,16 @@ TEST(LintFramework, AbsolutePathsMapToRepoPaths) {
                      "std::unordered_map<int, int> m;\n");
   EXPECT_EQ(count_rule(d, "unordered-container"), 1);
 }
+
+TEST(LintFramework, PerfbenchSrcIsNotLibrarySrc) {
+  // perfbench/ has its own src/ subdirectory; it must not read as src/.
+  for (const std::string path :
+       {"perfbench/src/trace.cpp", "/work/fhdnn/perfbench/src/trace.cpp"}) {
+    const auto f = lint::scan_source(path, "");
+    EXPECT_EQ(f.repo_path(), "perfbench/src/trace.cpp") << path;
+    EXPECT_TRUE(f.reference_only()) << path;
+    // Read for references only: no rule reports in it.
+    EXPECT_TRUE(run(path, "std::thread t;\n").empty()) << path;
+  }
+  EXPECT_FALSE(lint::scan_source("src/fl/x.cpp", "").reference_only());
+}

@@ -341,6 +341,120 @@ TEST(IncludeGraphHygiene, SuppressedViolationIsSilent) {
   EXPECT_EQ(count_rule(diags, "include-graph-hygiene"), 0);
 }
 
+// ---- test-only-api -------------------------------------------------------
+
+namespace {
+
+const Sources kWidgetApi = {
+    {"src/fl/widget.hpp",
+     "#pragma once\n"
+     "namespace fhdnn::fl {\n"
+     "struct Widget {\n"
+     "  int tick(int n) const;\n"
+     "  int size() const {\n"
+     "    std::lock_guard<std::mutex> lock(mu_);\n"
+     "    return n_;\n"
+     "  }\n"
+     "};\n"
+     "}  // namespace fhdnn::fl\n"},
+    {"src/fl/widget.cpp",
+     "#include \"fl/widget.hpp\"\n"
+     "namespace fhdnn::fl {\n"
+     "int Widget::tick(int n) const {\n"
+     "  return n + size();\n"
+     "}\n"
+     "}  // namespace fhdnn::fl\n"},
+};
+
+Sources with(Sources sources, std::string path, std::string content) {
+  sources.emplace_back(std::move(path), std::move(content));
+  return sources;
+}
+
+}  // namespace
+
+TEST(TestOnlyApi, HeaderFunctionCalledOnlyFromTestsIsViolation) {
+  // Neither its own out-of-line definition nor the test's call counts; the
+  // RAII local `lock(mu_)` inside an inline body is not API.
+  const auto diags =
+      run(with(kWidgetApi, "tests/test_widget.cpp",
+               "#include \"fl/widget.hpp\"\n"
+               "int main() { return fhdnn::fl::Widget{}.tick(2); }\n"));
+  ASSERT_EQ(count_rule(diags, "test-only-api"), 1);
+  const auto* d = find_rule(diags, "test-only-api");
+  EXPECT_EQ(d->path, "src/fl/widget.hpp");
+  EXPECT_EQ(d->line, 4);
+  EXPECT_NE(d->message.find("'tick'"), std::string::npos);
+}
+
+TEST(TestOnlyApi, FunctionWithNoCallerIsViolation) {
+  const auto diags = run(kWidgetApi);
+  ASSERT_EQ(count_rule(diags, "test-only-api"), 1);
+  EXPECT_EQ(find_rule(diags, "test-only-api")->line, 4);
+}
+
+TEST(TestOnlyApi, ProductionReferenceFromAnyConsumerDirectoryCounts) {
+  for (const std::string path :
+       {"src/core/run.cpp", "tools/fhdnnd/main.cpp", "bench/micro_widget.cpp",
+        "examples/widget.cpp", "perfbench/src/workload_widget.cpp"}) {
+    const auto diags =
+        run(with(kWidgetApi, path,
+                 "#include \"fl/widget.hpp\"\n"
+                 "int drive(const fhdnn::fl::Widget& w) {\n"
+                 "  return w.tick(5);\n"
+                 "}\n"));
+    EXPECT_EQ(count_rule(diags, "test-only-api"), 0) << path;
+  }
+}
+
+TEST(TestOnlyApi, ReferenceThatIsNotACallCounts) {
+  // The comparator case: std::sort(..., event_before) names the function
+  // without calling it.
+  const auto diags = run({
+      {"src/fl/events.hpp",
+       "#pragma once\n"
+       "bool event_before(const Event& a, const Event& b);\n"},
+      {"src/fl/events.cpp",
+       "#include \"fl/events.hpp\"\n"
+       "bool event_before(const Event& a, const Event& b) {\n"
+       "  return a.t < b.t;\n"
+       "}\n"
+       "void order(std::vector<Event>& q) {\n"
+       "  std::sort(q.begin(), q.end(), event_before);\n"
+       "}\n"},
+  });
+  EXPECT_EQ(count_rule(diags, "test-only-api"), 0);
+}
+
+TEST(TestOnlyApi, SuppressedViolationIsSilent) {
+  const auto diags = run({
+      {"src/net/fake.hpp",
+       "#pragma once\n"
+       "// fhdnn-lint: allow(test-only-api) in-process fake for the tests\n"
+       "Connection make_fake_pair();\n"},
+  });
+  EXPECT_EQ(count_rule(diags, "test-only-api"), 0);
+}
+
+TEST(TestOnlyApi, PerfbenchIsReadButNeverReported) {
+  // perfbench/src/ is the benchmark's own tree, not the library's src/: it
+  // is neither a layering module nor API, and no rule anchors a finding in
+  // it (here: an unused include), yet its call keeps `tick` alive.
+  const auto diags =
+      run(with(with(kWidgetApi, "perfbench/src/workload_widget.cpp",
+                    "#include \"fl/widget.hpp\"\n"
+                    "#include \"util/helpers.hpp\"\n"
+                    "int drive(const fhdnn::fl::Widget& w) {\n"
+                    "  return w.tick(5);\n"
+                    "}\n"),
+               "src/util/helpers.hpp",
+               "#pragma once\n"
+               "// fhdnn-lint: allow(test-only-api)\n"
+               "int helper_fn();\n"));
+  EXPECT_TRUE(diags.empty())
+      << diags.front().path << ": " << diags.front().rule;
+}
+
 // ---- --json schema -------------------------------------------------------
 
 TEST(LintJson, SchemaAndEscaping) {

@@ -28,6 +28,12 @@ namespace {
 using nn::Module;
 using nn::Parameter;
 
+std::int64_t parameter_count(Module& model) {
+  std::int64_t n = 0;
+  for (const Parameter* p : model.parameters()) n += p->value.numel();
+  return n;
+}
+
 /// loss(x) = sum(forward(x) .* g); analytic grads via backward(g).
 /// Verifies every parameter gradient (sampled stride for big tensors) and
 /// the input gradient against central differences.
@@ -73,7 +79,7 @@ void grad_check(Module& model, Tensor x, const Tensor& g, float eps = 1e-2F,
 TEST(Linear, ForwardShapeAndBias) {
   Rng rng(1);
   nn::Linear lin(3, 2, rng);
-  EXPECT_EQ(lin.parameter_count(), 3 * 2 + 2);
+  EXPECT_EQ(parameter_count(lin), 3 * 2 + 2);
   Tensor x = Tensor::randn(Shape{4, 3}, rng);
   const Tensor y = lin.forward(x);
   EXPECT_EQ(y.shape(), (Shape{4, 2}));
@@ -164,15 +170,16 @@ TEST(BatchNorm, RunningStatsConverge) {
     for (auto& v : x.data()) v += 3.0F;
     (void)bn.forward(x);
   }
-  EXPECT_NEAR(bn.running_mean()(0), 3.0F, 0.4F);
-  EXPECT_NEAR(bn.running_var()(0), 4.0F, 1.0F);
+  // buffers() is {running_mean, running_var}.
+  EXPECT_NEAR(bn.buffers()[0]->at(0), 3.0F, 0.4F);
+  EXPECT_NEAR(bn.buffers()[1]->at(0), 4.0F, 1.0F);
 }
 
 TEST(BatchNorm, EvalUsesRunningStats) {
   Rng rng(8);
   nn::BatchNorm2d bn(1);
-  bn.running_mean()(0) = 2.0F;
-  bn.running_var()(0) = 4.0F;
+  bn.buffers()[0]->at(0) = 2.0F;
+  bn.buffers()[1]->at(0) = 4.0F;
   bn.set_training(false);
   Tensor x(Shape{1, 1, 1, 2}, {2.0F, 4.0F});
   const Tensor y = bn.forward(x);
@@ -201,7 +208,7 @@ TEST(Sequential, ChainsAndCollectsParams) {
   seq.add(std::make_unique<nn::ReLU>());
   seq.add(std::make_unique<nn::Linear>(8, 2, rng));
   EXPECT_EQ(seq.size(), 3U);
-  EXPECT_EQ(seq.parameter_count(), 4 * 8 + 8 + 8 * 2 + 2);
+  EXPECT_EQ(parameter_count(seq), 4 * 8 + 8 + 8 * 2 + 2);
   Tensor x = Tensor::randn(Shape{5, 4}, rng);
   EXPECT_EQ(seq.forward(x).shape(), (Shape{5, 2}));
 }
@@ -220,7 +227,7 @@ TEST(Sequential, GradCheck) {
 TEST(ResidualBlock, IdentitySkipShape) {
   Rng rng(12);
   nn::ResidualBlock block(4, 4, 1, rng);
-  EXPECT_FALSE(block.has_projection());
+  EXPECT_EQ(block.buffers().size(), 4U);  // 2 BN layers x 2 buffers
   Tensor x = Tensor::randn(Shape{2, 4, 6, 6}, rng);
   EXPECT_EQ(block.forward(x).shape(), (Shape{2, 4, 6, 6}));
 }
@@ -228,7 +235,6 @@ TEST(ResidualBlock, IdentitySkipShape) {
 TEST(ResidualBlock, ProjectionSkipShape) {
   Rng rng(13);
   nn::ResidualBlock block(4, 8, 2, rng);
-  EXPECT_TRUE(block.has_projection());
   Tensor x = Tensor::randn(Shape{2, 4, 6, 6}, rng);
   EXPECT_EQ(block.forward(x).shape(), (Shape{2, 8, 3, 3}));
   EXPECT_EQ(block.buffers().size(), 6U);  // 3 BN layers x 2 buffers
@@ -407,7 +413,7 @@ TEST(Factories, MiniResNetShapes) {
   EXPECT_EQ(net->forward(x).shape(), (Shape{2, 10}));
   // Width scaling grows parameters roughly quadratically.
   auto wide = nn::make_mini_resnet(3, 10, 16, rng);
-  EXPECT_GT(wide->parameter_count(), 3 * net->parameter_count());
+  EXPECT_GT(parameter_count(*wide), 3 * parameter_count(*net));
 }
 
 using ModelMaker = std::function<std::unique_ptr<nn::Sequential>(Rng&)>;
@@ -465,9 +471,9 @@ TEST(InputGrad, LinearFirstSkipKeepsParameterGradsBitIdentical) {
   expect_skip_keeps_param_grads(
       [](Rng& rng) {
         auto net = std::make_unique<nn::Sequential>();
-        net->add(nn::make_linear(12, 16, rng));
+        net->add(std::make_unique<nn::Linear>(12, 16, rng));
         net->add(std::make_unique<nn::ReLU>());
-        net->add(nn::make_linear(16, 10, rng));
+        net->add(std::make_unique<nn::Linear>(16, 10, rng));
         return net;
       },
       Shape{6, 12});
@@ -477,12 +483,14 @@ TEST(InputGrad, SequentialPassesTheFlagToItsFirstLayerOnly) {
   Rng rng(23);
   nn::Sequential net;
   net.set_input_grad_needed(false);
-  net.add(nn::make_conv(1, 2, 3, 1, 1, rng));
-  net.add(nn::make_conv(2, 2, 3, 1, 1, rng));
-  EXPECT_FALSE(net.layer(0).input_grad_needed());
-  EXPECT_TRUE(net.layer(1).input_grad_needed());
+  net.add(std::make_unique<nn::Conv2d>(1, 2, 3, 1, 1, rng));
+  net.add(std::make_unique<nn::Conv2d>(2, 2, 3, 1, 1, rng));
+  (void)net.forward(Tensor::randn(Shape{1, 1, 4, 4}, rng));
+  const Tensor g = Tensor::randn(Shape{1, 2, 4, 4}, rng);
+  EXPECT_EQ(&net.layer(0).backward(g), &Module::no_input_grad());
+  EXPECT_EQ(net.layer(1).backward(g).shape(), (Shape{1, 2, 4, 4}));
   net.set_input_grad_needed(true);
-  EXPECT_TRUE(net.layer(0).input_grad_needed());
+  EXPECT_EQ(net.layer(0).backward(g).shape(), (Shape{1, 1, 4, 4}));
 }
 
 }  // namespace

@@ -336,7 +336,6 @@ TEST(EnginePopulation, SamplesFromTheRegisteredFleet) {
   EXPECT_EQ(m.clients + m.dropped + m.timed_out, m.sampled);
   EXPECT_GT(m.events, 0U);
   EXPECT_GT(m.simulated_round_seconds, 0.0);
-  EXPECT_GT(engine.sim_seconds(), 0.0);
   // Participant ids span the registered space, far beyond any dense range.
   EXPECT_EQ(protocol.last_slots, 13U);
   for (const auto id : protocol.last_participants) EXPECT_LT(id, 1'000'000U);

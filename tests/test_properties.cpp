@@ -241,7 +241,9 @@ TEST_P(QuantizerNoiseInteraction, QuantizerErrorBelowChannelNoise) {
   // Channel noise at 20 dB SNR: sigma = rms / 10.
   const double sigma = 0.2;
   hdc::Quantizer q(bits);
-  const auto back = q.dequantize(q.quantize(v));
+  const auto qv = q.quantize(v);
+  std::vector<float> back(qv.values.size());
+  q.dequantize_into(qv, back);
   double qerr = 0.0;
   for (std::size_t i = 0; i < v.size(); ++i) {
     qerr += (back[i] - v[i]) * (back[i] - v[i]);
@@ -313,14 +315,16 @@ TEST_P(PackedDim, PackUnpackRoundTrip) {
   const std::int64_t d = GetParam();
   Rng rng(61);
   const Tensor v = hdc::random_bipolar(d, rng);
-  const hdc::PackedHV p = hdc::pack_hv(v);
-  const Tensor back = hdc::unpack_hv(p);
-  for (std::int64_t i = 0; i < d; ++i) ASSERT_EQ(back(i), v(i)) << "i=" << i;
+  const hdc::PackedModel p = hdc::pack_rows(v.reshaped(Shape{1, d}));
+  const Tensor back = hdc::unpack_rows(p);
+  for (std::int64_t i = 0; i < d; ++i) {
+    ASSERT_EQ(back.at(i), v(i)) << "i=" << i;
+  }
   // Idempotent: repacking the unpacked vector reproduces the exact words.
-  EXPECT_EQ(hdc::pack_hv(back).words, p.words);
+  EXPECT_EQ(hdc::pack_rows(back).words, p.words);
 }
 
-TEST_P(PackedDim, BindBundlePermuteHammingMatchScalar) {
+TEST_P(PackedDim, BundleMatchesScalar) {
   const std::int64_t d = GetParam();
   Rng rng(62);
   const Tensor a = hdc::random_bipolar(d, rng);
@@ -328,16 +332,10 @@ TEST_P(PackedDim, BindBundlePermuteHammingMatchScalar) {
   const Tensor c = hdc::random_bipolar(d, rng);
   const hdc::PackedHV pa = hdc::pack_hv(a), pb = hdc::pack_hv(b),
                       pc = hdc::pack_hv(c);
-  EXPECT_EQ(hdc::xor_bind(pa, pb).words, hdc::pack_hv(hdc::bind(a, b)).words);
   EXPECT_EQ(hdc::bundle_majority_packed({pa, pb, pc}).words,
             hdc::pack_hv(hdc::bundle_majority({a, b, c})).words);
   EXPECT_EQ(hdc::bundle_majority_packed({pa, pb}).words,
             hdc::pack_hv(hdc::bundle_majority({a, b})).words);
-  for (const std::int64_t k : {1L, 63L, 64L, 65L, d / 2, d - 1, -7L}) {
-    EXPECT_EQ(hdc::rotate(pa, k).words, hdc::pack_hv(hdc::permute(a, k)).words)
-        << "shift " << k;
-  }
-  EXPECT_EQ(hdc::hamming_norm(pa, pb), hdc::hamming_distance(a, b));
 }
 
 TEST_P(PackedDim, ClassifyMatchesFloatPredict) {

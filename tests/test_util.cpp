@@ -145,18 +145,6 @@ TEST(Rng, DirichletConcentration) {
   EXPECT_GT(max_small / trials, max_large / trials + 0.2);
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng rng(13);
-  std::vector<double> w{1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 8000; ++i) ++counts[rng.categorical(w)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[2] / 8000.0, 0.75, 0.03);
-  EXPECT_THROW(rng.categorical({}), Error);
-  EXPECT_THROW(rng.categorical({0.0, 0.0}), Error);
-  EXPECT_THROW(rng.categorical({-1.0, 2.0}), Error);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(14);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
@@ -206,20 +194,10 @@ TEST(Stats, MinMax) {
   EXPECT_THROW(stats::min(empty), Error);
 }
 
-TEST(Stats, PearsonPerfectCorrelation) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{2, 4, 6, 8};
-  EXPECT_NEAR(stats::pearson(xs, ys), 1.0, 1e-12);
-  const std::vector<double> zs{8, 6, 4, 2};
-  EXPECT_NEAR(stats::pearson(xs, zs), -1.0, 1e-12);
-}
-
-TEST(Stats, MseAndPsnr) {
+TEST(Stats, Mse) {
   const std::vector<float> a{0.0F, 1.0F};
   const std::vector<float> b{0.0F, 0.0F};
   EXPECT_NEAR(stats::mse(a, b), 0.5, 1e-12);
-  EXPECT_NEAR(stats::psnr(a, b, 1.0), 10.0 * std::log10(2.0), 1e-9);
-  EXPECT_GT(stats::psnr(a, a, 1.0), 1e8);  // identical => huge PSNR
 }
 
 TEST(Stats, AccumulatorMatchesBatch) {
@@ -245,7 +223,6 @@ TEST(Csv, HeaderAndRows) {
   w.add(1).add("x").end_row();
   w.add(2.5).add(std::string("he,llo")).end_row();
   EXPECT_EQ(os.str(), "a,b\n1,x\n2.5,\"he,llo\"\n");
-  EXPECT_EQ(w.rows_written(), 2U);
 }
 
 TEST(Csv, EscapesQuotes) {
@@ -282,7 +259,6 @@ TEST(Table, AlignsColumns) {
   const std::string out = os.str();
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("longer"), std::string::npos);
-  EXPECT_EQ(t.row_count(), 2U);
 }
 
 TEST(Table, RejectsBadRow) {

@@ -22,7 +22,8 @@ struct LayerEntry {
 ///   util -> tensor -> {nn, hdc, data, features, perf} -> channel -> fl
 ///   -> {wire, net, core} -> fl/serving -> tools
 /// core assembles whole trainers from channel/ and fl/, and nothing in
-/// src/ includes it. tests/, bench/, examples/ are unconstrained consumers.
+/// src/ includes it. tests/, bench/, examples/, perfbench/ are unconstrained
+/// consumers.
 constexpr std::array<LayerEntry, 14> kLayers = {{
     {"util", 0},
     {"tensor", 1},
@@ -39,10 +40,6 @@ constexpr std::array<LayerEntry, 14> kLayers = {{
     {"fl/serving", 6},
     {"tools", 7},
 }};
-
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
 
 std::string_view trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
@@ -247,6 +244,8 @@ void extract_functions(const SourceFile& f, std::size_t file_index,
         fn.qualifier = qualifier_before(code, c);
         fn.file = file_index;
         fn.line = static_cast<int>(l) + 1;
+        fn.body_begin = body_begin;
+        fn.body_end = body_end;
         scan_body(f, body_begin, body_end, fn);
         out.push_back(std::move(fn));
         // Resume exactly at body_end (skip_balanced already stepped past
@@ -297,7 +296,8 @@ int module_layer(std::string_view module) {
   for (const auto& e : kLayers) {
     if (module == e.module) return e.layer;
   }
-  if (module == "tests" || module == "bench" || module == "examples") {
+  if (module == "tests" || module == "bench" || module == "examples" ||
+      module == "perfbench") {
     return kConsumerLayer;
   }
   return -1;
@@ -384,12 +384,10 @@ Program build_program(std::vector<SourceFile> files) {
 
 void GraphDiagnostics::report(std::string_view rule, std::size_t file,
                               int line, std::string message) {
-  if (file < program_.files.size() &&
-      program_.files[file].suppressed(rule, line)) {
-    return;
-  }
-  out_.push_back(Diagnostic{program_.files[file].path, line, std::string(rule),
-                            std::move(message)});
+  const SourceFile& f = program_.files[file];
+  if (f.reference_only() || f.suppressed(rule, line)) return;
+  out_.push_back(
+      Diagnostic{f.path, line, std::string(rule), std::move(message)});
 }
 
 void lint_program(const Program& program,

@@ -41,8 +41,8 @@ namespace fhdnn::lint {
 /// Architecture layer of `module` (see module_of); higher layers may
 /// include lower ones, same-layer bands may include each other as long as
 /// the file-level graph stays acyclic. Returns kConsumerLayer for the
-/// unconstrained consumers (tests/, bench/, examples/) and -1 for a module
-/// missing from the manifest entirely.
+/// unconstrained consumers (tests/, bench/, examples/, perfbench/) and -1
+/// for a module missing from the manifest entirely.
 int module_layer(std::string_view module);
 
 inline constexpr int kConsumerLayer = 100;
@@ -88,6 +88,8 @@ struct Function {
   std::string qualifier;  ///< enclosing qualifier when spelled Qual::name
   std::size_t file = 0;   ///< index into Program::files
   int line = 0;           ///< 1-based definition line
+  Pos body_begin;         ///< the body's opening '{'
+  Pos body_end;           ///< one past its closing '}'
   std::vector<CallSite> calls;
   std::vector<Effect> effects;
 
@@ -138,7 +140,8 @@ class GraphRule {
 };
 
 /// The built-in whole-program rules: layer-dag, det-effects,
-/// include-graph-hygiene (see graph_rules.cpp for the catalog).
+/// include-graph-hygiene, test-only-api (see graph_rules.cpp for the
+/// catalog).
 std::vector<std::unique_ptr<GraphRule>> default_graph_rules();
 
 /// Run `rules` over an already-built program.

@@ -19,6 +19,10 @@
 //   include-graph-hygiene headers included but unused-by-symbol, and
 //                         TU-private headers (detail/, *_impl, *_private)
 //                         included from outside their module
+//   test-only-api         functions declared in a src/ header whose name
+//                         nothing outside tests/ uses: no other src/ code,
+//                         and nothing under tools/, bench/, examples/ or
+//                         perfbench/, references it, as a call or not
 #include "graph.hpp"
 
 #include <algorithm>
@@ -359,15 +363,10 @@ class IncludeGraphHygieneRule : public GraphRule {
   static bool uses_token(std::string_view code_line, std::string_view token) {
     std::size_t at = code_line.find(token);
     while (at != std::string_view::npos) {
-      const char before = at == 0 ? ' ' : code_line[at - 1];
       const std::size_t after = at + token.size();
-      const bool left_ok =
-          std::isalnum(static_cast<unsigned char>(before)) == 0 &&
-          before != '_';
+      const bool left_ok = at == 0 || !ident_char(code_line[at - 1]);
       const bool right_ok =
-          after >= code_line.size() ||
-          (std::isalnum(static_cast<unsigned char>(code_line[after])) == 0 &&
-           code_line[after] != '_');
+          after >= code_line.size() || !ident_char(code_line[after]);
       if (left_ok && right_ok) return true;
       at = code_line.find(token, at + 1);
     }
@@ -458,6 +457,160 @@ class IncludeGraphHygieneRule : public GraphRule {
   }
 };
 
+// ---- test-only-api -------------------------------------------------------
+
+/// Keywords after which `name(` is an expression, never a declaration.
+bool expression_keyword(std::string_view tok) {
+  static constexpr std::array<std::string_view, 12> kKeywords = {
+      "return", "co_return", "co_await", "co_yield", "throw",  "new",
+      "delete", "else",      "case",     "do",       "sizeof", "typeid"};
+  return std::find(kKeywords.begin(), kKeywords.end(), tok) != kKeywords.end();
+}
+
+/// Keywords spelled `kw(` that can stand where a declared name would.
+bool paren_keyword(std::string_view tok) {
+  static constexpr std::array<std::string_view, 9> kKeywords = {
+      "alignas",  "alignof",  "decltype", "noexcept",     "static_assert",
+      "requires", "explicit", "operator", "__attribute__"};
+  return std::find(kKeywords.begin(), kKeywords.end(), tok) != kKeywords.end();
+}
+
+/// The last non-blank character before column `c` of line `l`, looking
+/// back across lines. False at the start of the file or at a preprocessor
+/// line, which ends whatever statement came before it.
+bool char_before(const SourceFile& f, std::size_t l, std::size_t c, Pos& out) {
+  for (;;) {
+    const std::string& s = f.code[l];
+    while (c > 0) {
+      --c;
+      if (std::isspace(static_cast<unsigned char>(s[c])) == 0) {
+        out = {l, c};
+        return true;
+      }
+    }
+    if (l == 0 || trim(f.code[l - 1]).starts_with("#")) return false;
+    --l;
+    c = f.code[l].size();
+  }
+}
+
+/// True when the identifier at (l, c), which is followed by `(`, names the
+/// function being declared or defined rather than using it: the token
+/// before it, past any `Qual::` qualifiers, is a type. That is an
+/// identifier other than an expression keyword, a `~`, or a `*`, `&` or
+/// `>` glued to the type on its left (`T* f(`, `std::vector<T> f(`), which
+/// tells it apart from `a * f(x)` and `p->f(x)`.
+bool declarator(const SourceFile& f, std::size_t l, std::size_t c) {
+  const std::string& s = f.code[l];
+  while (c >= 2 && s[c - 1] == ':' && s[c - 2] == ':') {
+    std::size_t b = c - 2;
+    while (b > 0 && ident_char(s[b - 1])) --b;
+    if (b == c - 2) return false;  // `::name(`: a global-qualified use
+    c = b;
+  }
+  Pos q;
+  if (!char_before(f, l, c, q)) return false;
+  const std::string& t = f.code[q.line];
+  std::size_t at = q.col;
+  const char ch = t[at];
+  if (ch == '~') return true;
+  if (ch == '*' || ch == '&' || ch == '>') {
+    while (at > 0 && t[at - 1] == ch) --at;  // `&&`, `>>`
+    if (at == 0) return false;
+    const char left = t[at - 1];
+    return ident_char(left) || left == '>' || left == '*' || left == '&';
+  }
+  if (!ident_char(ch)) return false;
+  std::size_t b = at;
+  while (b > 0 && ident_char(t[b - 1])) --b;
+  return !expression_keyword(std::string_view(t).substr(b, at + 1 - b));
+}
+
+bool before(Pos a, Pos b) {
+  return a.line < b.line || (a.line == b.line && a.col < b.col);
+}
+
+class TestOnlyApiRule : public GraphRule {
+ public:
+  std::string_view name() const override { return "test-only-api"; }
+  std::string_view description() const override {
+    return "[whole-program] functions declared in a src/ header whose name "
+           "nothing outside tests/ references: no other src/ code and "
+           "nothing under tools/, bench/, examples/ or perfbench/ calls it "
+           "or names it";
+  }
+
+  void check(const Program& p, GraphDiagnostics& diags) const override {
+    // One pass over every file outside tests/: an identifier is either the
+    // declarator of a function declaration or definition, or a use of the
+    // name. Names link unqualified, so a same-named function elsewhere can
+    // hide a finding but never invent one.
+    std::set<std::string, std::less<>> used;
+    std::vector<Declaration> declared;
+    for (std::size_t i = 0; i < p.files.size(); ++i) {
+      if (p.repo_paths[i].starts_with("tests/")) continue;
+      const bool api =
+          p.repo_paths[i].starts_with("src/") && p.files[i].is_header();
+      scan_file(p, i, api, used, declared);
+    }
+    for (const Declaration& d : declared) {
+      if (used.contains(d.name)) continue;
+      diags.report(name(), d.file, d.line,
+                   "'" + d.name +
+                       "' is declared in a src/ header but only tests/ "
+                       "reference it; delete it with its tests, or mark a "
+                       "deliberate test seam allow(test-only-api)");
+    }
+  }
+
+ private:
+  struct Declaration {
+    std::size_t file;
+    int line;
+    std::string name;
+  };
+
+  static void scan_file(const Program& p, std::size_t i, bool api,
+                        std::set<std::string, std::less<>>& used,
+                        std::vector<Declaration>& declared) {
+    const SourceFile& f = p.files[i];
+    // Function bodies of this file, in source order: a declarator inside
+    // one is a local variable, not API.
+    std::vector<std::pair<Pos, Pos>> bodies;
+    for (const Function& fn : p.functions) {
+      if (fn.file == i) bodies.emplace_back(fn.body_begin, fn.body_end);
+    }
+    std::size_t next_body = 0;
+    for (std::size_t l = 0; l < f.code.size(); ++l) {
+      const std::string& code = f.code[l];
+      const bool directive = trim(code).starts_with("#");
+      for (std::size_t c = 0; c < code.size(); ++c) {
+        const std::string_view tok = ident_at(code, c);
+        if (tok.empty()) continue;
+        const Pos here{l, c};
+        c += tok.size() - 1;
+        Pos after{l, here.col + tok.size()};
+        const bool called =
+            !directive && skip_space(f, after) && char_at(f, after) == '(';
+        if (!called || !declarator(f, l, here.col)) {
+          if (!used.contains(tok)) used.emplace(tok);
+          continue;
+        }
+        if (!api || paren_keyword(tok)) continue;
+        while (next_body < bodies.size() &&
+               !before(here, bodies[next_body].second)) {
+          ++next_body;
+        }
+        const bool in_body = next_body < bodies.size() &&
+                             !before(here, bodies[next_body].first);
+        if (!in_body) {
+          declared.push_back({i, static_cast<int>(l) + 1, std::string(tok)});
+        }
+      }
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<std::unique_ptr<GraphRule>> default_graph_rules() {
@@ -465,6 +618,7 @@ std::vector<std::unique_ptr<GraphRule>> default_graph_rules() {
   rules.push_back(std::make_unique<LayerDagRule>());
   rules.push_back(std::make_unique<DetEffectsRule>());
   rules.push_back(std::make_unique<IncludeGraphHygieneRule>());
+  rules.push_back(std::make_unique<TestOnlyApiRule>());
   return rules;
 }
 

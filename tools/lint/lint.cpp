@@ -7,10 +7,6 @@ namespace fhdnn::lint {
 
 namespace {
 
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
 /// Cross-line scanner state: the stripper is a tiny state machine fed one
 /// line at a time so block comments and raw strings spanning lines work.
 struct ScanState {
@@ -167,13 +163,17 @@ bool SourceFile::is_header() const {
 std::string_view SourceFile::repo_path() const {
   const std::string_view p = path;
   for (const std::string_view top :
-       {"src/", "tests/", "bench/", "examples/", "tools/"}) {
+       {"perfbench/", "src/", "tests/", "bench/", "examples/", "tools/"}) {
     if (p.starts_with(top)) return p;
     // Also recognize the top dir mid-path ("/root/repo/src/...").
     const std::size_t at = p.find(std::string("/") + std::string(top));
     if (at != std::string_view::npos) return p.substr(at + 1);
   }
   return p;
+}
+
+bool SourceFile::reference_only() const {
+  return repo_path().starts_with("perfbench/");
 }
 
 SourceFile scan_source(std::string path, std::string_view content) {
@@ -202,7 +202,7 @@ SourceFile scan_source(std::string path, std::string_view content) {
 }
 
 void Diagnostics::report(std::string_view rule, int line, std::string message) {
-  if (file_.suppressed(rule, line)) return;
+  if (file_.reference_only() || file_.suppressed(rule, line)) return;
   out_.push_back(Diagnostic{file_.path, line, std::string(rule),
                             std::move(message)});
 }
@@ -236,6 +236,10 @@ std::size_t find_token(std::string_view code_line, std::string_view token,
     at = code_line.find(token, at + 1);
   }
   return std::string_view::npos;
+}
+
+bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
 bool has_token(std::string_view code_line, std::string_view token) {

@@ -54,9 +54,15 @@ struct SourceFile {
   bool suppressed(std::string_view rule, int line) const;
 
   bool is_header() const;
-  /// Path relative to the repo root if a known top-level dir (src/tests/
-  /// bench/examples/tools) appears in it, else the path unchanged.
+  /// Path relative to the repo root if a known top-level dir (perfbench/
+  /// src/tests/bench/examples/tools) appears in it, else the path
+  /// unchanged. perfbench/ is tried first: its own src/ subdirectory must
+  /// not read as the library's.
   std::string_view repo_path() const;
+  /// True for files under perfbench/. The benchmark is read so that
+  /// whole-program rules see its references, but its tree is versioned
+  /// with the benchmark's baselines, so no diagnostic is anchored in it.
+  bool reference_only() const;
 };
 
 /// Split `content` into scanned lines (comment/string stripping, raw-string
@@ -101,6 +107,9 @@ std::vector<Diagnostic> lint_source(
     const std::vector<std::unique_ptr<Rule>>& rules);
 
 // ---- token-matching helpers shared by rules (exposed for unit tests) ----
+
+/// True for the characters of a C++ identifier: alphanumerics and '_'.
+bool ident_char(char c);
 
 /// True when `token` occurs in `code_line` as a whole token: the character
 /// before must not be alphanumeric, '_', or ':' (so `Tensor::rand` does not

@@ -6,9 +6,9 @@
 // Paths may be files or directories (walked recursively for .hpp/.h/.cpp).
 // Two phases run over the collected set: the per-file rules (rules.cpp),
 // then the whole-program rules (graph_rules.cpp: layer-dag, det-effects,
-// include-graph-hygiene) over the include/call graph of everything
-// scanned. --json emits machine-readable diagnostics for CI annotations;
-// --graph-dot dumps the actual module graph as Graphviz.
+// include-graph-hygiene, test-only-api) over the include/call graph of
+// everything scanned. --json emits machine-readable diagnostics for CI
+// annotations; --graph-dot dumps the actual module graph as Graphviz.
 // Exit codes are the contract: 0 clean, 1 violations found, 2 usage or I/O
 // error. There is deliberately no --fix.
 #include <algorithm>
