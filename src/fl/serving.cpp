@@ -1,29 +1,33 @@
 #include "fl/serving.hpp"
 
+#include <algorithm>
+#include <span>
 #include <utility>
 
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
+#include "util/snapshot.hpp"
 #include "util/workspace.hpp"
 
 namespace fhdnn::fl {
 namespace {
 
-/// Serialize the full protocol state as a snapshot image (PROT chunk) — the
-/// broadcast blob every worker reconstructs the round from.
-std::vector<std::uint8_t> encode_state(RoundProtocol& protocol) {
-  util::SnapshotWriter w;
-  w.begin_chunk("PROT");
-  protocol.save_state(w);
-  w.end_chunk();
-  return w.finish();
+/// Serialize the full protocol state as a snapshot image (PROT chunk) into
+/// `image`, reusing its capacity — the broadcast blob every worker
+/// reconstructs the round from.
+void encode_state(RoundProtocol& protocol, std::vector<std::uint8_t>& image) {
+  image.clear();
+  util::append_image(image, [&](util::SnapshotWriter& w) {
+    w.begin_chunk("PROT");
+    protocol.save_state(w);
+    w.end_chunk();
+  });
 }
 
-/// Validate + load a state blob produced by encode_state.
-void decode_state(RoundProtocol& protocol, std::vector<std::uint8_t> blob) {
-  util::SnapshotReader r =
-      util::SnapshotReader::from_bytes(std::move(blob), "wire:state");
+/// Validate + load a state blob produced by encode_state, in place.
+void decode_state(RoundProtocol& protocol, std::span<const std::uint8_t> blob) {
+  util::SnapshotReader r = util::SnapshotReader::borrow(blob, "wire:state");
   r.enter_chunk("PROT");
   protocol.load_state(r);
   r.leave_chunk();
@@ -71,7 +75,7 @@ std::uint64_t ServerRoundDriver::add_worker(
   w.chan->send(ack.to_frame());
   int waited_ms = 0;
   while (!w.chan->flush() && waited_ms < config_.handshake_timeout_ms) {
-    w.conn->wait_readable(config_.poll_slice_ms);
+    w.conn->wait_writable(config_.poll_slice_ms);
     waited_ms += config_.poll_slice_ms;
   }
 
@@ -89,15 +93,29 @@ std::uint64_t ServerRoundDriver::add_worker(
 
 void ServerRoundDriver::wait_any(int slice_ms) {
   if (reactor_usable_ && reactor_.watched() > 0) {
+    // A worker with queued bytes is waited on for writability too: a
+    // RoundAssign stalled on a full socket resumes as soon as the worker
+    // reads, not a slice later.
+    for (Worker& w : workers_) {
+      const bool want_write = w.chan->tx_pending() > 0;
+      if (want_write != w.want_write) {
+        reactor_.update(w.conn->fd(), w.id, /*want_read=*/true, want_write);
+        w.want_write = want_write;
+      }
+    }
     reactor_.wait(slice_ms);
     return;
   }
   // Loopback / mixed transports: round-robin a short wait over the workers
   // so one quiet connection cannot starve the others' readiness.
   if (workers_.empty()) return;
-  const int per = slice_ms / static_cast<int>(workers_.size());
+  const int per = std::max(1, slice_ms / static_cast<int>(workers_.size()));
   for (Worker& w : workers_) {
-    if (w.chan->connection().wait_readable(per > 1 ? per : 1)) return;
+    net::Connection& c = w.chan->connection();
+    if (w.chan->tx_pending() > 0 ? c.wait_writable(per)
+                                 : c.wait_readable(per)) {
+      return;
+    }
   }
 }
 
@@ -125,17 +143,19 @@ void ServerRoundDriver::drive(RoundProtocol& protocol, const Rng& round_rng,
   }
 
   // One RoundAssign per worker — zero-slot workers included, so every
-  // worker observes every round and stays in lockstep with the server.
-  const std::vector<std::uint8_t> state_blob = encode_state(protocol);
+  // worker observes every round and stays in lockstep with the server. The
+  // state image is encoded once and copied into each worker's send buffer.
+  encode_state(protocol, state_image_);
+  wire::RoundAssignHead assign;
+  assign.round_index = round_index;
+  assign.n_participants = n;
+  assign.rng = round_rng.state();
   for (std::size_t wi = 0; wi < n_workers; ++wi) {
-    wire::RoundAssignMsg assign;
-    assign.round_index = round_index;
-    assign.n_participants = n;
-    assign.rng = round_rng.state();
-    assign.slots = deal[wi];
-    assign.state_blob = state_blob;
-    workers_[wi].chan->send(assign.to_frame());
-    workers_[wi].owed = deal[wi].size();
+    assign.slots = std::move(deal[wi]);
+    workers_[wi].owed = assign.slots.size();
+    workers_[wi].chan->send_with([&](std::vector<std::uint8_t>& tx) {
+      wire::append_round_assign(tx, assign, state_image_);
+    });
   }
 
   // Collect until every delivered slot reported. Updates install into the
@@ -147,12 +167,18 @@ void ServerRoundDriver::drive(RoundProtocol& protocol, const Rng& round_rng,
   while (received < expected) {
     bool progress = false;
     for (Worker& w : workers_) {
-      if (w.chan->tx_pending() > 0 && w.chan->flush()) progress = true;
+      const std::size_t queued = w.chan->tx_pending();
+      if (queued > 0) {
+        (void)w.chan->flush();
+        if (w.chan->tx_pending() < queued) progress = true;
+      }
       for (;;) {
-        std::optional<wire::Frame> frame = w.chan->poll();
+        // The update is decoded, validated and installed where it was
+        // received; the view dies at the next poll().
+        std::optional<wire::FrameView> frame = w.chan->poll();
         if (!frame) break;
         progress = true;
-        wire::UpdateMsg u = wire::UpdateMsg::from_frame(*frame);
+        const wire::UpdateView u = wire::UpdateMsg::from_frame(*frame);
         if (u.round_index != round_index) {
           throw net::NetError("worker " + std::to_string(w.id) +
                               " sent an update for round " +
@@ -177,9 +203,8 @@ void ServerRoundDriver::drive(RoundProtocol& protocol, const Rng& round_rng,
                               " instead of " +
                               std::to_string(participants[u.slot]));
         }
-        util::SnapshotReader r = util::SnapshotReader::from_bytes(
-            std::move(u.update_blob),
-            "wire:update slot " + std::to_string(u.slot));
+        util::SnapshotReader r = util::SnapshotReader::borrow(
+            u.update_blob, "wire:update slot " + std::to_string(u.slot));
         r.enter_chunk("UPDT");
         protocol.load_update(static_cast<std::size_t>(u.slot), r);
         r.leave_chunk();
@@ -237,7 +262,7 @@ void ServerRoundDriver::shutdown(std::int64_t rounds_completed) {
       w.chan->send(frame);
       int waited_ms = 0;
       while (!w.chan->flush() && waited_ms < config_.handshake_timeout_ms) {
-        w.conn->wait_readable(config_.poll_slice_ms);
+        w.conn->wait_writable(config_.poll_slice_ms);
         waited_ms += config_.poll_slice_ms;
       }
     } catch (const net::NetError&) {
@@ -290,13 +315,15 @@ void WorkerLoop::handshake() {
 
 bool WorkerLoop::serve() {
   for (;;) {
-    wire::Frame frame;
+    wire::Frame parked;  // keeps a parked frame alive while it is served
+    wire::FrameView frame;
     if (parked_next_ < parked_.size()) {
-      frame = std::move(parked_[parked_next_++]);
+      parked = std::move(parked_[parked_next_++]);
       if (parked_next_ == parked_.size()) {
         parked_.clear();
         parked_next_ = 0;
       }
+      frame = parked;
     } else {
       try {
         frame = chan_.recv(config_.round_timeout_ms);
@@ -338,76 +365,100 @@ bool WorkerLoop::serve() {
   }
 }
 
-void WorkerLoop::serve_round(wire::RoundAssignMsg assign) {
+void WorkerLoop::serve_round(const wire::RoundAssignView& assign) {
   // Reconstruct the server's round context: protocol state, then the round
   // stream at its prologue state — from here every named fork (downlink,
-  // client-<id>, channel-<id>, mask) replays exactly as in process.
+  // client-<id>, channel-<id>, mask) replays exactly as in process. The
+  // state blob lives in the receive buffer, so it is read before anything
+  // pumps the connection again.
   Rng round_rng;
   round_rng.set_state(assign.rng);
-  decode_state(protocol_, std::move(assign.state_blob));
+  decode_state(protocol_, assign.state_blob);
   const auto n = static_cast<std::size_t>(assign.n_participants);
   protocol_.begin_round(round_rng, n);
 
-  // Train assigned slots client-parallel, same schedule contract as
-  // LocalRoundDriver (arena reset per batch, scope-leak check per client).
+  // Train the slots one pool-width batch at a time, same schedule contract
+  // as LocalRoundDriver (arena reset per batch, scope-leak check per
+  // client), and queue each batch's updates before training the next: the
+  // server takes in early slots while later ones train.
   const std::size_t k = assign.slots.size();
+  const auto width =
+      static_cast<std::size_t>(std::max(1, parallel::num_threads()));
   std::vector<ClientReport> local(k);
-  parallel::parallel_for(
-      0, static_cast<std::int64_t>(k), 1,
-      [&](std::int64_t i0, std::int64_t i1) {
-        util::tls_workspace().reset();
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const auto idx = static_cast<std::size_t>(i);
-          const wire::SlotAssignment& a = assign.slots[idx];
-          local[idx] = protocol_.run_client(
-              static_cast<std::size_t>(a.slot),
-              static_cast<std::size_t>(a.client), round_rng,
-              /*delivered=*/true);
-          FHDNN_CHECKED_ASSERT(
-              util::tls_workspace().scope_depth() == 0,
-              "workspace Scope leaked across client " << a.client
-                                                      << " boundary");
-        }
-      });
-
-  // Ship every slot's retained update back, serially in assignment order.
-  for (std::size_t i = 0; i < k; ++i) {
-    const wire::SlotAssignment& a = assign.slots[i];
-    util::SnapshotWriter w;
-    w.begin_chunk("UPDT");
-    protocol_.save_update(static_cast<std::size_t>(a.slot), w);
-    w.end_chunk();
-    wire::UpdateMsg u;
-    u.round_index = assign.round_index;
-    u.slot = a.slot;
-    u.client = a.client;
-    u.loss = local[i].loss;
-    u.stats = local[i].stats;
-    u.update_blob = w.finish();
-    chan_.send(u.to_frame());
+  for (std::size_t b0 = 0; b0 < k; b0 += width) {
+    const std::size_t b1 = std::min(k, b0 + width);
+    parallel::parallel_for(
+        static_cast<std::int64_t>(b0), static_cast<std::int64_t>(b1), 1,
+        [&](std::int64_t i0, std::int64_t i1) {
+          util::tls_workspace().reset();
+          for (std::int64_t i = i0; i < i1; ++i) {
+            const auto idx = static_cast<std::size_t>(i);
+            const wire::SlotAssignment& a = assign.slots[idx];
+            local[idx] = protocol_.run_client(
+                static_cast<std::size_t>(a.slot),
+                static_cast<std::size_t>(a.client), round_rng,
+                /*delivered=*/true);
+            FHDNN_CHECKED_ASSERT(
+                util::tls_workspace().scope_depth() == 0,
+                "workspace Scope leaked across client " << a.client
+                                                        << " boundary");
+          }
+        });
+    for (std::size_t i = b0; i < b1; ++i) {
+      send_update(assign.round_index, assign.slots[i], local[i]);
+    }
   }
   flush_blocking();
   ++rounds_served_;
 }
 
+void WorkerLoop::send_update(std::int64_t round_index,
+                             const wire::SlotAssignment& a,
+                             const ClientReport& report) {
+  wire::UpdateHead head;
+  head.round_index = round_index;
+  head.slot = a.slot;
+  head.client = a.client;
+  head.loss = report.loss;
+  head.stats = report.stats;
+  const auto slot = static_cast<std::size_t>(a.slot);
+  // The update image is written once, into the send buffer.
+  const auto append_image = [&](std::vector<std::uint8_t>& out) {
+    util::append_image(out, [&](util::SnapshotWriter& w) {
+      w.begin_chunk("UPDT");
+      protocol_.save_update(slot, w);
+      w.end_chunk();
+    });
+  };
+  chan_.send_with([&](std::vector<std::uint8_t>& tx) {
+    wire::append_update(tx, head, append_image);
+  });
+}
+
 void WorkerLoop::flush_blocking() {
-  int waited_ms = 0;
-  while (!chan_.flush()) {
+  int idle_ms = 0;  // waits that ended with no byte written or received
+  for (;;) {
+    const std::size_t queued = chan_.tx_pending();
+    const std::uint64_t received = chan_.bytes_received();
+    if (chan_.flush()) return;
     // The server may interleave its own frames (e.g. the previous round's
     // RoundDone) while we drain; park them for serve() instead of losing
     // them or spinning on a readable-but-irrelevant connection.
-    if (std::optional<wire::Frame> f = chan_.poll()) {
-      parked_.push_back(std::move(*f));
+    if (std::optional<wire::FrameView> f = chan_.poll()) {
+      parked_.emplace_back(*f);
       continue;
     }
     if (chan_.connection().peer_closed()) {
       throw net::NetError("server closed while updates were queued");
     }
-    if (waited_ms >= config_.round_timeout_ms) {
+    if (chan_.tx_pending() < queued || chan_.bytes_received() != received) {
+      idle_ms = 0;
+    }
+    if (idle_ms >= config_.round_timeout_ms) {
       throw net::NetError("flushing updates timed out");
     }
-    chan_.connection().wait_readable(1);
-    waited_ms += 1;
+    chan_.connection().wait_writable(config_.poll_slice_ms);
+    idle_ms += config_.poll_slice_ms;
   }
 }
 

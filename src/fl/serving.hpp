@@ -11,7 +11,16 @@
 // state and round stream from a RoundAssign, trains its slots through the
 // SAME RoundProtocol::run_client code path (transport corruption and
 // traffic accounting run on the worker, drawing from the same named RNG
-// forks), and ships the retained updates back.
+// forks), and ships the retained updates back — one pool-width batch at a
+// time, each batch's Updates queued before the next batch trains, so the
+// server takes in early slots while later ones train.
+//
+// Each frame's bytes move once per side: the state image is encoded once
+// per round and each RoundAssign, like each Update, is encoded straight
+// into the channel's send buffer (wire::append_round_assign /
+// append_update); a received frame is decoded, its snapshot image
+// validated (SnapshotReader::borrow) and installed where the channel read
+// it, before the next poll() reuses that buffer.
 //
 // Bit-identity across deployments follows from the engine's determinism
 // contract (DESIGN.md §6): every client draws only from named forks of the
@@ -21,11 +30,14 @@
 // Worker scheduling, collection order, and thread counts cannot matter.
 //
 // Blocking discipline: drive() is called from the engine thread and blocks
-// until the round's updates are in (or round_timeout_ms passes). Readiness
-// comes from the epoll Reactor when every worker is a socket, and from
-// round-robin Connection::wait_readable slices otherwise (loopback).
-// Timeouts are accumulated wait-slice milliseconds — the driver never reads
-// a wall clock, keeping src/fl/ inside the sim-clock lint contract.
+// until the round's updates are in (or round_timeout_ms passes without
+// progress). Readiness comes from the epoll Reactor when every worker is a
+// socket — readable, and writable while a worker's send queue is
+// non-empty — and from round-robin Connection::wait_writable /
+// wait_readable slices otherwise (loopback). Timeouts are accumulated
+// wait-slice milliseconds of waits that brought no progress — the driver
+// never reads a wall clock, keeping src/fl/ inside the sim-clock lint
+// contract.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +98,7 @@ class ServerRoundDriver final : public RoundDriver {
     std::unique_ptr<net::MessageChannel> chan;
     std::uint64_t id = 0;
     std::size_t owed = 0;  ///< updates outstanding in the current round
+    bool want_write = false;  ///< registered with the reactor for EPOLLOUT
   };
 
   /// Wait up to `slice_ms` for readability on any worker.
@@ -98,6 +111,7 @@ class ServerRoundDriver final : public RoundDriver {
   net::Reactor reactor_;
   bool reactor_usable_ = true;  ///< false once any worker lacks an fd
   std::uint64_t next_worker_id_ = 1;
+  std::vector<std::uint8_t> state_image_;  ///< this round's state blob
 };
 
 /// Worker side: serves rounds from a server connection until Shutdown.
@@ -128,7 +142,10 @@ class WorkerLoop {
   }
 
  private:
-  void serve_round(wire::RoundAssignMsg assign);
+  void serve_round(const wire::RoundAssignView& assign);
+  /// Queue one trained slot's Update, encoded in place.
+  void send_update(std::int64_t round_index, const wire::SlotAssignment& a,
+                   const ClientReport& report);
   /// Flush queued updates, parking any frames that arrive meanwhile.
   void flush_blocking();
 

@@ -1,13 +1,53 @@
 #include "net/connection.hpp"
 
-#include "util/workspace.hpp"
+#include <poll.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 namespace fhdnn::net {
 
+bool Connection::wait_writable(int timeout_ms) {
+  const int fd = this->fd();
+  if (fd < 0) return true;
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLOUT;
+  const int r = ::poll(&pfd, 1, timeout_ms);
+  if (r < 0 && errno != EINTR) {
+    throw NetError("poll on " + describe() + ": " + std::strerror(errno));
+  }
+  return r > 0;
+}
+
 void MessageChannel::send(const wire::Frame& frame) {
-  const std::size_t queued = tx_.size();
+  const std::size_t at =
+      begin_send(wire::kFrameHeaderSize + frame.payload.size());
   wire::append_frame(tx_, frame.type, frame.payload);
-  bytes_sent_ += tx_.size() - queued;
+  end_send(at);
+}
+
+std::size_t MessageChannel::begin_send(std::size_t size_hint) {
+  if (tx_off_ == tx_.size()) {
+    tx_.clear();
+    tx_off_ = 0;
+  }
+  if (tx_.size() + size_hint > tx_.capacity() && tx_off_ > 0) {
+    // Growing would copy the written prefix too; drop it first.
+    tx_.erase(tx_.begin(), tx_.begin() + static_cast<std::ptrdiff_t>(tx_off_));
+    tx_off_ = 0;
+  }
+  if (tx_.size() + size_hint > tx_.capacity()) {
+    tx_.reserve(std::max(tx_.size() + size_hint, 2 * tx_.capacity()));
+  }
+  return tx_.size();
+}
+
+void MessageChannel::end_send(std::size_t at) {
+  const std::size_t n = tx_.size() - at;
+  bytes_sent_ += n;
+  largest_frame_ = std::max(largest_frame_, n);
   flush();
 }
 
@@ -15,41 +55,36 @@ bool MessageChannel::flush() {
   while (tx_off_ < tx_.size()) {
     const std::size_t n =
         conn_.write_some(tx_.data() + tx_off_, tx_.size() - tx_off_);
-    if (n == 0) break;  // peer backpressure; retry on the next pump
+    if (n == 0) return false;  // peer backpressure; retry on the next pump
     tx_off_ += n;
   }
-  if (tx_off_ == tx_.size()) {
-    tx_.clear();
-    tx_off_ = 0;
-    return true;
-  }
-  if (tx_off_ >= 65536) {  // reclaim drained prefix of a long queue
-    tx_.erase(tx_.begin(), tx_.begin() + static_cast<std::ptrdiff_t>(tx_off_));
-    tx_off_ = 0;
-  }
-  return false;
+  tx_.clear();
+  tx_off_ = 0;
+  return true;
 }
 
 void MessageChannel::pump_rx() {
-  // Stage reads through the per-thread workspace arena: one 16 KiB block
-  // borrowed per pump, released by the Scope — no steady-state allocation.
-  util::Workspace& ws = util::tls_workspace();
-  const util::Workspace::Scope scope(ws);
-  constexpr std::int64_t kStageFloats = 4096;
-  auto* stage = reinterpret_cast<std::uint8_t*>(ws.floats(kStageFloats));
-  const std::size_t stage_bytes = static_cast<std::size_t>(kStageFloats) * 4;
+  // Read straight into the assembler, asking for room for the rest of the
+  // frame being assembled, so a ~MB frame lands in one buffer without
+  // regrowth.  The cap keeps a header's length alone from growing the
+  // buffer far ahead of the bytes that back it.
+  constexpr std::size_t kMinRead = 16384;
+  constexpr std::size_t kMaxReadAhead = std::size_t{16} << 20;
   for (;;) {
-    const std::size_t got = conn_.read_some(stage, stage_bytes);
+    const std::span<std::uint8_t> space =
+        rx_.prepare(std::clamp(rx_.missing(), kMinRead, kMaxReadAhead));
+    const std::size_t got = conn_.read_some(space.data(), space.size());
     if (got == 0) break;
     bytes_received_ += got;
-    rx_.feed(stage, got);
+    rx_.commit(got);
   }
 }
 
-std::optional<wire::Frame> MessageChannel::poll() {
+std::optional<wire::FrameView> MessageChannel::poll() {
   flush();
+  if (std::optional<wire::FrameView> frame = rx_.next()) return frame;
   pump_rx();
-  std::optional<wire::Frame> frame = rx_.next();
+  std::optional<wire::FrameView> frame = rx_.next();
   if (!frame && conn_.peer_closed() && rx_.buffered() > 0) {
     throw NetError("peer closed mid-frame (" +
                    std::to_string(rx_.buffered()) + " bytes buffered) on " +
@@ -58,20 +93,22 @@ std::optional<wire::Frame> MessageChannel::poll() {
   return frame;
 }
 
-wire::Frame MessageChannel::recv(int timeout_ms) {
-  int remaining_ms = timeout_ms;
+wire::FrameView MessageChannel::recv(int timeout_ms) {
+  int idle_ms = 0;  // waits that ended without a byte arriving
   for (;;) {
-    if (std::optional<wire::Frame> f = poll()) return std::move(*f);
+    const std::uint64_t seen = bytes_received_;
+    if (std::optional<wire::FrameView> f = poll()) return *f;
     if (conn_.peer_closed()) {
       throw NetError("peer closed on " + conn_.describe());
     }
-    if (remaining_ms <= 0) {
+    if (bytes_received_ != seen) idle_ms = 0;
+    if (idle_ms >= timeout_ms) {
       throw NetError("recv timed out after " + std::to_string(timeout_ms) +
                      " ms on " + conn_.describe());
     }
-    const int slice_ms = remaining_ms < 50 ? remaining_ms : 50;
+    const int slice_ms = std::min(50, timeout_ms - idle_ms);
     conn_.wait_readable(slice_ms);
-    remaining_ms -= slice_ms;
+    idle_ms += slice_ms;
   }
 }
 

@@ -4,15 +4,19 @@
 // sockets (src/net/socket.*, driven by the epoll Reactor) and the
 // deterministic in-process loopback pipe (src/net/loopback.*, used by tests
 // and the single-process integration path).  All reads and writes are
-// non-blocking; `wait_readable` is the only blocking call, and it always
-// takes a timeout.
+// non-blocking; `wait_readable` and `wait_writable` are the only blocking
+// calls, and they always take a timeout.
 //
 // `MessageChannel` layers wire framing on a Connection with explicit
-// read/write buffering: sends queue into a tx buffer flushed as the peer
-// drains it (backpressure shows up as `tx_pending() > 0`), and receives pump
-// bytes through a per-thread workspace-arena staging block into a
-// FrameAssembler, so steady-state pumping costs no allocation beyond the
-// frames themselves.
+// read/write buffering, and moves each frame's bytes once on either side:
+//   - sends encode into the tx buffer (send_with runs an in-place encoder
+//     there), which is flushed as the peer drains it (backpressure shows up
+//     as `tx_pending() > 0`);
+//   - receives read straight into the FrameAssembler's buffer, and poll()
+//     / recv() return a view of the frame there, valid until the next
+//     poll() or recv() — decode it (or copy it into a wire::Frame) first.
+// Both buffers keep their capacity and move bytes only when they have
+// drained or must grow, so steady-state pumping allocates nothing.
 #pragma once
 
 #include <cstddef>
@@ -63,6 +67,11 @@ class Connection {
   /// true when bytes are available or the peer closed, false on timeout.
   virtual bool wait_readable(int timeout_ms) = 0;
 
+  /// Block up to `timeout_ms` until write_some can accept bytes (or the
+  /// connection failed).  Returns false on timeout.  The default polls
+  /// fd(); a connection without one reports writable at once.
+  virtual bool wait_writable(int timeout_ms);
+
   /// Human-readable endpoint label for logs ("tcp:127.0.0.1:4242", ...).
   [[nodiscard]] virtual std::string describe() const = 0;
 };
@@ -76,17 +85,34 @@ class MessageChannel {
   /// Queue one frame and opportunistically flush.
   void send(const wire::Frame& frame);
 
+  /// Queue one frame that `encode(std::vector<std::uint8_t>& tx)` appends
+  /// to the tx buffer in place (wire::append_round_assign, append_update),
+  /// then opportunistically flush.  If `encode` throws, nothing is queued.
+  template <typename Encode>
+  void send_with(Encode&& encode) {
+    const std::size_t at = begin_send(largest_frame_);
+    try {
+      encode(tx_);
+    } catch (...) {
+      tx_.resize(at);
+      throw;
+    }
+    end_send(at);
+  }
+
   /// Push queued tx bytes to the peer; true when the queue drained.
   bool flush();
 
-  /// Pump readable bytes and return the next complete frame, if any.
-  /// Non-blocking.  Throws util::DecodeError on stream corruption, NetError
-  /// when the peer closed mid-frame.
-  std::optional<wire::Frame> poll();
+  /// Return the next complete frame, pumping readable bytes when none is
+  /// buffered.  Non-blocking.  The view is valid until the next poll() or
+  /// recv().  Throws util::DecodeError on stream corruption, NetError when
+  /// the peer closed mid-frame.
+  std::optional<wire::FrameView> poll();
 
-  /// Blocking receive with timeout: pumps until a frame arrives.  Throws
-  /// NetError on timeout or peer close.
-  wire::Frame recv(int timeout_ms);
+  /// Blocking receive: pumps until a frame arrives (a view, as poll()'s).
+  /// Throws NetError on peer close, or once `timeout_ms` passes in waits
+  /// that brought no bytes; a frame still arriving never times out.
+  wire::FrameView recv(int timeout_ms);
 
   /// Bytes queued but not yet accepted by the peer (backpressure gauge).
   [[nodiscard]] std::size_t tx_pending() const noexcept {
@@ -104,11 +130,18 @@ class MessageChannel {
   }
 
  private:
+  /// Makes room to append a frame of about `size_hint` bytes to tx_ and
+  /// returns where it starts: a drained queue is cleared, and the written
+  /// prefix is dropped only when the frame would grow the buffer.
+  std::size_t begin_send(std::size_t size_hint);
+  /// Accounts the frame appended at `at` and flushes.
+  void end_send(std::size_t at);
   void pump_rx();
 
   Connection& conn_;
   std::vector<std::uint8_t> tx_;
   std::size_t tx_off_ = 0;
+  std::size_t largest_frame_ = 0;  ///< size hint for send_with
   wire::FrameAssembler rx_;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;

@@ -43,8 +43,7 @@ class LoopbackConnection final : public Connection {
       in.data.clear();
       in.head = 0;
     }
-    // Draining frees writer capacity; wake a peer blocked in wait_readable
-    // only matters for readers, but capacity changes matter to pollers too.
+    // Draining frees capacity: wake a writer blocked in wait_writable.
     pipe_->cv.notify_all();
     return n;
   }
@@ -84,6 +83,17 @@ class LoopbackConnection final : public Connection {
     std::unique_lock lock(pipe_->mu);
     const auto ready = [this] {
       return pipe_->dir[1 - side_].readable() > 0 || pipe_->closed[1 - side_];
+    };
+    if (timeout_ms <= 0) return ready();
+    pipe_->cv.wait_for(lock, std::chrono::milliseconds(timeout_ms), ready);
+    return ready();
+  }
+
+  bool wait_writable(int timeout_ms) override {
+    std::unique_lock lock(pipe_->mu);
+    const auto ready = [this] {
+      return pipe_->dir[side_].readable() < pipe_->capacity ||
+             pipe_->closed[0] || pipe_->closed[1];
     };
     if (timeout_ms <= 0) return ready();
     pipe_->cv.wait_for(lock, std::chrono::milliseconds(timeout_ms), ready);

@@ -62,7 +62,7 @@ void ByteWriter::write_str(std::string_view s) {
   write_raw(s.data(), s.size());
 }
 
-void ByteWriter::write_blob(const std::vector<std::uint8_t>& b) {
+void ByteWriter::write_blob(std::span<const std::uint8_t> b) {
   write_u64(b.size());
   write_raw(b.data(), b.size());
 }
@@ -122,10 +122,10 @@ std::string ByteReader::read_str() {
   return {reinterpret_cast<const char*>(p), static_cast<std::size_t>(n)};
 }
 
-std::vector<std::uint8_t> ByteReader::read_blob() {
+std::span<const std::uint8_t> ByteReader::read_blob() {
   const std::uint64_t n = read_u64();
   const std::uint8_t* p = take(n, 1);
-  return {p, p + n};
+  return {p, static_cast<std::size_t>(n)};
 }
 
 std::vector<float> ByteReader::read_floats() {

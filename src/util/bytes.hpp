@@ -18,6 +18,7 @@
 // kind and the byte offset where decoding stopped.
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -75,7 +76,7 @@ class ByteWriter {
   void write_i64(std::int64_t v);
   void write_f64(double v);  ///< raw IEEE bits
   void write_str(std::string_view s);                   ///< u64 length, bytes
-  void write_blob(const std::vector<std::uint8_t>& b);  ///< u64 length, bytes
+  void write_blob(std::span<const std::uint8_t> b);     ///< u64 length, bytes
   void write_floats(const std::vector<float>& v);       ///< u64 count, raw bits
   void write_u64s(const std::vector<std::uint64_t>& v);
   void write_sizes(const std::vector<std::size_t>& v);  ///< each as a u64
@@ -117,7 +118,8 @@ class ByteReader {
   std::int64_t read_i64();
   double read_f64();
   std::string read_str();
-  std::vector<std::uint8_t> read_blob();
+  /// The blob in place, like read_raw: valid as long as the buffer is.
+  std::span<const std::uint8_t> read_blob();
   std::vector<float> read_floats();
   std::vector<std::uint64_t> read_u64s();
   std::vector<std::size_t> read_sizes();

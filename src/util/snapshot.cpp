@@ -39,7 +39,10 @@ void fsync_parent_dir(const std::string& path) {
 // ---------------------------------------------------------------------------
 // SnapshotWriter
 
-SnapshotWriter::SnapshotWriter() {
+SnapshotWriter::SnapshotWriter() : SnapshotWriter(std::vector<std::uint8_t>{}) {}
+
+SnapshotWriter::SnapshotWriter(std::vector<std::uint8_t> out)
+    : ByteWriter(std::move(out)) {
   write_raw(kMagic, sizeof(kMagic));
   write_u32(kSnapshotVersion);
   sealed_ = size();
@@ -90,6 +93,20 @@ std::size_t SnapshotWriter::commit(const std::string& path) {
   return image.size();
 }
 
+void append_image(std::vector<std::uint8_t>& out,
+                  const std::function<void(SnapshotWriter&)>& fill) {
+  const std::size_t start = out.size();
+  SnapshotWriter w(std::move(out));
+  try {
+    fill(w);
+    out = w.finish();
+  } catch (...) {
+    out = w.take();
+    out.resize(start);
+    throw;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SnapshotReader
 
@@ -109,6 +126,7 @@ SnapshotReader SnapshotReader::from_file(const std::string& path) {
   if (!in) {
     throw DecodeError(DecodeErrorKind::kIo, 0, "cannot read " + path);
   }
+  reader.image_ = reader.data_;
   reader.validate();
   return reader;
 }
@@ -118,6 +136,16 @@ SnapshotReader SnapshotReader::from_bytes(std::vector<std::uint8_t> image,
   SnapshotReader reader;
   reader.path_ = std::move(origin);
   reader.data_ = std::move(image);
+  reader.image_ = reader.data_;
+  reader.validate();
+  return reader;
+}
+
+SnapshotReader SnapshotReader::borrow(std::span<const std::uint8_t> image,
+                                      std::string origin) {
+  SnapshotReader reader;
+  reader.path_ = std::move(origin);
+  reader.image_ = image;
   reader.validate();
   return reader;
 }
@@ -143,11 +171,11 @@ void SnapshotReader::fail(DecodeErrorKind kind, std::size_t offset,
 }
 
 void SnapshotReader::validate() {
-  if (data_.size() < kHeaderSize) {
-    fail(DecodeErrorKind::kTruncated, data_.size(),
+  if (image_.size() < kHeaderSize) {
+    fail(DecodeErrorKind::kTruncated, image_.size(),
          "file shorter than the snapshot header");
   }
-  ByteReader r(data_);
+  ByteReader r(image_.data(), image_.size());
   if (std::memcmp(r.read_raw(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
     fail(DecodeErrorKind::kFormat, 0, "bad magic, not a snapshot file");
   }
@@ -186,8 +214,7 @@ void SnapshotReader::validate() {
 std::string SnapshotReader::peek_tag() const {
   FHDNN_CHECK(!in_chunk_, "peek_tag inside an open chunk");
   // validate() guarantees a well-formed chunk (ending with END) there.
-  return {data_.begin() + static_cast<std::ptrdiff_t>(next_chunk_),
-          data_.begin() + static_cast<std::ptrdiff_t>(next_chunk_) + 4};
+  return {reinterpret_cast<const char*>(image_.data() + next_chunk_), 4};
 }
 
 void SnapshotReader::enter_chunk(std::string_view tag) {
@@ -197,11 +224,11 @@ void SnapshotReader::enter_chunk(std::string_view tag) {
     fail(DecodeErrorKind::kSchema, next_chunk_,
          "expected chunk '" + std::string(tag) + "', found '" + next + "'");
   }
-  ByteReader frame(data_.data() + next_chunk_ + 4, kFrameSize - 4);
+  ByteReader frame(image_.data() + next_chunk_ + 4, kFrameSize - 4);
   const auto len = static_cast<std::size_t>(frame.read_u64());
   const std::size_t payload = next_chunk_ + kFrameSize;
   static_cast<ByteReader&>(*this) =
-      ByteReader(data_.data() + payload, len, payload);
+      ByteReader(image_.data() + payload, len, payload);
   next_chunk_ = payload + len;
   in_chunk_ = true;
 }

@@ -32,6 +32,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,6 +67,11 @@ class SnapshotWriter : public ByteWriter {
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
  private:
+  friend void append_image(std::vector<std::uint8_t>& out,
+                           const std::function<void(SnapshotWriter&)>& fill);
+  /// Writes the image after the bytes already in `out` (append_image).
+  explicit SnapshotWriter(std::vector<std::uint8_t> out);
+
   using ByteWriter::take;  // an image leaves only through finish/commit
 
   void check_sealed() const;
@@ -90,13 +97,19 @@ class SnapshotReader : public ByteReader {
   /// snapshot is missing or fails validation (torn/corrupted write).
   static SnapshotReader open_with_fallback(const std::string& path);
 
-  /// Validates an in-memory image (e.g. a state/update blob received over
-  /// the fhdnnd wire).  `origin` labels error messages in place of a path.
+  /// Validates an in-memory image it takes over.  `origin` labels error
+  /// messages in place of a path.
   static SnapshotReader from_bytes(std::vector<std::uint8_t> image,
                                    std::string origin = "<memory>");
 
-  // The payload window points into data_, whose buffer a move carries
-  // along and a copy would not.
+  /// Validates an image it borrows (a state/update blob inside a received
+  /// fhdnnd frame): the same checks, DecodeError kinds and offsets as
+  /// from_bytes, without a copy.  `image` must outlive the reader unchanged.
+  static SnapshotReader borrow(std::span<const std::uint8_t> image,
+                               std::string origin = "<memory>");
+
+  // image_ and the payload window point into data_ (or the borrowed
+  // image), whose buffer a move carries along and a copy would not.
   SnapshotReader(SnapshotReader&&) noexcept = default;
   SnapshotReader& operator=(SnapshotReader&&) noexcept = default;
   SnapshotReader(const SnapshotReader&) = delete;
@@ -119,12 +132,20 @@ class SnapshotReader : public ByteReader {
   [[noreturn]] void fail(DecodeErrorKind kind, std::size_t offset,
                          const std::string& message) const;
 
-  std::vector<std::uint8_t> data_;
+  std::vector<std::uint8_t> data_;     // the owned image; empty if borrowed
+  std::span<const std::uint8_t> image_;  // the image being read
   std::string path_;
   std::uint32_t version_ = 0;
   std::size_t next_chunk_ = 0;  // offset of the next unconsumed chunk frame
   bool in_chunk_ = false;
 };
+
+/// Appends one complete snapshot image to `out` in place: the header, the
+/// chunks `fill` writes, and the END chunk, so an image bound for a wire
+/// frame is written once, where it is sent from.  If `fill` throws, `out`
+/// is restored to the bytes it held on entry.
+void append_image(std::vector<std::uint8_t>& out,
+                  const std::function<void(SnapshotWriter&)>& fill);
 
 /// Anything that can round-trip its full deterministic state through a
 /// snapshot.  load() must leave the object bit-identical to the instance

@@ -1,6 +1,8 @@
 #include "wire/messages.hpp"
 
+#include <cstring>
 #include <string>
+#include <utility>
 
 namespace fhdnn::wire {
 namespace {
@@ -11,12 +13,31 @@ using util::DecodeError;
 using util::DecodeErrorKind;
 
 // Shared decode prologue: assert the frame type, hand back a strict reader.
-ByteReader open(const Frame& f, MsgType want, const char* name) {
+ByteReader open(const FrameView& f, MsgType want, const char* name) {
   if (f.type != want) {
     throw DecodeError(DecodeErrorKind::kSchema, 0,
                       std::string("frame is not a ") + name + " message");
   }
-  return ByteReader(f.payload);
+  return ByteReader(f.payload.data(), f.payload.size());
+}
+
+void put_round_assign_head(ByteWriter& w, const RoundAssignHead& h) {
+  w.write_i64(h.round_index);
+  w.write_u64(h.n_participants);
+  put_rng_state(w, h.rng);
+  w.write_u64(h.slots.size());
+  for (const SlotAssignment& a : h.slots) {
+    w.write_u64(a.slot);
+    w.write_u64(a.client);
+  }
+}
+
+void put_update_head(ByteWriter& w, const UpdateHead& h) {
+  w.write_i64(h.round_index);
+  w.write_u64(h.slot);
+  w.write_u64(h.client);
+  w.write_f64(h.loss);
+  put_transport_stats(w, h.stats);
 }
 
 }  // namespace
@@ -79,7 +100,7 @@ Frame HelloMsg::to_frame() const {
   return Frame{MsgType::kHello, w.take()};
 }
 
-HelloMsg HelloMsg::from_frame(const Frame& f) {
+HelloMsg HelloMsg::from_frame(FrameView f) {
   ByteReader r = open(f, MsgType::kHello, "Hello");
   HelloMsg m;
   m.config_fingerprint = r.read_u32();
@@ -96,7 +117,7 @@ Frame HelloAckMsg::to_frame() const {
   return Frame{MsgType::kHelloAck, w.take()};
 }
 
-HelloAckMsg HelloAckMsg::from_frame(const Frame& f) {
+HelloAckMsg HelloAckMsg::from_frame(FrameView f) {
   ByteReader r = open(f, MsgType::kHelloAck, "HelloAck");
   HelloAckMsg m;
   m.config_fingerprint = r.read_u32();
@@ -110,21 +131,25 @@ HelloAckMsg HelloAckMsg::from_frame(const Frame& f) {
 
 Frame RoundAssignMsg::to_frame() const {
   ByteWriter w;
-  w.write_i64(round_index);
-  w.write_u64(n_participants);
-  put_rng_state(w, rng);
-  w.write_u64(slots.size());
-  for (const SlotAssignment& a : slots) {
-    w.write_u64(a.slot);
-    w.write_u64(a.client);
-  }
+  put_round_assign_head(w, *this);
   w.write_blob(state_blob);
   return Frame{MsgType::kRoundAssign, w.take()};
 }
 
-RoundAssignMsg RoundAssignMsg::from_frame(const Frame& f) {
+void append_round_assign(std::vector<std::uint8_t>& out,
+                         const RoundAssignHead& head,
+                         std::span<const std::uint8_t> state_image) {
+  ByteWriter w(std::move(out));
+  const std::size_t at = begin_frame(w, MsgType::kRoundAssign);
+  put_round_assign_head(w, head);
+  w.write_blob(state_image);
+  out = w.take();
+  end_frame(out, at);
+}
+
+RoundAssignView RoundAssignMsg::from_frame(FrameView f) {
   ByteReader r = open(f, MsgType::kRoundAssign, "RoundAssign");
-  RoundAssignMsg m;
+  RoundAssignView m;
   m.round_index = r.read_i64();
   m.n_participants = r.read_u64();
   m.rng = get_rng_state(r);
@@ -159,18 +184,34 @@ RoundAssignMsg RoundAssignMsg::from_frame(const Frame& f) {
 
 Frame UpdateMsg::to_frame() const {
   ByteWriter w;
-  w.write_i64(round_index);
-  w.write_u64(slot);
-  w.write_u64(client);
-  w.write_f64(loss);
-  put_transport_stats(w, stats);
+  put_update_head(w, *this);
   w.write_blob(update_blob);
   return Frame{MsgType::kUpdate, w.take()};
 }
 
-UpdateMsg UpdateMsg::from_frame(const Frame& f) {
+void append_update(
+    std::vector<std::uint8_t>& out, const UpdateHead& head,
+    const std::function<void(std::vector<std::uint8_t>&)>& append_blob) {
+  ByteWriter w(std::move(out));
+  const std::size_t at = begin_frame(w, MsgType::kUpdate);
+  put_update_head(w, head);
+  const std::size_t len_at = w.size();
+  w.write_u64(0);  // blob length, patched below
+  out = w.take();
+  try {
+    append_blob(out);
+  } catch (...) {
+    out.resize(at);
+    throw;
+  }
+  const std::uint64_t len = out.size() - (len_at + sizeof(std::uint64_t));
+  std::memcpy(out.data() + len_at, &len, sizeof(len));
+  end_frame(out, at);
+}
+
+UpdateView UpdateMsg::from_frame(FrameView f) {
   ByteReader r = open(f, MsgType::kUpdate, "Update");
-  UpdateMsg m;
+  UpdateView m;
   m.round_index = r.read_i64();
   m.slot = r.read_u64();
   m.client = r.read_u64();
@@ -193,7 +234,7 @@ Frame RoundDoneMsg::to_frame() const {
   return Frame{MsgType::kRoundDone, w.take()};
 }
 
-RoundDoneMsg RoundDoneMsg::from_frame(const Frame& f) {
+RoundDoneMsg RoundDoneMsg::from_frame(FrameView f) {
   ByteReader r = open(f, MsgType::kRoundDone, "RoundDone");
   RoundDoneMsg m;
   m.round_index = r.read_i64();
@@ -210,7 +251,7 @@ Frame ShutdownMsg::to_frame() const {
   return Frame{MsgType::kShutdown, w.take()};
 }
 
-ShutdownMsg ShutdownMsg::from_frame(const Frame& f) {
+ShutdownMsg ShutdownMsg::from_frame(FrameView f) {
   ByteReader r = open(f, MsgType::kShutdown, "Shutdown");
   ShutdownMsg m;
   m.rounds_completed = r.read_i64();

@@ -1,5 +1,6 @@
 #include "wire/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -51,19 +52,17 @@ Header check_header(const std::uint8_t* data, std::size_t base) {
   return h;
 }
 
-// Decodes the frame at `data` after check_header passed; the caller
-// guarantees the payload is fully buffered.
-Frame take_frame(const std::uint8_t* data, const Header& h, std::size_t base) {
+// Checks the CRC of the frame at `data` after check_header passed; the
+// caller guarantees the payload is fully buffered.
+FrameView view_frame(const std::uint8_t* data, const Header& h,
+                     std::size_t base) {
   const std::uint8_t* payload = data + kFrameHeaderSize;
   const auto len = static_cast<std::size_t>(h.len);
   if (util::crc32(payload, len) != h.crc) {
     throw DecodeError(DecodeErrorKind::kCrc, base + 16,
                       "frame payload failed CRC-32");
   }
-  Frame f;
-  f.type = static_cast<MsgType>(h.type);
-  f.payload.assign(payload, payload + len);
-  return f;
+  return {static_cast<MsgType>(h.type), {payload, len}};
 }
 
 }  // namespace
@@ -74,17 +73,33 @@ bool msg_type_known(std::uint16_t t) {
 }
 
 void append_frame(std::vector<std::uint8_t>& out, MsgType type,
-                  const std::vector<std::uint8_t>& payload) {
-  FHDNN_CHECK(payload.size() <= kMaxFrameBytes,
-              "frame payload of " << payload.size() << " bytes exceeds cap");
+                  std::span<const std::uint8_t> payload) {
   util::ByteWriter w(std::move(out));
+  const std::size_t at = begin_frame(w, type);
+  w.write_raw(payload.data(), payload.size());
+  out = w.take();
+  end_frame(out, at);
+}
+
+std::size_t begin_frame(util::ByteWriter& w, MsgType type) {
+  const std::size_t at = w.size();
   w.write_raw(kMagic, sizeof(kMagic));
   w.write_u16(kWireVersion);
   w.write_u16(static_cast<std::uint16_t>(type));
-  w.write_u64(payload.size());
-  w.write_u32(util::crc32(payload.data(), payload.size()));
-  w.write_raw(payload.data(), payload.size());
-  out = w.take();
+  w.write_u64(0);  // payload length, patched by end_frame
+  w.write_u32(0);  // payload CRC, patched by end_frame
+  return at;
+}
+
+void end_frame(std::vector<std::uint8_t>& out, std::size_t frame_at) {
+  const std::size_t payload = frame_at + kFrameHeaderSize;
+  FHDNN_CHECK(payload <= out.size(), "end_frame without begin_frame");
+  const std::uint64_t len = out.size() - payload;
+  FHDNN_CHECK(len <= kMaxFrameBytes,
+              "frame payload of " << len << " bytes exceeds cap");
+  const std::uint32_t crc = util::crc32(out.data() + payload, len);
+  std::memcpy(out.data() + frame_at + 8, &len, sizeof(len));
+  std::memcpy(out.data() + frame_at + 16, &crc, sizeof(crc));
 }
 
 std::vector<std::uint8_t> encode_frame(
@@ -95,7 +110,7 @@ std::vector<std::uint8_t> encode_frame(
   return out;
 }
 
-Frame decode_frame(const std::uint8_t* data, std::size_t len) {
+FrameView decode_frame(const std::uint8_t* data, std::size_t len) {
   if (len < kFrameHeaderSize) {
     throw DecodeError(DecodeErrorKind::kTruncated, len,
                       "frame shorter than the " +
@@ -114,40 +129,58 @@ Frame decode_frame(const std::uint8_t* data, std::size_t len) {
                       std::to_string(len - total) +
                           " trailing bytes after the frame");
   }
-  return take_frame(data, h, 0);
+  return view_frame(data, h, 0);
 }
 
 // ---------------------------------------------------------------------------
 // FrameAssembler
 
-void FrameAssembler::feed(const std::uint8_t* data, std::size_t len) {
-  buf_.insert(buf_.end(), data, data + len);
+std::span<std::uint8_t> FrameAssembler::prepare(std::size_t min_bytes) {
+  if (begin_ == end_) begin_ = end_ = 0;  // drained: rewind, nothing moves
+  if (capacity_ - end_ < min_bytes) {
+    const std::size_t live = end_ - begin_;
+    if (capacity_ - live >= min_bytes) {
+      std::memmove(buf_.get(), buf_.get() + begin_, live);
+    } else {
+      const std::size_t grown = std::max(live + min_bytes, 2 * capacity_);
+      // Uninitialized: every byte is received into before it is read.
+      auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(grown);
+      if (live > 0) std::memcpy(bigger.get(), buf_.get() + begin_, live);
+      buf_ = std::move(bigger);
+      capacity_ = grown;
+    }
+    begin_ = 0;
+    end_ = live;
+  }
+  return {buf_.get() + end_, capacity_ - end_};
 }
 
-std::optional<Frame> FrameAssembler::next() {
-  const std::size_t avail = buf_.size() - pos_;
+void FrameAssembler::commit(std::size_t n) {
+  FHDNN_CHECK(n <= capacity_ - end_, "commit of " << n << " bytes past the "
+                                                  << capacity_ - end_
+                                                  << " prepared");
+  end_ += n;
+}
+
+std::optional<FrameView> FrameAssembler::next() {
+  const std::size_t avail = end_ - begin_;
   if (avail < kFrameHeaderSize) return std::nullopt;
-  const std::uint8_t* head = buf_.data() + pos_;
-  const Header h = check_header(head, pos_);
-  if (avail < kFrameHeaderSize + h.len) return std::nullopt;
-  Frame f = take_frame(head, h, pos_);
-  pos_ += kFrameHeaderSize + static_cast<std::size_t>(h.len);
-  compact();
+  const std::uint8_t* head = buf_.get() + begin_;
+  const Header h = check_header(head, begin_);
+  if (avail - kFrameHeaderSize < h.len) return std::nullopt;
+  const FrameView f = view_frame(head, h, begin_);
+  begin_ += kFrameHeaderSize + static_cast<std::size_t>(h.len);
   return f;
 }
 
-std::size_t FrameAssembler::buffered() const noexcept {
-  return buf_.size() - pos_;
-}
-
-void FrameAssembler::compact() {
-  // Drop consumed bytes once they dominate the buffer, keeping feed()
-  // amortized O(1) without re-shifting after every frame.
-  if (pos_ >= 4096 && pos_ * 2 >= buf_.size()) {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
+std::size_t FrameAssembler::missing() const noexcept {
+  const std::size_t avail = end_ - begin_;
+  if (avail < kFrameHeaderSize) return kFrameHeaderSize - avail;
+  std::uint64_t len = 0;
+  std::memcpy(&len, buf_.get() + begin_ + 8, sizeof(len));
+  if (len > kMaxFrameBytes) return 0;  // next() rejects the header
+  const std::size_t total = kFrameHeaderSize + static_cast<std::size_t>(len);
+  return total > avail ? total - avail : 0;
 }
 
 }  // namespace fhdnn::wire

@@ -4,7 +4,10 @@
 // loop depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <thread>  // fhdnn-lint: allow(raw-thread) — test harness drives both pipe ends
 #include <vector>
 
@@ -86,6 +89,23 @@ TEST(Loopback, WaitReadableSeesCrossThreadWrites) {
   EXPECT_EQ(in, 42);
 }
 
+TEST(Loopback, WaitWritableSeesCrossThreadDrain) {
+  net::LoopbackOptions opt;
+  opt.capacity_bytes = 8;
+  auto [a, b] = net::make_loopback_pair(opt);
+  EXPECT_TRUE(a->wait_writable(0));  // empty pipe: room at once
+  const std::vector<std::uint8_t> out(8, 0x5A);
+  ASSERT_EQ(a->write_some(out.data(), out.size()), 8U);
+  EXPECT_FALSE(a->wait_writable(1));  // full: times out
+  std::thread reader([&b] {  // fhdnn-lint: allow(raw-thread)
+    std::uint8_t in[3];
+    (void)b->read_some(in, sizeof(in));
+  });
+  EXPECT_TRUE(a->wait_writable(5000));
+  reader.join();
+  EXPECT_EQ(a->write_some(out.data(), out.size()), 3U);
+}
+
 TEST(Loopback, HasNoFd) {
   auto [a, b] = net::make_loopback_pair();
   EXPECT_EQ(a->fd(), -1);
@@ -159,6 +179,112 @@ TEST(MessageChannelTest, SendQueuesExactlyTheEncodedFrameBytes) {
   EXPECT_EQ(tx.tx_pending(), 0U);
 }
 
+/// A connection that yields one byte per wake-up: read_some returns a
+/// byte only after wait_readable, which returns at once.  A frame of N
+/// bytes takes N waits to arrive, every one of which brought progress.
+class OneBytePerWait final : public Connection {
+ public:
+  explicit OneBytePerWait(std::vector<std::uint8_t> bytes)
+      : bytes_(std::move(bytes)) {}
+  std::size_t read_some(std::uint8_t* out, std::size_t len) override {
+    if (!armed_ || len == 0 || next_ == bytes_.size()) return 0;
+    armed_ = false;
+    out[0] = bytes_[next_++];
+    return 1;
+  }
+  std::size_t write_some(const std::uint8_t*, std::size_t len) override {
+    return len;
+  }
+  [[nodiscard]] bool peer_closed() const override { return false; }
+  void close() override {}
+  bool wait_readable(int) override {
+    ++waits;
+    armed_ = true;
+    return true;
+  }
+  [[nodiscard]] std::string describe() const override { return "one-byte"; }
+  int waits = 0;
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t next_ = 0;
+  bool armed_ = true;
+};
+
+TEST(MessageChannelTest, RecvChargesOnlyWaitsWithoutProgress) {
+  // 200 bytes in 200 pieces: the 50 ms slices that each brought a byte
+  // must not count against a 100 ms timeout.
+  const std::vector<std::uint8_t> payload(200 - wire::kFrameHeaderSize, 7);
+  OneBytePerWait conn(wire::encode_frame(wire::MsgType::kShutdown, payload));
+  MessageChannel rx(conn);
+  const wire::FrameView f = rx.recv(100);
+  EXPECT_EQ(f.type, wire::MsgType::kShutdown);
+  EXPECT_EQ(f.payload.size(), payload.size());
+  EXPECT_GE(conn.waits, 199);
+  // With no byte left to arrive, the same budget runs out.
+  EXPECT_THROW((void)rx.recv(100), NetError);
+}
+
+TEST(MessageChannelTest, FrameViewLastsUntilTheNextPump) {
+  auto [a, b] = net::make_loopback_pair();
+  MessageChannel tx(*a);
+  MessageChannel rx(*b);
+  tx.send(hello_frame(0x0A0A0A0A));
+  tx.send(hello_frame(0x0B0B0B0B));
+  const wire::FrameView first = *rx.poll();  // pumps both frames
+  const wire::Frame want_first = hello_frame(0x0A0A0A0A);
+  // More bytes reach the connection; the assembler reads them only at
+  // its next pump, so the view still holds the first frame.
+  tx.send(hello_frame(0x0C0C0C0C));
+  EXPECT_EQ(wire::Frame(first).payload, want_first.payload);
+  // The second frame is already buffered: poll() hands it over without
+  // pumping, and the first view is still intact.
+  const wire::FrameView second = *rx.poll();
+  EXPECT_EQ(wire::HelloMsg::from_frame(second).config_fingerprint,
+            0x0B0B0B0BU);
+  EXPECT_EQ(wire::Frame(first).payload, want_first.payload);
+  // The next poll() pumps; the third frame arrives whole.
+  const wire::FrameView third = *rx.poll();
+  EXPECT_EQ(wire::HelloMsg::from_frame(third).config_fingerprint, 0x0C0C0C0CU);
+}
+
+TEST(MessageChannelTest, SendWithQueuesTheEncodedBytesOrNothing) {
+  net::LoopbackOptions opt;
+  opt.capacity_bytes = 16;  // keeps earlier frames queued behind
+  auto [a, b] = net::make_loopback_pair(opt);
+  MessageChannel tx(*a);
+  wire::RoundAssignMsg assign;
+  assign.round_index = 4;
+  assign.n_participants = 2;
+  assign.slots = {{1, 7}};
+  assign.state_blob = std::vector<std::uint8_t>(3000, 0xEE);
+  tx.send(hello_frame(1));
+  tx.send_with([&](std::vector<std::uint8_t>& out) {
+    wire::append_round_assign(out, assign, assign.state_blob);
+  });
+  // An encoder that throws leaves no torn frame in the queue.
+  EXPECT_THROW(tx.send_with([](std::vector<std::uint8_t>& out) {
+                 out.push_back(1);
+                 throw NetError("encoder failed");
+               }),
+               NetError);
+  const wire::Frame f = assign.to_frame();
+  std::vector<std::uint8_t> want = wire::encode_frame(
+      hello_frame(1).type, hello_frame(1).payload);
+  const auto second = wire::encode_frame(f.type, f.payload);
+  want.insert(want.end(), second.begin(), second.end());
+  EXPECT_EQ(tx.bytes_sent(), want.size());
+  std::vector<std::uint8_t> got;
+  std::uint8_t buf[16];
+  for (int i = 0; i < 10000 && got.size() < want.size(); ++i) {
+    (void)tx.flush();
+    const std::size_t n = b->read_some(buf, sizeof(buf));
+    got.insert(got.end(), buf, buf + n);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(tx.tx_pending(), 0U);
+}
+
 TEST(MessageChannelTest, RecvTimesOut) {
   auto [a, b] = net::make_loopback_pair();
   MessageChannel rx(*b);
@@ -183,6 +309,30 @@ TEST(MessageChannelTest, CorruptStreamSurfacesDecodeError) {
   EXPECT_THROW((void)rx.poll(), util::DecodeError);
 }
 
+TEST(MessageChannelTest, MultiMegabyteFrameArrivesIntact) {
+  // A frame larger than any single read crosses in many pieces into one
+  // buffer; the view covers all of it.
+  net::LoopbackOptions opt;
+  opt.capacity_bytes = 64 * 1024;
+  auto [a, b] = net::make_loopback_pair(opt);
+  MessageChannel tx(*a);
+  MessageChannel rx(*b);
+  std::vector<std::uint8_t> payload(3 * 1024 * 1024 + 5);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  tx.send(wire::Frame(wire::MsgType::kUpdate, payload));
+  std::optional<wire::FrameView> got;
+  for (int i = 0; i < 100000 && !got; ++i) {
+    (void)tx.flush();
+    got = rx.poll();
+  }
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->type, wire::MsgType::kUpdate);
+  EXPECT_TRUE(std::equal(got->payload.begin(), got->payload.end(),
+                         payload.begin(), payload.end()));
+}
+
 // --------------------------------------------------------------- tcp + epoll
 
 TEST(Tcp, ConnectAcceptRoundTrip) {
@@ -202,6 +352,32 @@ TEST(Tcp, ConnectAcceptRoundTrip) {
   }
   const wire::Frame f = rx.recv(5000);
   EXPECT_EQ(wire::HelloMsg::from_frame(f).config_fingerprint, 0xFEEDFACEU);
+}
+
+TEST(Tcp, WaitWritableByDefaultPollsTheSocket) {
+  net::TcpListener listener("127.0.0.1", 0);
+  auto client = net::connect_tcp("127.0.0.1", listener.port(), 5000);
+  ASSERT_TRUE(listener.wait_pending(5000));
+  auto served = listener.accept();
+  ASSERT_NE(served, nullptr);
+  EXPECT_TRUE(client->wait_writable(5000));  // empty send buffer
+  // Fill the socket until it refuses bytes; then it is not writable until
+  // the peer reads.
+  const std::vector<std::uint8_t> chunk(1 << 16, 1);
+  std::size_t sent = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const std::size_t n = client->write_some(chunk.data(), chunk.size());
+    if (n == 0) break;
+    sent += n;
+  }
+  ASSERT_GT(sent, 0U);
+  EXPECT_FALSE(client->wait_writable(1));
+  std::vector<std::uint8_t> sink(1 << 16);
+  for (int i = 0; i < 100000 && !client->wait_writable(0); ++i) {
+    (void)served->wait_readable(100);
+    (void)served->read_some(sink.data(), sink.size());
+  }
+  EXPECT_TRUE(client->wait_writable(0));
 }
 
 TEST(Tcp, ConnectTimesOutWhenNobodyListens) {

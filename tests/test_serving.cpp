@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>  // fhdnn-lint: allow(raw-thread) — test harness hosts the worker thread
 #include <utility>
@@ -91,12 +92,13 @@ class LoopbackWorker {
   std::thread thread_;  // fhdnn-lint: allow(raw-thread)
 };
 
-fl::TrainingHistory run_served(const std::string& proto, int threads) {
+fl::TrainingHistory run_served(const std::string& proto, int threads,
+                               net::LoopbackOptions pipe = {}) {
   parallel::set_num_threads(threads);
   workload::Options opt;
   opt.protocol = proto;
   auto server = workload::make_workload(opt);
-  auto [worker_end, server_end] = net::make_loopback_pair();
+  auto [worker_end, server_end] = net::make_loopback_pair(pipe);
   fl::ServerRoundDriver driver(server->config_fingerprint(), proto);
   LoopbackWorker worker(proto, std::move(worker_end));
   driver.add_worker(std::move(server_end));
@@ -134,6 +136,88 @@ TEST(Serving, FedAvgLoopbackMatchesInProcessAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_same_history(golden, run_served("fedavg", threads));
   }
+}
+
+TEST(Serving, FedHdThroughPipesSmallerThanAFrameMatchesInProcess) {
+  // Every RoundAssign and Update is larger than the 4 KiB pipe, so each
+  // crosses in pieces, and each side waits for the other to drain it
+  // (wait_writable) in both directions.
+  ThreadGuard guard;
+  const auto golden = run_in_process("fedhd", 1);
+  net::LoopbackOptions pipe;
+  pipe.capacity_bytes = 4096;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_same_history(golden, run_served("fedhd", threads, pipe));
+  }
+}
+
+/// Records the order in which a worker trains slots and encodes their
+/// updates; its state and updates are empty.
+class OrderProtocol final : public fl::RoundProtocol {
+ public:
+  void begin_round(const Rng&, std::size_t) override {}
+  fl::ClientReport run_client(std::size_t slot, std::size_t, const Rng&,
+                              bool) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    calls.push_back("train " + std::to_string(slot));
+    return {};
+  }
+  void reduce(const std::vector<std::size_t>&,
+              const std::vector<char>&) override {}
+  double evaluate() override { return 0.0; }
+  void save_update(std::size_t slot, util::SnapshotWriter&) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    calls.push_back("ship " + std::to_string(slot));
+  }
+  std::vector<std::string> calls;
+
+ private:
+  std::mutex mu_;
+};
+
+TEST(Serving, WorkerShipsEachBatchBeforeTrainingTheNext) {
+  // One pool thread: batches of one slot, so the server sees slot 0's
+  // update while slot 1 has not trained yet.
+  ThreadGuard guard;
+  parallel::set_num_threads(1);
+  auto [worker_end, server_end] = net::make_loopback_pair();
+  OrderProtocol protocol;
+  std::thread worker([&protocol, end = worker_end.get()] {  // fhdnn-lint: allow(raw-thread)
+    fl::WorkerLoop loop(*end, protocol, 5, "order");
+    loop.handshake();
+    (void)loop.serve();
+  });
+  net::MessageChannel chan(*server_end);
+  (void)wire::HelloMsg::from_frame(chan.recv(10000));
+  wire::HelloAckMsg ack;
+  ack.config_fingerprint = 5;
+  ack.worker_id = 1;
+  chan.send(ack.to_frame());
+  std::vector<std::uint8_t> state;
+  util::append_image(state, [](util::SnapshotWriter& w) {
+    w.begin_chunk("PROT");
+    w.end_chunk();
+  });
+  wire::RoundAssignHead assign;
+  assign.round_index = 1;
+  assign.n_participants = 3;
+  assign.slots = {{0, 10}, {1, 11}, {2, 12}};
+  chan.send_with([&](std::vector<std::uint8_t>& tx) {
+    wire::append_round_assign(tx, assign, state);
+  });
+  for (std::uint64_t slot = 0; slot < 3; ++slot) {
+    const wire::UpdateView u = wire::UpdateMsg::from_frame(chan.recv(10000));
+    EXPECT_EQ(u.slot, slot);
+  }
+  wire::ShutdownMsg bye;
+  bye.rounds_completed = 1;
+  chan.send(bye.to_frame());
+  while (!chan.flush()) server_end->wait_writable(10);
+  worker.join();
+  EXPECT_EQ(protocol.calls,
+            (std::vector<std::string>{"train 0", "ship 0", "train 1", "ship 1",
+                                      "train 2", "ship 2"}));
 }
 
 // ----------------------------------------- accounting over the wire

@@ -65,7 +65,7 @@ std::string write_sample(const std::string& name) {
   w.write_i64(-42);
   w.write_f64(-0.1);
   w.write_str("hello snapshot");
-  w.write_blob({0, 255, 128});
+  w.write_blob(std::vector<std::uint8_t>{0, 255, 128});
   w.write_floats({1.0F, -2.0F, 3.25F});
   w.write_u64s({1, 2, 3});
   w.write_sizes({9, 8});
@@ -89,7 +89,9 @@ TEST(Snapshot, WriterReaderRoundTripsEveryType) {
   EXPECT_EQ(r.read_i64(), -42);
   EXPECT_EQ(r.read_f64(), -0.1);
   EXPECT_EQ(r.read_str(), "hello snapshot");
-  EXPECT_EQ(r.read_blob(), (std::vector<std::uint8_t>{0, 255, 128}));
+  const auto blob = r.read_blob();
+  EXPECT_EQ(std::vector<std::uint8_t>(blob.begin(), blob.end()),
+            (std::vector<std::uint8_t>{0, 255, 128}));
   EXPECT_EQ(r.read_floats(), (std::vector<float>{1.0F, -2.0F, 3.25F}));
   EXPECT_EQ(r.read_u64s(), (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(r.read_sizes(), (std::vector<std::size_t>{9, 8}));

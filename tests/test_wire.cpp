@@ -11,12 +11,14 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "channel/channel.hpp"
 #include "util/rng.hpp"
 #include "util/bytes.hpp"
+#include "util/snapshot.hpp"
 #include "wire/messages.hpp"
 #include "wire/wire.hpp"
 
@@ -32,6 +34,17 @@ using util::DecodeErrorKind;
 
 std::vector<std::uint8_t> encode(const Frame& f) {
   return wire::encode_frame(f.type, f.payload);
+}
+
+/// Receives `len` bytes into the assembler in place, as a channel's pump does.
+void feed(wire::FrameAssembler& asm_, const std::uint8_t* data,
+          std::size_t len) {
+  std::memcpy(asm_.prepare(len).data(), data, len);
+  asm_.commit(len);
+}
+
+std::vector<std::uint8_t> bytes_of(std::span<const std::uint8_t> s) {
+  return {s.begin(), s.end()};
 }
 
 bool bits_equal(double a, double b) {
@@ -272,6 +285,173 @@ TEST(WireBytes, EveryMessageFrameIsPinned) {
   }
 }
 
+/// The RoundAssign and Update of EveryMessageFrameIsPinned.
+wire::RoundAssignMsg pinned_assign() {
+  wire::RoundAssignMsg assign;
+  assign.round_index = -7;
+  assign.n_participants = 5;
+  assign.rng.s[0] = 0x0123456789ABCDEFULL;
+  assign.rng.s[1] = 1;
+  assign.rng.s[2] = 1ULL << 63;
+  assign.rng.s[3] = 0xFFFFFFFFFFFFFFFFULL;
+  assign.rng.has_cached_normal = true;
+  assign.rng.cached_normal = -0.375;
+  assign.slots = {{0, 3}, {2, 1}, {4, 4}};
+  assign.state_blob = {0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x01};
+  return assign;
+}
+
+wire::UpdateMsg pinned_update() {
+  wire::UpdateMsg update;
+  update.round_index = 3;
+  update.slot = 1;
+  update.client = 9;
+  update.loss = 0.0625;
+  update.stats = sample_stats();
+  update.update_blob = {1, 2, 3};
+  return update;
+}
+
+/// The bytes `out` gained past its first `from` bytes.
+std::vector<std::uint8_t> tail_of(const std::vector<std::uint8_t>& out,
+                                  std::size_t from) {
+  return {out.begin() + static_cast<std::ptrdiff_t>(from), out.end()};
+}
+
+TEST(WireBytes, InPlaceEncodersProduceThePinnedBytes) {
+  // Appended behind bytes already queued, as in a channel's send buffer.
+  const std::vector<std::uint8_t> queued = {9, 8, 7, 6, 5};
+  const wire::RoundAssignMsg assign = pinned_assign();
+  std::vector<std::uint8_t> out = queued;
+  wire::append_round_assign(out, assign, assign.state_blob);
+  const auto assign_bytes = tail_of(out, queued.size());
+  EXPECT_EQ(tail_of(out, 0).size(), queued.size() + 147U);
+  EXPECT_EQ(assign_bytes, encode(assign.to_frame()));
+  EXPECT_EQ(util::crc32(assign_bytes.data(), assign_bytes.size()),
+            0x80F95D9EU);
+
+  const wire::UpdateMsg update = pinned_update();
+  out = queued;
+  wire::append_update(out, update, [&](std::vector<std::uint8_t>& blob) {
+    blob.insert(blob.end(), update.update_blob.begin(),
+                update.update_blob.end());
+  });
+  const auto update_bytes = tail_of(out, queued.size());
+  EXPECT_EQ(update_bytes.size(), 143U);
+  EXPECT_EQ(update_bytes, encode(update.to_frame()));
+  EXPECT_EQ(util::crc32(update_bytes.data(), update_bytes.size()),
+            0x5A160EABU);
+}
+
+TEST(WireBytes, InPlaceUpdateImageMatchesTheOwnedEncoding) {
+  // The served path writes the update's snapshot image straight into the
+  // frame; the bytes equal an UpdateMsg carrying the same image.
+  const auto fill = [](util::SnapshotWriter& w) {
+    w.begin_chunk("UPDT");
+    w.write_floats({1.5F, -2.0F, 0.0F});
+    w.end_chunk();
+  };
+  std::vector<std::uint8_t> image;
+  util::append_image(image, fill);
+  wire::UpdateMsg owned = pinned_update();
+  owned.update_blob = image;
+  std::vector<std::uint8_t> out = {1, 2};
+  wire::append_update(out, owned, [&](std::vector<std::uint8_t>& blob) {
+    util::append_image(blob, fill);
+  });
+  EXPECT_EQ(tail_of(out, 2), encode(owned.to_frame()));
+}
+
+TEST(WireBytes, InPlaceUpdateLeavesTheBufferAsItWasWhenTheBlobThrows) {
+  const std::vector<std::uint8_t> queued = {4, 4, 4};
+  std::vector<std::uint8_t> out = queued;
+  EXPECT_THROW(wire::append_update(
+                   out, pinned_update(),
+                   [](std::vector<std::uint8_t>& blob) {
+                     util::append_image(blob, [](util::SnapshotWriter& w) {
+                       w.begin_chunk("UPDT");
+                       w.write_u64(1);
+                       throw DecodeError(DecodeErrorKind::kSchema, 0, "no");
+                     });
+                   }),
+               DecodeError);
+  EXPECT_EQ(out, queued);
+}
+
+TEST(WireViews, DecodedBlobsPointIntoTheFrame) {
+  const std::vector<std::uint8_t> bytes = encode(pinned_update().to_frame());
+  const wire::FrameView f = wire::decode_frame(bytes.data(), bytes.size());
+  EXPECT_EQ(f.payload.data(), bytes.data() + wire::kFrameHeaderSize);
+  const wire::UpdateView u = wire::UpdateMsg::from_frame(f);
+  EXPECT_EQ(u.update_blob.data() + u.update_blob.size(),
+            bytes.data() + bytes.size());
+  EXPECT_EQ(bytes_of(u.update_blob), pinned_update().update_blob);
+  const std::vector<std::uint8_t> assign = encode(pinned_assign().to_frame());
+  const auto a = wire::RoundAssignMsg::from_frame(
+      wire::decode_frame(assign.data(), assign.size()));
+  EXPECT_EQ(a.state_blob.data() + a.state_blob.size(),
+            assign.data() + assign.size());
+}
+
+/// A small UPDT image like the ones Update frames carry.
+std::vector<std::uint8_t> small_update_image() {
+  std::vector<std::uint8_t> image;
+  util::append_image(image, [](util::SnapshotWriter& w) {
+    w.begin_chunk("UPDT");
+    w.write_u8(1);
+    w.write_floats({0.25F, -1.0F, 3.0F});
+    w.end_chunk();
+  });
+  return image;
+}
+
+/// How validating an image ends: "ok", or the DecodeError kind and offset.
+std::string validation_outcome(bool borrowed,
+                               const std::vector<std::uint8_t>& image) {
+  try {
+    if (borrowed) {
+      (void)util::SnapshotReader::borrow(image, "test");
+    } else {
+      (void)util::SnapshotReader::from_bytes(image, "test");
+    }
+    return "ok";
+  } catch (const DecodeError& e) {
+    return std::to_string(static_cast<int>(e.kind())) + "@" +
+           std::to_string(e.byte_offset());
+  }
+}
+
+TEST(WireViews, BorrowedImageFailsExactlyLikeAnOwnedOne) {
+  const std::vector<std::uint8_t> image = small_update_image();
+  for (std::size_t len = 0; len < image.size(); ++len) {
+    SCOPED_TRACE("prefix " + std::to_string(len));
+    const std::vector<std::uint8_t> cut(
+        image.begin(), image.begin() + static_cast<std::ptrdiff_t>(len));
+    const std::string owned = validation_outcome(false, cut);
+    EXPECT_NE(owned, "ok");
+    EXPECT_EQ(validation_outcome(true, cut), owned);
+  }
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("flip byte " + std::to_string(i) + " bit " +
+                   std::to_string(bit));
+      std::vector<std::uint8_t> flipped = image;
+      flipped[i] ^= static_cast<std::uint8_t>(1U << bit);
+      EXPECT_EQ(validation_outcome(true, flipped),
+                validation_outcome(false, flipped));
+    }
+  }
+  // A valid borrowed image reads the same values as an owned one.
+  auto owned = util::SnapshotReader::from_bytes(image);
+  auto borrowed = util::SnapshotReader::borrow(image);
+  owned.enter_chunk("UPDT");
+  borrowed.enter_chunk("UPDT");
+  EXPECT_EQ(owned.read_u8(), borrowed.read_u8());
+  EXPECT_EQ(owned.read_floats(), borrowed.read_floats());
+  owned.leave_chunk();
+  borrowed.leave_chunk();
+}
+
 // ------------------------------------------------------- frame assembler
 
 TEST(WireAssembler, ReassemblesByteByByte) {
@@ -287,7 +467,7 @@ TEST(WireAssembler, ReassemblesByteByByte) {
   wire::FrameAssembler asm_;
   std::vector<Frame> out;
   for (const std::uint8_t byte : stream) {
-    asm_.feed(&byte, 1);
+    feed(asm_, &byte, 1);
     while (auto f = asm_.next()) out.push_back(std::move(*f));
   }
   ASSERT_EQ(out.size(), 2U);
@@ -300,17 +480,54 @@ TEST(WireAssembler, RejectsCorruptStreamEagerly) {
   auto bytes = wire::encode_frame(MsgType::kHello, {1, 2, 3});
   bytes[1] = '!';  // magic broken: must throw as soon as the header arrives
   wire::FrameAssembler asm_;
-  asm_.feed(bytes.data(), wire::kFrameHeaderSize);
+  feed(asm_, bytes.data(), wire::kFrameHeaderSize);
   EXPECT_THROW((void)asm_.next(), DecodeError);
+}
+
+TEST(WireAssembler, ViewsStayIntactUntilTheNextPrepare) {
+  const auto f1 = encode(pinned_update().to_frame());
+  const auto f2 = encode(pinned_assign().to_frame());
+  const auto f3 = encode(wire::ShutdownMsg{}.to_frame());
+  std::vector<std::uint8_t> stream = f1;
+  stream.insert(stream.end(), f2.begin(), f2.end());
+  stream.insert(stream.end(), f3.begin(), f3.begin() + 7);
+  wire::FrameAssembler asm_;
+  feed(asm_, stream.data(), stream.size());
+  const wire::FrameView v1 = *asm_.next();
+  const wire::FrameView v2 = *asm_.next();
+  EXPECT_FALSE(asm_.next().has_value());  // the third is still partial
+  // Taking later frames moves nothing: both views still hold their bytes.
+  EXPECT_EQ(bytes_of(v1.payload), pinned_update().to_frame().payload);
+  EXPECT_EQ(bytes_of(v2.payload), pinned_assign().to_frame().payload);
+  feed(asm_, f3.data() + 7, f3.size() - 7);
+  EXPECT_EQ(asm_.next()->type, MsgType::kShutdown);
+  EXPECT_EQ(asm_.buffered(), 0U);
+}
+
+TEST(WireAssembler, ReceivesInPlaceAndKeepsItsCapacity) {
+  const auto bytes = encode(pinned_update().to_frame());
+  wire::FrameAssembler asm_;
+  std::span<std::uint8_t> space = asm_.prepare(bytes.size());
+  ASSERT_GE(space.size(), bytes.size());
+  std::uint8_t* const base = space.data();
+  std::memcpy(base, bytes.data(), bytes.size());
+  asm_.commit(bytes.size());
+  const wire::FrameView f = *asm_.next();
+  // The payload is where it was received: no copy was made.
+  EXPECT_EQ(f.payload.data(), base + wire::kFrameHeaderSize);
+  // Drained, the next prepare() rewinds into the same buffer.
+  EXPECT_EQ(asm_.prepare(bytes.size()).data(), base);
+  EXPECT_EQ(asm_.missing(), wire::kFrameHeaderSize);
+  asm_.commit(0);
 }
 
 TEST(WireAssembler, PartialFrameYieldsNothing) {
   const auto bytes = wire::encode_frame(MsgType::kUpdate, {1, 2, 3, 4});
   wire::FrameAssembler asm_;
-  asm_.feed(bytes.data(), bytes.size() - 1);
+  feed(asm_, bytes.data(), bytes.size() - 1);
   EXPECT_FALSE(asm_.next().has_value());
   EXPECT_EQ(asm_.buffered(), bytes.size() - 1);
-  asm_.feed(bytes.data() + bytes.size() - 1, 1);
+  feed(asm_, bytes.data() + bytes.size() - 1, 1);
   EXPECT_TRUE(asm_.next().has_value());
 }
 
@@ -365,12 +582,13 @@ TEST(WirePayload, ErrorOffsetsCountFromTheWindowBase) {
 TEST(WirePayload, StringAndBlobRoundTrip) {
   ByteWriter w;
   w.write_str("fedavg");
-  w.write_blob({0, 255, 128});
+  w.write_blob(std::vector<std::uint8_t>{0, 255, 128});
   w.write_floats({1.5F, -0.0F, std::numeric_limits<float>::infinity()});
   const auto payload = w.take();
   ByteReader r(payload);
   EXPECT_EQ(r.read_str(), "fedavg");
-  EXPECT_EQ(r.read_blob(), (std::vector<std::uint8_t>{0, 255, 128}));
+  const auto blob = r.read_blob();
+  EXPECT_EQ(bytes_of(blob), (std::vector<std::uint8_t>{0, 255, 128}));
   const auto f = r.read_floats();
   ASSERT_EQ(f.size(), 3U);
   EXPECT_EQ(f[0], 1.5F);
@@ -403,7 +621,8 @@ TEST(WireMessages, HelloAckRoundTrip) {
 
 TEST(WireMessages, RoundAssignRoundTripIsRngExact) {
   const auto m = sample_assign();
-  const auto back = wire::RoundAssignMsg::from_frame(m.to_frame());
+  const Frame f = m.to_frame();
+  const auto back = wire::RoundAssignMsg::from_frame(f);
   EXPECT_EQ(back.round_index, m.round_index);
   EXPECT_EQ(back.n_participants, m.n_participants);
   ASSERT_EQ(back.slots.size(), m.slots.size());
@@ -411,7 +630,7 @@ TEST(WireMessages, RoundAssignRoundTripIsRngExact) {
     EXPECT_EQ(back.slots[i].slot, m.slots[i].slot);
     EXPECT_EQ(back.slots[i].client, m.slots[i].client);
   }
-  EXPECT_EQ(back.state_blob, m.state_blob);
+  EXPECT_EQ(bytes_of(back.state_blob), m.state_blob);
 
   // The decoded RNG state must continue the exact stream, including the
   // cached Box-Muller normal.
@@ -429,8 +648,9 @@ TEST(WireMessages, RoundAssignRejectsInconsistentSlots) {
   // slot index >= n_participants: structurally valid, semantically broken.
   auto m = sample_assign();
   m.slots[1].slot = m.n_participants;
+  const Frame out_of_range = m.to_frame();
   try {
-    (void)wire::RoundAssignMsg::from_frame(m.to_frame());
+    (void)wire::RoundAssignMsg::from_frame(out_of_range);
     FAIL() << "out-of-range slot accepted";
   } catch (const DecodeError& e) {
     EXPECT_EQ(e.kind(), DecodeErrorKind::kSchema);
@@ -440,8 +660,8 @@ TEST(WireMessages, RoundAssignRejectsInconsistentSlots) {
   too_many.slots[0].slot = 0;
   too_many.slots[1].slot = 1;
   too_many.slots[2].slot = 1;
-  EXPECT_THROW((void)wire::RoundAssignMsg::from_frame(too_many.to_frame()),
-               DecodeError);
+  const Frame f = too_many.to_frame();
+  EXPECT_THROW((void)wire::RoundAssignMsg::from_frame(f), DecodeError);
 }
 
 TEST(WireMessages, UpdateRoundTripCarriesAllTenStatFields) {
@@ -452,7 +672,8 @@ TEST(WireMessages, UpdateRoundTripCarriesAllTenStatFields) {
   m.loss = 0.0625;
   m.stats = sample_stats();
   m.update_blob = {1, 2, 3};
-  const auto back = wire::UpdateMsg::from_frame(m.to_frame());
+  const Frame f = m.to_frame();
+  const auto back = wire::UpdateMsg::from_frame(f);
   EXPECT_EQ(back.round_index, 3);
   EXPECT_EQ(back.slot, 1U);
   EXPECT_EQ(back.client, 9U);
@@ -467,7 +688,7 @@ TEST(WireMessages, UpdateRoundTripCarriesAllTenStatFields) {
   EXPECT_EQ(back.stats.residual_errors, 88U);
   EXPECT_TRUE(bits_equal(back.stats.backoff_seconds, 0.125));
   EXPECT_TRUE(bits_equal(back.stats.noise_power, -3.5e-7));
-  EXPECT_EQ(back.update_blob, m.update_blob);
+  EXPECT_EQ(bytes_of(back.update_blob), m.update_blob);
 }
 
 TEST(WireMessages, RoundDoneRoundTripPreservesNaN) {

@@ -7,7 +7,11 @@
 // the unit tests probe by hand (tests/test_wire.cpp, tests/test_snapshot.cpp):
 // truncation, bad magic, version skew, CRC flips, hostile length fields.
 // Seeding the mutations directly lets a 60-second CI smoke start at the
-// interesting boundaries instead of rediscovering the header format.
+// interesting boundaries instead of rediscovering the header format.  The
+// wire corpus also holds one well-formed frame per typed message, built by
+// the same encoders the serving loop uses (RoundAssign and Update carrying
+// real snapshot images), and a multi-MB Update, so the in-place read path
+// grows its buffer mid-frame and the view decoders see served-size blobs.
 //
 // The snapshot corpus also holds raw exact-sum payloads for the harness's
 // loader pass (it wraps each input in a valid chunk): a saved state, and
@@ -23,6 +27,7 @@
 #include "util/bytes.hpp"
 #include "util/exactsum.hpp"
 #include "util/snapshot.hpp"
+#include "wire/messages.hpp"
 #include "wire/wire.hpp"
 
 namespace {
@@ -70,6 +75,73 @@ bool write_mutations(const fs::path& dir, const std::string& stem,
   return ok;
 }
 
+/// A snapshot image of one `tag` chunk holding `floats` scalars.
+std::vector<std::uint8_t> image_of(const char* tag, std::size_t floats) {
+  std::vector<std::uint8_t> image;
+  fhdnn::util::append_image(image, [&](fhdnn::util::SnapshotWriter& w) {
+    w.begin_chunk(tag);
+    std::vector<float> v(floats);
+    for (std::size_t i = 0; i < floats; ++i) {
+      v[i] = static_cast<float>(i % 97) * 0.25F - 3.0F;
+    }
+    w.write_floats(v);
+    w.end_chunk();
+  });
+  return image;
+}
+
+bool make_message_seeds(const fs::path& dir) {
+  namespace wire = fhdnn::wire;
+  const auto framed = [](const wire::Frame& f) {
+    return wire::encode_frame(f.type, f.payload);
+  };
+  wire::HelloMsg hello;
+  hello.config_fingerprint = 0xC0FFEE42;
+  hello.protocol = "fedhd";
+  wire::HelloAckMsg ack;
+  ack.config_fingerprint = 0xC0FFEE42;
+  ack.worker_id = 3;
+  wire::RoundAssignHead assign;
+  assign.round_index = 2;
+  assign.n_participants = 4;
+  assign.rng.s[0] = 0x0123456789ABCDEFULL;
+  assign.rng.has_cached_normal = true;
+  assign.rng.cached_normal = 0.5;
+  assign.slots = {{0, 11}, {3, 7}};
+  std::vector<std::uint8_t> assign_frame;
+  wire::append_round_assign(assign_frame, assign, image_of("PROT", 16));
+  wire::UpdateHead update;
+  update.round_index = 2;
+  update.slot = 3;
+  update.client = 7;
+  update.loss = 0.75;
+  update.stats.payload_scalars = 16;
+  const auto update_frame = [&](std::size_t floats) {
+    std::vector<std::uint8_t> out;
+    wire::append_update(out, update, [&](std::vector<std::uint8_t>& blob) {
+      const std::vector<std::uint8_t> image = image_of("UPDT", floats);
+      blob.insert(blob.end(), image.begin(), image.end());
+    });
+    return out;
+  };
+  wire::RoundDoneMsg done;
+  done.round_index = 2;
+  done.accepted = 4;
+  wire::ShutdownMsg bye;
+  bye.rounds_completed = 2;
+
+  bool ok = write_mutations(dir, "msg_hello", framed(hello.to_frame()));
+  ok = write_mutations(dir, "msg_hello_ack", framed(ack.to_frame())) && ok;
+  ok = write_mutations(dir, "msg_round_assign", assign_frame) && ok;
+  ok = write_mutations(dir, "msg_update", update_frame(16)) && ok;
+  ok = write_mutations(dir, "msg_round_done", framed(done.to_frame())) && ok;
+  ok = write_mutations(dir, "msg_shutdown", framed(bye.to_frame())) && ok;
+  // A served-size update: 2^19 floats, a 2 MiB frame.
+  ok = write_seed(dir, "msg_update_2mib", update_frame(std::size_t{1} << 19)) &&
+       ok;
+  return ok;
+}
+
 bool make_wire_seeds(const fs::path& dir) {
   namespace wire = fhdnn::wire;
   bool ok = true;
@@ -91,7 +163,7 @@ bool make_wire_seeds(const fs::path& dir) {
   ok = write_seed(dir, "empty_payload",
                   wire::encode_frame(wire::MsgType::kShutdown, {})) &&
        ok;
-  return ok;
+  return make_message_seeds(dir) && ok;
 }
 
 bool make_snapshot_seeds(const fs::path& dir) {
