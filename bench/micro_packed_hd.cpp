@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 128; ++i) {
     test.labels.push_back(data_rng.randint(0, classes - 1));
   }
-  fhdnn::fl::FedHdTrainer trainer(std::move(clients), std::move(test), cfg);
+  fhdnn::fl::FedHdTrainer trainer(clients, test, cfg);
   std::vector<double> round_ms;
   for (int r = 0; r < fed_rounds; ++r) {
     const auto t0 = std::chrono::steady_clock::now();

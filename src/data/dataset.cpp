@@ -44,12 +44,6 @@ Dataset::Batch Dataset::gather(const std::vector<std::size_t>& indices) const {
   return b;
 }
 
-Dataset::Batch Dataset::all() const {
-  std::vector<std::size_t> idx(static_cast<std::size_t>(size()));
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  return gather(idx);
-}
-
 Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
   Batch b = gather(indices);
   return Dataset{std::move(b.x), std::move(b.labels), num_classes, name};

@@ -36,9 +36,6 @@ struct Dataset {
   };
   Batch gather(const std::vector<std::size_t>& indices) const;
 
-  /// The whole dataset as one batch.
-  Batch all() const;
-
   /// Subset copy (used to build per-client shards and train/test splits).
   Dataset subset(const std::vector<std::size_t>& indices) const;
 };

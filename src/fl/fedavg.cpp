@@ -48,13 +48,13 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
         test_(test),
         config_(config),
         transport_(transport),
-        root_rng_(config.seed),
-        test_batch_(test.all()) {
+        root_rng_(config.seed) {
     FHDNN_CHECK(parts_.size() == config_.n_clients,
                 "partition has " << parts_.size() << " clients, config says "
                                  << config_.n_clients);
     FHDNN_CHECK(config_.local_epochs > 0,
                 "FedAvg local_epochs " << config_.local_epochs);
+    FHDNN_CHECK(test_.size() > 0, "FedAvg test set is empty");
     Rng init_rng = root_rng_.fork("init");
     global_ = factory_(init_rng);
     state_scalars_ = nn::state_size(*global_);
@@ -86,7 +86,7 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
   /// predictions are summed. Each example's logits do not depend on its
   /// chunk, so the count is exact at every thread count.
   double evaluate() override {
-    const std::int64_t n = test_batch_.x.dim(0);
+    const std::int64_t n = test_.size();
     const std::int64_t lanes = std::min<std::int64_t>(
         parallel::num_threads(), (n + kEvalBatch - 1) / kEvalBatch);
     eval_workers_.clear();
@@ -188,14 +188,14 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
                               std::int64_t end) {
     nn::copy_state(global_state_, worker.state);
     worker.model->set_training(false);
-    const std::int64_t per = test_batch_.x.numel() / test_batch_.x.dim(0);
-    worker.xb_shape = test_batch_.x.shape();
+    const std::int64_t per = test_.example_numel();
+    worker.xb_shape = test_.x.shape();
     std::int64_t correct = 0;
     for (std::int64_t b = begin; b < end; b += kEvalBatch) {
       const std::int64_t len = std::min(kEvalBatch, end - b);
       worker.xb_shape[0] = len;
       worker.xb.ensure_shape(worker.xb_shape);
-      std::copy_n(test_batch_.x.data().begin() +
+      std::copy_n(test_.x.data().begin() +
                       static_cast<std::ptrdiff_t>(b * per),
                   len * per, worker.xb.data().begin());
       worker.preds.resize(static_cast<std::size_t>(len));
@@ -204,7 +204,7 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
       ops::argmax_rows_into(worker.model->forward(worker.xb), worker.preds);
       for (std::int64_t i = 0; i < len; ++i) {
         correct += worker.preds[static_cast<std::size_t>(i)] ==
-                   test_batch_.labels[static_cast<std::size_t>(b + i)];
+                   test_.labels[static_cast<std::size_t>(b + i)];
       }
     }
     return correct;
@@ -270,7 +270,6 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
   std::size_t workers_created_ = 0;
   std::int64_t state_scalars_ = 0;
   std::vector<float> broadcast_state_;
-  data::Dataset::Batch test_batch_;
 };
 
 /// Aggregator seam: example-count weighted averaging, serial in fixed

@@ -69,11 +69,19 @@ class FedAvgProtocol;
 class FedAvgTrainer {
  public:
   /// `parts` assigns training examples to clients (see data/partition.hpp);
-  /// `uplink` may be null for a perfect channel. The channel and datasets
-  /// must outlive the trainer.
+  /// `uplink` may be null for a perfect channel. The datasets and the
+  /// channel are borrowed: they must outlive the trainer and stay
+  /// unchanged while it runs. The rvalue overloads are deleted so a
+  /// temporary dataset cannot bind (DESIGN.md §9).
   FedAvgTrainer(ModelFactory factory, const data::Dataset& train,
                 data::ClientIndices parts, const data::Dataset& test,
                 FedAvgConfig config, const channel::Channel* uplink = nullptr);
+  FedAvgTrainer(ModelFactory, data::Dataset&&, data::ClientIndices,
+                const data::Dataset&, FedAvgConfig,
+                const channel::Channel* = nullptr) = delete;
+  FedAvgTrainer(ModelFactory, const data::Dataset&, data::ClientIndices,
+                data::Dataset&&, FedAvgConfig,
+                const channel::Channel* = nullptr) = delete;
   ~FedAvgTrainer();
 
   /// Run all configured rounds; returns the per-round history.

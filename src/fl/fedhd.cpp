@@ -15,10 +15,10 @@ namespace detail {
 /// HD refinement from the round's (possibly downlink-corrupted) broadcast.
 class FedHdLearner final : public LocalLearner<Tensor> {
  public:
-  FedHdLearner(std::vector<HdClientData> clients, HdClientData test,
-               const FedHdConfig& config)
-      : clients_(std::move(clients)),
-        test_(std::move(test)),
+  FedHdLearner(const std::vector<HdClientData>& clients,
+               const HdClientData& test, const FedHdConfig& config)
+      : clients_(clients),
+        test_(test),
         config_(config),
         global_(config.num_classes, config.hd_dim) {
     FHDNN_CHECK(clients_.size() == config_.n_clients,
@@ -108,8 +108,8 @@ class FedHdLearner final : public LocalLearner<Tensor> {
   }
 
  private:
-  std::vector<HdClientData> clients_;
-  HdClientData test_;
+  const std::vector<HdClientData>& clients_;  // borrowed (fedhd.hpp)
+  const HdClientData& test_;                  // borrowed (fedhd.hpp)
   const FedHdConfig& config_;
   hdc::HdClassifier global_;
   bool global_empty_ = true;
@@ -162,11 +162,11 @@ class FedHdAggregator final : public Aggregator<Tensor> {
 /// Owns the three seams and the adapter gluing them into a RoundProtocol.
 class FedHdProtocol {
  public:
-  FedHdProtocol(std::vector<HdClientData> clients, HdClientData test,
-                FedHdConfig config)
+  FedHdProtocol(const std::vector<HdClientData>& clients,
+                const HdClientData& test, FedHdConfig config)
       : config_(std::move(config)),
         transport_(config_.uplink),
-        learner_(std::move(clients), std::move(test), config_),
+        learner_(clients, test, config_),
         aggregator_(learner_, config_),
         adapter_(learner_, transport_, aggregator_) {}
 
@@ -187,10 +187,9 @@ class FedHdProtocol {
 
 }  // namespace detail
 
-FedHdTrainer::FedHdTrainer(std::vector<HdClientData> clients, HdClientData test,
-                           FedHdConfig config)
-    : protocol_(std::make_unique<detail::FedHdProtocol>(
-          std::move(clients), std::move(test), config)),
+FedHdTrainer::FedHdTrainer(const std::vector<HdClientData>& clients,
+                           const HdClientData& test, FedHdConfig config)
+    : protocol_(std::make_unique<detail::FedHdProtocol>(clients, test, config)),
       engine_(std::make_unique<RoundEngine>(
           EngineConfig{config.n_clients, config.client_fraction, config.rounds,
                        config.eval_every, config.dropout_prob, config.seed,

@@ -16,6 +16,13 @@
 // The engine owns sampling, pre-drawn dropout coins, the client-parallel
 // schedule, and per-round accounting, so results are bit-identical at
 // every FHDNN_THREADS setting (DESIGN.md §6).
+//
+// The trainer borrows the encoded data: it keeps references to the
+// caller's client vector and test set, never a copy, so any number of
+// trainers over one data set (a fresh trainer per campaign, the server and
+// worker replicas of a served run) share one (N, d) copy of it. The caller
+// keeps both alive and unchanged until the trainer is destroyed; the
+// rvalue overloads are deleted so a temporary cannot bind (DESIGN.md §9).
 #pragma once
 
 #include <memory>
@@ -75,8 +82,14 @@ class FedHdProtocol;
 
 class FedHdTrainer {
  public:
-  FedHdTrainer(std::vector<HdClientData> clients, HdClientData test,
-               FedHdConfig config);
+  /// `clients` (one entry per client id) and `test` are borrowed: they
+  /// must outlive the trainer and stay unchanged while it runs.
+  FedHdTrainer(const std::vector<HdClientData>& clients,
+               const HdClientData& test, FedHdConfig config);
+  FedHdTrainer(std::vector<HdClientData>&&, const HdClientData&,
+               FedHdConfig) = delete;
+  FedHdTrainer(const std::vector<HdClientData>&, HdClientData&&,
+               FedHdConfig) = delete;
   ~FedHdTrainer();
 
   TrainingHistory run();

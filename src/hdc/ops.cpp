@@ -11,17 +11,6 @@ Tensor random_bipolar(std::int64_t d, Rng& rng) {
   return v;
 }
 
-Tensor bind(const Tensor& a, const Tensor& b) {
-  FHDNN_CHECK(a.same_shape(b), "bind shape mismatch: "
-                                   << shape_to_string(a.shape()) << " vs "
-                                   << shape_to_string(b.shape()));
-  Tensor c = a;
-  auto cd = c.data();
-  auto bd = b.data();
-  for (std::size_t i = 0; i < cd.size(); ++i) cd[i] *= bd[i];
-  return c;
-}
-
 Tensor bundle(const std::vector<Tensor>& vs) {
   FHDNN_CHECK(!vs.empty(), "bundle of nothing");
   Tensor acc = vs.front();

@@ -1,14 +1,10 @@
-// Classic hyperdimensional algebra: bind, bundle, permute, and the
-// similarity metrics they rely on (Kanerva 2009, the paper's ref. [11]).
+// Classic hyperdimensional algebra (Kanerva 2009, the paper's ref. [11]):
+// random bipolar hypervectors, bundling and the sign threshold.
 //
 // These operate on bipolar hypervectors (entries in {-1, +1}) or general
 // real hypervectors:
-//   * bind (elementwise multiply)  — associates two hypervectors; for
-//     bipolar inputs it is its own inverse and distributes over bundling;
 //   * bundle (elementwise sum, optionally sign-thresholded) — superposes a
-//     set into one vector similar to each member;
-//   * permute (cyclic rotation) — encodes sequence position; preserves
-//     distances and is invertible.
+//     set into one vector similar to each member.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +17,6 @@ namespace fhdnn::hdc {
 
 /// Random bipolar hypervector of dimension d (entries ±1, fair coin).
 Tensor random_bipolar(std::int64_t d, Rng& rng);
-
-/// Elementwise product. For bipolar a, b: bind(bind(a,b), b) == a.
-Tensor bind(const Tensor& a, const Tensor& b);
 
 /// Elementwise sum of a set of equal-shaped hypervectors.
 Tensor bundle(const std::vector<Tensor>& vs);

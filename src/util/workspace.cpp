@@ -11,8 +11,6 @@ namespace {
 
 /// Bump granularity: keeps every returned pointer 16-byte aligned.
 constexpr std::size_t kAlign = 16;
-/// Smallest backing block; growth doubles total capacity from here.
-constexpr std::size_t kMinBlock = 64 * 1024;
 
 std::size_t round_up(std::size_t bytes) {
   return (bytes + kAlign - 1) & ~(kAlign - 1);
@@ -38,11 +36,13 @@ void* Workspace::allocate(std::size_t bytes) {
     if (active_ + 1 == blocks_.size()) break;
     ++active_;
   }
-  // Warmup growth: each new block at least doubles total capacity so the
-  // arena converges in O(log(model size)) allocations.
-  const std::size_t size =
-      std::max({need, static_cast<std::size_t>(stats_.capacity_bytes),
-                kMinBlock});
+  // Warmup growth. A request larger than the growth step gets a block of
+  // its own size; any other gets a block of the step, which then doubles,
+  // so a run of small requests converges in O(log(high water)) blocks. The
+  // step does not follow the capacity: a small request after a large one
+  // costs one small block, not a second copy of the whole arena.
+  const std::size_t size = std::max(need, grow_step_);
+  if (size == grow_step_) grow_step_ *= 2;
   blocks_.push_back(
       Block{std::make_unique_for_overwrite<std::byte[]>(size), size, need});
   active_ = blocks_.size() - 1;
@@ -79,6 +79,7 @@ void Workspace::reset() {
                            << " Scope(s) still open — a Scope leaked across "
                               "a client/batch boundary");
   ++stats_.resets;
+  grow_step_ = kMinBlock;
   if (blocks_.size() > 1) {
     // Coalesce fragmented warmup growth into one contiguous block so the
     // steady state never needs to hop blocks again.

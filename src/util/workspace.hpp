@@ -95,7 +95,11 @@ class Workspace {
 
   void* allocate(std::size_t bytes);
 
+  /// Smallest backing block, and the growth step after each reset().
+  static constexpr std::size_t kMinBlock = 64 * 1024;
+
   std::vector<Block> blocks_;
+  std::size_t grow_step_ = kMinBlock;  ///< next block for a small request
   std::size_t active_ = 0;  ///< index of the block currently bumped
   std::int64_t scope_depth_ = 0;  ///< open Scopes (leak detection)
   WorkspaceStats stats_;

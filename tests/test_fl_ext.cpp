@@ -99,8 +99,8 @@ TEST(Convergence, FedHdModelTrajectoryDecays) {
   cfg.num_classes = 4;
   cfg.hd_dim = 1024;
   cfg.seed = 2;
-  fl::FedHdTrainer trainer(std::move(clients),
-                           {enc.encode(split.test.x), split.test.labels}, cfg);
+  const fl::HdClientData test{enc.encode(split.test.x), split.test.labels};
+  fl::FedHdTrainer trainer(clients, test, cfg);
   fl::ModelTrajectory traj;
   for (int r = 1; r <= cfg.rounds; ++r) {
     (void)trainer.round(r);

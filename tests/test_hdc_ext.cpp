@@ -39,25 +39,6 @@ TEST(HdAlgebra, RandomBipolarBalanced) {
   EXPECT_NEAR(sum / 10000.0, 0.0, 0.05);
 }
 
-TEST(HdAlgebra, BindIsInvolutionForBipolar) {
-  Rng rng(2);
-  const Tensor a = random_bipolar(512, rng);
-  const Tensor b = random_bipolar(512, rng);
-  const Tensor ab = bind(a, b);
-  const Tensor back = bind(ab, b);
-  for (std::int64_t i = 0; i < 512; ++i) EXPECT_EQ(back(i), a(i));
-}
-
-TEST(HdAlgebra, BindDissimilarToOperands) {
-  Rng rng(3);
-  const Tensor a = random_bipolar(4096, rng);
-  const Tensor b = random_bipolar(4096, rng);
-  const Tensor ab = bind(a, b);
-  // bound vector ~orthogonal to both operands (Hamming ~0.5).
-  EXPECT_NEAR(hamming_distance(ab, a), 0.5, 0.05);
-  EXPECT_NEAR(hamming_distance(ab, b), 0.5, 0.05);
-}
-
 TEST(HdAlgebra, BundleSimilarToMembers) {
   Rng rng(4);
   std::vector<Tensor> members;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "computed.hpp"
@@ -15,6 +16,7 @@
 #include "data/synthetic.hpp"
 #include "features/extractor.hpp"
 #include "fl/fedavg.hpp"
+#include "fl/fedhd.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"
 #include "nn/loss.hpp"
@@ -135,6 +137,43 @@ TEST(Workspace, ResetCoalescesFragmentedGrowthIntoOneBlock) {
     (void)ws.floats(60'000);
   }
   EXPECT_EQ(ws.stats().heap_allocations, coalesced.heap_allocations);
+}
+
+TEST(Workspace, SmallRequestAfterALargeBlockGrowsASmallBlock) {
+  // The classifier readout on a cold arena: a K = 26 norm array (the first
+  // 64 KiB block, which doubles the growth step), the 1.04 MB prototype
+  // panel (a block of its own), then 1664 bytes of dot scratch, which
+  // finds every block full and gets one step, not a copy of the arena.
+  util::Workspace ws;
+  const util::Workspace::Scope scope(ws);
+  (void)ws.doubles(26);
+  (void)ws.floats(26 * 10'000);
+  const auto before = ws.stats();
+  (void)ws.doubles(208);
+  const auto after = ws.stats();
+  EXPECT_EQ(after.heap_allocations, before.heap_allocations + 1);
+  EXPECT_EQ(after.capacity_bytes - before.capacity_bytes, 128U * 1024U)
+      << "a 1664-byte miss grew the arena by "
+      << (after.capacity_bytes - before.capacity_bytes) << " bytes";
+}
+
+TEST(Workspace, SmallRequestsGrowInLogarithmicallyManyBlocks) {
+  // 1 MiB in 1 KiB pieces under one Scope: blocks of 64, 128, 256, 512
+  // and 1024 KiB, never one block per piece.
+  util::Workspace ws;
+  {
+    const util::Workspace::Scope scope(ws);
+    for (int i = 0; i < 1024; ++i) (void)ws.floats(256);
+  }
+  EXPECT_LE(ws.stats().heap_allocations, 5U);
+  EXPECT_GE(ws.stats().capacity_bytes, 1024U * 1024U);
+  ws.reset();
+  const auto warm = ws.stats();
+  {
+    const util::Workspace::Scope scope(ws);
+    for (int i = 0; i < 1024; ++i) (void)ws.floats(256);
+  }
+  EXPECT_EQ(ws.stats().heap_allocations, warm.heap_allocations);
 }
 
 TEST(Workspace, TlsWorkspaceIsPerThread) {
@@ -439,6 +478,66 @@ TEST(ZeroAlloc, FedAvgEvaluateSteadyState) {
       << "a second evaluate() allocated " << (spy1.bytes - spy0.bytes)
       << " bytes in " << (spy1.count - spy0.count) << " calls";
   EXPECT_EQ(first, second);
+}
+
+// ---------------------------------------------------------------------------
+// Trainers borrow their data: no temporary binds, and a trainer copies none
+// ---------------------------------------------------------------------------
+
+using HdClients = std::vector<fl::HdClientData>;
+static_assert(std::is_constructible_v<fl::FedHdTrainer, HdClients&,
+                                      fl::HdClientData&, fl::FedHdConfig>);
+static_assert(!std::is_constructible_v<fl::FedHdTrainer, HdClients,
+                                       const fl::HdClientData&,
+                                       fl::FedHdConfig>);
+static_assert(!std::is_constructible_v<fl::FedHdTrainer, const HdClients&,
+                                       fl::HdClientData, fl::FedHdConfig>);
+static_assert(!std::is_constructible_v<fl::FedHdTrainer, HdClients,
+                                       fl::HdClientData, fl::FedHdConfig>);
+
+static_assert(std::is_constructible_v<fl::FedAvgTrainer, fl::ModelFactory,
+                                      data::Dataset&, data::ClientIndices,
+                                      data::Dataset&, fl::FedAvgConfig>);
+static_assert(!std::is_constructible_v<fl::FedAvgTrainer, fl::ModelFactory,
+                                       data::Dataset, data::ClientIndices,
+                                       const data::Dataset&,
+                                       fl::FedAvgConfig>);
+static_assert(!std::is_constructible_v<fl::FedAvgTrainer, fl::ModelFactory,
+                                       const data::Dataset&,
+                                       data::ClientIndices, data::Dataset,
+                                       fl::FedAvgConfig,
+                                       const channel::Channel*>);
+static_assert(!std::is_constructible_v<fl::FedAvgTrainer, fl::ModelFactory,
+                                       data::Dataset, data::ClientIndices,
+                                       data::Dataset, fl::FedAvgConfig>);
+
+TEST(Borrow, AnotherFedHdTrainerAllocatesTheModelNotTheData) {
+  SKIP_IF_SANITIZED();
+  // N = 1200 encoded rows (9.6 MB) against a K x d model of 80 KB.
+  constexpr std::int64_t kK = 10;
+  constexpr std::int64_t kD = 2000;
+  constexpr std::int64_t kRows = 24;
+  Rng rng(820);
+  std::vector<std::int64_t> labels;
+  for (std::int64_t i = 0; i < kRows; ++i) labels.push_back(i % kK);
+  HdClients clients;
+  for (int c = 0; c < 50; ++c) {
+    clients.push_back({Tensor::randn(Shape{kRows, kD}, rng), labels});
+  }
+  const fl::HdClientData test{Tensor::randn(Shape{kRows, kD}, rng), labels};
+  fl::FedHdConfig cfg;
+  cfg.n_clients = clients.size();
+  cfg.num_classes = kK;
+  cfg.hd_dim = kD;
+  const fl::FedHdTrainer first(clients, test, cfg);
+  const auto spy0 = util::alloc_spy_snapshot();
+  const fl::FedHdTrainer second(clients, test, cfg);
+  const auto spy1 = util::alloc_spy_snapshot();
+  const std::uint64_t model_bytes = kK * kD * sizeof(float);
+  EXPECT_LE(spy1.bytes - spy0.bytes, 4 * model_bytes)
+      << "a second trainer over the same " << 51 * kRows << " x " << kD
+      << " data allocated " << (spy1.bytes - spy0.bytes) << " bytes";
+  EXPECT_EQ(first.evaluate(), second.evaluate());
 }
 
 TEST(ParallelEvaluate, CountsEveryTestExampleOnceAtEveryThreadCount) {

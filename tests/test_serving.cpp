@@ -429,7 +429,7 @@ TEST(ProtocolState, HoldsOnlyTheLearnersModel) {
   cfg.num_classes = 4;
   cfg.hd_dim = 512;
   cfg.dropout_prob = 0.999;
-  fl::FedHdTrainer trainer(std::move(clients), test, cfg);
+  fl::FedHdTrainer trainer(clients, test, cfg);
   const std::size_t before = protocol_image(trainer.protocol()).size();
   EXPECT_EQ(trainer.round(1).clients, 0U);
   EXPECT_EQ(protocol_image(trainer.protocol()).size(), before);

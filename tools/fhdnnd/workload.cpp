@@ -95,12 +95,11 @@ class FedHdWorkload final : public Workload {
     Rng enc_rng = rng.fork("enc");
     hdc::RandomProjectionEncoder enc(32, 512, enc_rng);
     const auto split = data::train_test_split(ds, 0.2, rng);
-    const fl::HdClientData test{enc.encode(split.test.x), split.test.labels};
+    test_ = {enc.encode(split.test.x), split.test.labels};
     const auto parts = data::partition_iid(split.train, 6, rng);
-    std::vector<fl::HdClientData> clients;
     for (const auto& part : parts) {
       const auto sub = split.train.subset(part);
-      clients.push_back({enc.encode(sub.x), sub.labels});
+      clients_.push_back({enc.encode(sub.x), sub.labels});
     }
     fl::FedHdConfig cfg;
     cfg.n_clients = 6;
@@ -116,8 +115,7 @@ class FedHdWorkload final : public Workload {
     cfg.downlink.mode = channel::HdUplinkMode::Awgn;
     cfg.downlink.snr_db = 15.0;
     apply_common(opt, cfg.checkpoint, cfg.crash);
-    trainer_ = std::make_unique<fl::FedHdTrainer>(std::move(clients), test,
-                                                  cfg);
+    trainer_ = std::make_unique<fl::FedHdTrainer>(clients_, test_, cfg);
   }
 
   fl::RoundProtocol& protocol() override { return trainer_->protocol(); }
@@ -137,6 +135,9 @@ class FedHdWorkload final : public Workload {
   }
 
  private:
+  // The trainer borrows the encoded data, so it is declared after it.
+  std::vector<fl::HdClientData> clients_;
+  fl::HdClientData test_;
   std::unique_ptr<fl::FedHdTrainer> trainer_;
 };
 
