@@ -92,11 +92,6 @@ TransportStats ReliableChannel::apply_scaled(std::vector<float>& payload,
   return stats;
 }
 
-TransportStats ReliableChannel::apply(std::vector<float>& payload,
-                                      Rng& rng) const {
-  return apply_scaled(payload, rng, 1.0);
-}
-
 std::string ReliableChannel::name() const {
   std::ostringstream os;
   os << "arq("

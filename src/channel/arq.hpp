@@ -63,13 +63,9 @@ class ReliableChannel final : public Channel {
   /// retransmissions) and must outlive the decorator.
   explicit ReliableChannel(const Channel* inner, ArqConfig config = {});
 
-  TransportStats apply(std::vector<float>& payload, Rng& rng) const override;
   TransportStats apply_scaled(std::vector<float>& payload, Rng& rng,
                               double error_scale) const override;
   std::string name() const override;
-
-  const ArqConfig& config() const { return config_; }
-  const Channel* inner() const { return inner_; }
 
  private:
   const Channel* inner_;

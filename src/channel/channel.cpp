@@ -4,12 +4,42 @@
 #include <cmath>
 
 #include "channel/bits.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace fhdnn::channel {
 
-TransportStats PerfectChannel::apply(std::vector<float>& payload,
-                                     Rng& /*rng*/) const {
+void put_transport_stats(util::ByteWriter& w, const TransportStats& s) {
+  w.write_u64(s.payload_scalars);
+  w.write_u64(s.payload_bytes);
+  w.write_u64(s.bits_on_air);
+  w.write_u64(s.bit_flips);
+  w.write_u64(s.packets_total);
+  w.write_u64(s.packets_lost);
+  w.write_u64(s.retransmissions);
+  w.write_u64(s.residual_errors);
+  w.write_f64(s.backoff_seconds);
+  w.write_f64(s.noise_power);
+}
+
+TransportStats get_transport_stats(util::ByteReader& r) {
+  TransportStats s;
+  s.payload_scalars = r.read_u64();
+  s.payload_bytes = r.read_u64();
+  s.bits_on_air = r.read_u64();
+  s.bit_flips = r.read_u64();
+  s.packets_total = r.read_u64();
+  s.packets_lost = r.read_u64();
+  s.retransmissions = r.read_u64();
+  s.residual_errors = r.read_u64();
+  s.backoff_seconds = r.read_f64();
+  s.noise_power = r.read_f64();
+  return s;
+}
+
+TransportStats PerfectChannel::apply_scaled(std::vector<float>& payload,
+                                            Rng& /*rng*/,
+                                            double /*error_scale*/) const {
   TransportStats stats;
   stats.payload_scalars = payload.size();
   stats.bits_on_air = payload.size() * 32;
@@ -46,10 +76,6 @@ TransportStats AwgnChannel::apply_scaled(std::vector<float>& payload, Rng& rng,
   return stats;
 }
 
-TransportStats AwgnChannel::apply(std::vector<float>& payload, Rng& rng) const {
-  return apply_scaled(payload, rng, 1.0);
-}
-
 std::string AwgnChannel::name() const {
   return "awgn(" + std::to_string(snr_db_) + "dB)";
 }
@@ -68,11 +94,6 @@ TransportStats BitErrorChannel::apply_scaled(std::vector<float>& payload,
   stats.bit_flips = flip_float_bits(payload, std::min(1.0, ber_ * error_scale),
                                     rng);
   return stats;
-}
-
-TransportStats BitErrorChannel::apply(std::vector<float>& payload,
-                                      Rng& rng) const {
-  return apply_scaled(payload, rng, 1.0);
 }
 
 std::string BitErrorChannel::name() const {
@@ -106,11 +127,6 @@ TransportStats PacketLossChannel::apply_scaled(std::vector<float>& payload,
     for (std::size_t i = begin; i < end; ++i) payload[i] = 0.0F;
   }
   return stats;
-}
-
-TransportStats PacketLossChannel::apply(std::vector<float>& payload,
-                                        Rng& rng) const {
-  return apply_scaled(payload, rng, 1.0);
 }
 
 std::string PacketLossChannel::name() const {

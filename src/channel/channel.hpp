@@ -20,6 +20,11 @@
 
 #include "util/rng.hpp"
 
+namespace fhdnn::util {
+class ByteWriter;
+class ByteReader;
+}  // namespace fhdnn::util
+
 namespace fhdnn::channel {
 
 /// Statistics of one delivery — the single accounting struct shared by
@@ -40,23 +45,30 @@ struct TransportStats {
   double noise_power = 0.0;            ///< AWGN only (empirical per-element)
 };
 
+/// TransportStats <-> bytes (util/bytes), one encoding for snapshots and
+/// wire frames: all ten fields in declaration order, doubles as raw IEEE
+/// bits, so accounting restored or received equals the in-process rule.
+void put_transport_stats(util::ByteWriter& w, const TransportStats& s);
+[[nodiscard]] TransportStats get_transport_stats(util::ByteReader& r);
+
 /// A channel corrupts a float payload (one client's serialized model) in
 /// place. Implementations must be deterministic given the Rng.
 class Channel {
  public:
   virtual ~Channel() = default;
-  virtual TransportStats apply(std::vector<float>& payload, Rng& rng) const = 0;
 
-  /// Fault-model hook: like apply(), but with the channel's error parameter
-  /// (BER, loss rate, noise power) scaled by `error_scale` — the per-client
-  /// link-quality multiplier of fl::FaultModel. Channels without a tunable
-  /// error knob ignore the scale. apply(p, rng) and apply_scaled(p, rng, 1.0)
-  /// must consume the stream identically and produce identical results.
-  virtual TransportStats apply_scaled(std::vector<float>& payload, Rng& rng,
-                                      double error_scale) const {
-    (void)error_scale;
-    return apply(payload, rng);
+  /// Corrupt `payload` at the channel's nominal error parameter:
+  /// apply_scaled(payload, rng, 1.0).
+  TransportStats apply(std::vector<float>& payload, Rng& rng) const {
+    return apply_scaled(payload, rng, 1.0);
   }
+
+  /// Fault-model hook: the channel's error parameter (BER, loss rate,
+  /// noise power) scaled by `error_scale` — the per-client link-quality
+  /// multiplier of fl::FaultModel. Channels without a tunable error knob
+  /// ignore the scale.
+  virtual TransportStats apply_scaled(std::vector<float>& payload, Rng& rng,
+                                      double error_scale) const = 0;
 
   virtual std::string name() const = 0;
 };
@@ -64,7 +76,8 @@ class Channel {
 /// Error-free link (the broadcast/downlink assumption, and the baseline).
 class PerfectChannel final : public Channel {
  public:
-  TransportStats apply(std::vector<float>& payload, Rng& rng) const override;
+  TransportStats apply_scaled(std::vector<float>& payload, Rng& rng,
+                              double error_scale) const override;
   std::string name() const override { return "perfect"; }
 };
 
@@ -74,11 +87,9 @@ class PerfectChannel final : public Channel {
 class AwgnChannel final : public Channel {
  public:
   explicit AwgnChannel(double snr_db);
-  TransportStats apply(std::vector<float>& payload, Rng& rng) const override;
   TransportStats apply_scaled(std::vector<float>& payload, Rng& rng,
                               double error_scale) const override;
   std::string name() const override;
-  double snr_db() const { return snr_db_; }
 
  private:
   double snr_db_;
@@ -91,11 +102,9 @@ class AwgnChannel final : public Channel {
 class BitErrorChannel final : public Channel {
  public:
   explicit BitErrorChannel(double bit_error_rate);
-  TransportStats apply(std::vector<float>& payload, Rng& rng) const override;
   TransportStats apply_scaled(std::vector<float>& payload, Rng& rng,
                               double error_scale) const override;
   std::string name() const override;
-  double ber() const { return ber_; }
 
  private:
   double ber_;
@@ -107,12 +116,9 @@ class BitErrorChannel final : public Channel {
 class PacketLossChannel final : public Channel {
  public:
   PacketLossChannel(double loss_rate, std::size_t packet_bits = 8192);
-  TransportStats apply(std::vector<float>& payload, Rng& rng) const override;
   TransportStats apply_scaled(std::vector<float>& payload, Rng& rng,
                               double error_scale) const override;
   std::string name() const override;
-  double loss_rate() const { return loss_rate_; }
-  std::size_t packet_bits() const { return packet_bits_; }
 
  private:
   double loss_rate_;

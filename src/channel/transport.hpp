@@ -88,9 +88,6 @@ class FloatStateTransport final : public Transport<std::vector<float>> {
   }
   std::string name() const override;
 
-  double update_fraction() const { return update_fraction_; }
-  const Channel* uplink() const { return uplink_; }
-
  private:
   double update_fraction_;
   const Channel* uplink_;
@@ -119,8 +116,6 @@ class HdModelTransport final : public Transport<Tensor> {
     return hd_update_bytes(config_, scalars);
   }
   std::string name() const override { return describe(config_); }
-
-  const HdUplinkConfig& config() const { return config_; }
 
  private:
   HdUplinkConfig config_;

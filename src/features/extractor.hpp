@@ -56,7 +56,6 @@ class FrozenFeatureExtractor {
   void fit_standardization(const Tensor& calibration_images);
 
   std::int64_t output_dim() const { return config_.output_dim; }
-  const Config& config() const { return config_; }
 
  private:
   Config config_;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "tensor/tensor.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -461,51 +462,45 @@ std::uint32_t RoundEngine::config_fingerprint() const {
   // depends on. FaultModel / ClientPopulation / FlTimeline / ClientSampler
   // are pure in (seed, config), so fingerprinting the config covers them —
   // no derived tables need snapshotting.
-  std::vector<std::uint8_t> buf;
-  const auto put = [&buf](const void* p, std::size_t len) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf.insert(buf.end(), b, b + len);
-  };
-  const auto put_u64 = [&put](std::uint64_t v) { put(&v, sizeof(v)); };
-  const auto put_f64 = [&put](double v) { put(&v, sizeof(v)); };
+  util::ByteWriter w;
   const EngineConfig& c = config_;
-  put_u64(c.n_clients);
-  put_f64(c.client_fraction);
-  put_u64(static_cast<std::uint64_t>(c.rounds));
-  put_u64(static_cast<std::uint64_t>(c.eval_every));
-  put_f64(c.dropout_prob);
-  put_u64(c.seed);
-  put(c.name.data(), c.name.size());
-  put_f64(c.faults.crash_prob);
-  put_f64(c.faults.straggler_fraction);
-  put_f64(c.faults.straggler_slowdown);
-  put_f64(c.faults.outage_prob);
-  put_u64(static_cast<std::uint64_t>(c.faults.outage_rounds));
-  put_f64(c.faults.error_multiplier_max);
-  put_u64(c.deadline.enabled ? 1 : 0);
-  put_f64(c.deadline.over_selection);
-  put_f64(c.deadline.deadline_factor);
-  put_u64(c.deadline.timeline.update_bits);
-  put_u64(c.deadline.timeline.fhdnn ? 1 : 0);
-  put_f64(c.deadline.timeline.compute_jitter);
-  put_u64(c.async.enabled ? 1 : 0);
-  put_f64(c.async.over_selection);
-  put_f64(c.async.staleness_exponent);
-  put_u64(static_cast<std::uint64_t>(c.async.max_staleness));
-  put_u64(c.async.timeline.update_bits);
-  put_u64(c.async.timeline.fhdnn ? 1 : 0);
-  put_f64(c.async.timeline.compute_jitter);
-  put_u64(c.population.n_registered);
-  put_f64(c.population.mean_availability);
-  put_f64(c.population.window_seconds);
-  put_f64(c.population.straggler_fraction);
-  put_f64(c.population.straggler_slowdown);
-  put_f64(c.population.compute_spread);
-  put_f64(c.population.link_spread_max);
+  w.write_u64(c.n_clients);
+  w.write_f64(c.client_fraction);
+  w.write_u64(static_cast<std::uint64_t>(c.rounds));
+  w.write_u64(static_cast<std::uint64_t>(c.eval_every));
+  w.write_f64(c.dropout_prob);
+  w.write_u64(c.seed);
+  w.write_raw(c.name.data(), c.name.size());
+  w.write_f64(c.faults.crash_prob);
+  w.write_f64(c.faults.straggler_fraction);
+  w.write_f64(c.faults.straggler_slowdown);
+  w.write_f64(c.faults.outage_prob);
+  w.write_u64(static_cast<std::uint64_t>(c.faults.outage_rounds));
+  w.write_f64(c.faults.error_multiplier_max);
+  w.write_u64(c.deadline.enabled ? 1 : 0);
+  w.write_f64(c.deadline.over_selection);
+  w.write_f64(c.deadline.deadline_factor);
+  w.write_u64(c.deadline.timeline.update_bits);
+  w.write_u64(c.deadline.timeline.fhdnn ? 1 : 0);
+  w.write_f64(c.deadline.timeline.compute_jitter);
+  w.write_u64(c.async.enabled ? 1 : 0);
+  w.write_f64(c.async.over_selection);
+  w.write_f64(c.async.staleness_exponent);
+  w.write_u64(static_cast<std::uint64_t>(c.async.max_staleness));
+  w.write_u64(c.async.timeline.update_bits);
+  w.write_u64(c.async.timeline.fhdnn ? 1 : 0);
+  w.write_f64(c.async.timeline.compute_jitter);
+  w.write_u64(c.population.n_registered);
+  w.write_f64(c.population.mean_availability);
+  w.write_f64(c.population.window_seconds);
+  w.write_f64(c.population.straggler_fraction);
+  w.write_f64(c.population.straggler_slowdown);
+  w.write_f64(c.population.compute_spread);
+  w.write_f64(c.population.link_spread_max);
   // One derived double folds the device/link/workload profiles in without
   // enumerating every field of the active timeline.
-  put_f64(timeline_ ? timeline_->nominal_round_seconds() : 0.0);
-  return util::crc32(buf.data(), buf.size());
+  w.write_f64(timeline_ ? timeline_->nominal_round_seconds() : 0.0);
+  return util::crc32(w.data(), w.size());
 }
 
 void RoundEngine::save_snapshot(util::SnapshotWriter& w) {
@@ -519,10 +514,7 @@ void RoundEngine::save_snapshot(util::SnapshotWriter& w) {
   w.end_chunk();
 
   w.begin_chunk("RNGS");
-  const RngState rng = root_rng_.state();
-  for (const std::uint64_t word : rng.s) w.write_u64(word);
-  w.write_u8(rng.has_cached_normal ? 1 : 0);
-  w.write_f64(rng.cached_normal);
+  put_rng_state(w, root_rng_.state());
   w.end_chunk();
 
   w.begin_chunk("CLCK");
@@ -545,17 +537,7 @@ void RoundEngine::save_snapshot(util::SnapshotWriter& w) {
     w.write_u64(pending_.reports.size());
     for (const ClientReport& rep : pending_.reports) {
       w.write_f64(rep.loss);
-      const channel::TransportStats& s = rep.stats;
-      w.write_u64(s.payload_scalars);
-      w.write_u64(s.payload_bytes);
-      w.write_u64(s.bits_on_air);
-      w.write_u64(s.bit_flips);
-      w.write_u64(s.packets_total);
-      w.write_u64(s.packets_lost);
-      w.write_u64(s.retransmissions);
-      w.write_u64(s.residual_errors);
-      w.write_f64(s.backoff_seconds);
-      w.write_f64(s.noise_power);
+      channel::put_transport_stats(w, rep.stats);
     }
     w.write_flags(pending_.accepted);
     w.write_flags(pending_.late);
@@ -598,11 +580,7 @@ void RoundEngine::resume(const std::string& path) {
   r.leave_chunk();
 
   r.enter_chunk("RNGS");
-  RngState rng;
-  for (std::uint64_t& word : rng.s) word = r.read_u64();
-  rng.has_cached_normal = r.read_u8() != 0;
-  rng.cached_normal = r.read_f64();
-  root_rng_.set_state(rng);
+  root_rng_.set_state(get_rng_state(r));
   r.leave_chunk();
 
   r.enter_chunk("CLCK");
@@ -628,17 +606,7 @@ void RoundEngine::resume(const std::string& path) {
     pending_.reports.assign(n_reports, ClientReport{});
     for (ClientReport& rep : pending_.reports) {
       rep.loss = r.read_f64();
-      channel::TransportStats& s = rep.stats;
-      s.payload_scalars = r.read_u64();
-      s.payload_bytes = r.read_u64();
-      s.bits_on_air = r.read_u64();
-      s.bit_flips = r.read_u64();
-      s.packets_total = r.read_u64();
-      s.packets_lost = r.read_u64();
-      s.retransmissions = r.read_u64();
-      s.residual_errors = r.read_u64();
-      s.backoff_seconds = r.read_f64();
-      s.noise_power = r.read_f64();
+      rep.stats = channel::get_transport_stats(r);
     }
     pending_.accepted = r.read_flags();
     pending_.late = r.read_flags();

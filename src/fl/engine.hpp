@@ -567,7 +567,6 @@ class RoundEngine {
   TrainingHistory run();
 
   const TrainingHistory& history() const { return history_; }
-  const EngineConfig& config() const { return config_; }
 
   /// The per-client fault layer (disabled when config.faults is all-off).
   /// Trainers install faults().error_scales() into their transports.

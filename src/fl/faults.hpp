@@ -88,7 +88,6 @@ class FaultModel {
   FaultModel(FaultConfig config, std::size_t n_clients, const Rng& root);
 
   bool enabled() const { return enabled_; }
-  const FaultConfig& config() const { return config_; }
   std::size_t n_clients() const { return slowdown_.size(); }
 
   /// Static compute-time multiplier of `client` (1.0 = healthy).

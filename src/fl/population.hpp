@@ -79,7 +79,6 @@ class ClientPopulation {
   ClientPopulation(PopulationConfig config, const Rng& root);
 
   std::size_t n_registered() const { return config_.n_registered; }
-  const PopulationConfig& config() const { return config_; }
 
   /// Deterministic profile of client `c` — pure in (seed, c).
   ClientProfile profile(std::size_t client) const;

@@ -79,44 +79,11 @@ std::uint64_t ServerRoundDriver::add_worker(
     waited_ms += config_.poll_slice_ms;
   }
 
-  if (w.conn->fd() >= 0) {
-    reactor_.add(w.conn->fd(), w.id, /*want_read=*/true, /*want_write=*/false);
-  } else {
-    reactor_usable_ = false;  // loopback: fall back to wait_readable slices
-  }
   const std::uint64_t id = w.id;
   log_info("fhdnnd") << "worker " << id << " connected ("
                      << w.conn->describe() << ")";
   workers_.push_back(std::move(w));
   return id;
-}
-
-void ServerRoundDriver::wait_any(int slice_ms) {
-  if (reactor_usable_ && reactor_.watched() > 0) {
-    // A worker with queued bytes is waited on for writability too: a
-    // RoundAssign stalled on a full socket resumes as soon as the worker
-    // reads, not a slice later.
-    for (Worker& w : workers_) {
-      const bool want_write = w.chan->tx_pending() > 0;
-      if (want_write != w.want_write) {
-        reactor_.update(w.conn->fd(), w.id, /*want_read=*/true, want_write);
-        w.want_write = want_write;
-      }
-    }
-    reactor_.wait(slice_ms);
-    return;
-  }
-  // Loopback / mixed transports: round-robin a short wait over the workers
-  // so one quiet connection cannot starve the others' readiness.
-  if (workers_.empty()) return;
-  const int per = std::max(1, slice_ms / static_cast<int>(workers_.size()));
-  for (Worker& w : workers_) {
-    net::Connection& c = w.chan->connection();
-    if (w.chan->tx_pending() > 0 ? c.wait_writable(per)
-                                 : c.wait_readable(per)) {
-      return;
-    }
-  }
 }
 
 void ServerRoundDriver::drive(RoundProtocol& protocol, const Rng& round_rng,
@@ -164,6 +131,9 @@ void ServerRoundDriver::drive(RoundProtocol& protocol, const Rng& round_rng,
   std::vector<char> got(n, 0);
   std::size_t received = 0;
   int waited_ms = 0;
+  std::vector<net::Connection*> conns;
+  for (Worker& w : workers_) conns.push_back(w.conn.get());
+  std::vector<char> want_write(n_workers, 0);
   while (received < expected) {
     bool progress = false;
     for (Worker& w : workers_) {
@@ -232,7 +202,13 @@ void ServerRoundDriver::drive(RoundProtocol& protocol, const Rng& round_rng,
                           std::to_string(expected - received) + " of " +
                           std::to_string(expected) + " updates outstanding");
     }
-    wait_any(config_.poll_slice_ms);
+    // A worker with queued bytes is waited on for writability too: a
+    // RoundAssign stalled on a full socket resumes as soon as the worker
+    // reads, not a slice later.
+    for (std::size_t wi = 0; wi < n_workers; ++wi) {
+      want_write[wi] = workers_[wi].chan->tx_pending() > 0 ? 1 : 0;
+    }
+    net::wait_any(conns, want_write, config_.poll_slice_ms);
     waited_ms += config_.poll_slice_ms;
   }
   log_debug("fhdnnd") << "round " << round_index << ": collected " << received

@@ -31,13 +31,13 @@
 //
 // Blocking discipline: drive() is called from the engine thread and blocks
 // until the round's updates are in (or round_timeout_ms passes without
-// progress). Readiness comes from the epoll Reactor when every worker is a
-// socket — readable, and writable while a worker's send queue is
-// non-empty — and from round-robin Connection::wait_writable /
-// wait_readable slices otherwise (loopback). Timeouts are accumulated
-// wait-slice milliseconds of waits that brought no progress — the driver
-// never reads a wall clock, keeping src/fl/ inside the sim-clock lint
-// contract.
+// progress). Between passes over the workers it waits in net::wait_any for
+// any worker to become readable, or writable while its send queue is
+// non-empty: one poll(2) when every worker is a socket, round-robin
+// Connection::wait_writable / wait_readable slices otherwise (loopback).
+// Timeouts are accumulated wait-slice milliseconds of waits that brought
+// no progress — the driver never reads a wall clock, keeping src/fl/
+// inside the sim-clock lint contract.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,6 @@
 
 #include "fl/engine.hpp"
 #include "net/connection.hpp"
-#include "net/reactor.hpp"
 #include "wire/messages.hpp"
 
 namespace fhdnn::fl {
@@ -98,18 +97,12 @@ class ServerRoundDriver final : public RoundDriver {
     std::unique_ptr<net::MessageChannel> chan;
     std::uint64_t id = 0;
     std::size_t owed = 0;  ///< updates outstanding in the current round
-    bool want_write = false;  ///< registered with the reactor for EPOLLOUT
   };
-
-  /// Wait up to `slice_ms` for readability on any worker.
-  void wait_any(int slice_ms);
 
   std::uint32_t fingerprint_;
   std::string protocol_name_;
   ServingConfig config_;
   std::vector<Worker> workers_;
-  net::Reactor reactor_;
-  bool reactor_usable_ = true;  ///< false once any worker lacks an fd
   std::uint64_t next_worker_id_ = 1;
   std::vector<std::uint8_t> state_image_;  ///< this round's state blob
 };

@@ -5,20 +5,72 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace fhdnn::net {
+
+namespace {
+
+/// One poll(2) over `fds`: true when any is ready, false on timeout or
+/// EINTR; throws NetError naming `label` otherwise.
+bool poll_fds(pollfd* fds, std::size_t n, int timeout_ms,
+              std::string_view label) {
+  const int r = ::poll(fds, static_cast<nfds_t>(n), timeout_ms);
+  if (r < 0 && errno != EINTR) {
+    throw NetError("poll on " + std::string(label) + ": " +
+                   std::strerror(errno));
+  }
+  return r > 0;
+}
+
+}  // namespace
+
+namespace detail {
+
+bool poll_one(int fd, short events, int timeout_ms, std::string_view label) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = events;
+  return poll_fds(&pfd, 1, timeout_ms, label);
+}
+
+}  // namespace detail
 
 bool Connection::wait_writable(int timeout_ms) {
   const int fd = this->fd();
   if (fd < 0) return true;
-  pollfd pfd{};
-  pfd.fd = fd;
-  pfd.events = POLLOUT;
-  const int r = ::poll(&pfd, 1, timeout_ms);
-  if (r < 0 && errno != EINTR) {
-    throw NetError("poll on " + describe() + ": " + std::strerror(errno));
+  return detail::poll_one(fd, POLLOUT, timeout_ms, describe());
+}
+
+bool wait_any(std::span<Connection* const> conns,
+              std::span<const char> want_write, int timeout_ms) {
+  FHDNN_CHECK(want_write.size() == conns.size(),
+              "wait_any: " << want_write.size() << " write flags for "
+                           << conns.size() << " connections");
+  if (conns.empty()) return false;
+  const bool pollable = std::all_of(conns.begin(), conns.end(),
+                                    [](Connection* c) { return c->fd() >= 0; });
+  if (pollable) {
+    std::vector<pollfd> fds(conns.size());
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      fds[i].fd = conns[i]->fd();
+      fds[i].events =
+          static_cast<short>(POLLIN | (want_write[i] ? POLLOUT : 0));
+    }
+    return poll_fds(fds.data(), fds.size(), timeout_ms, "a connection set");
   }
-  return r > 0;
+  // A connection without an fd: round-robin a short wait over the set so
+  // one quiet connection cannot starve the others' readiness.
+  const int per = std::max(1, timeout_ms / static_cast<int>(conns.size()));
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    if (want_write[i] ? conns[i]->wait_writable(per)
+                      : conns[i]->wait_readable(per)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void MessageChannel::send(const wire::Frame& frame) {

@@ -1,11 +1,11 @@
 // Byte-stream connections and frame pumping for the fhdnnd serving seam.
 //
 // `Connection` is the seam both transports implement: non-blocking TCP
-// sockets (src/net/socket.*, driven by the epoll Reactor) and the
-// deterministic in-process loopback pipe (src/net/loopback.*, used by tests
-// and the single-process integration path).  All reads and writes are
-// non-blocking; `wait_readable` and `wait_writable` are the only blocking
-// calls, and they always take a timeout.
+// sockets (src/net/socket.*) and the deterministic in-process loopback pipe
+// (src/net/loopback.*, used by tests and the single-process integration
+// path).  All reads and writes are non-blocking; `wait_readable`,
+// `wait_writable` and `wait_any` (readiness of a set of connections) are
+// the only blocking calls, and they always take a timeout.
 //
 // `MessageChannel` layers wire framing on a Connection with explicit
 // read/write buffering, and moves each frame's bytes once on either side:
@@ -23,7 +23,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
@@ -59,8 +61,8 @@ class Connection {
   /// Close this end; further reads/writes fail or report peer_closed.
   virtual void close() = 0;
 
-  /// Pollable file descriptor for the Reactor, or -1 (loopback pipes have
-  /// no fd; callers fall back to wait_readable).
+  /// Pollable file descriptor, or -1 (loopback pipes have no fd; wait_any
+  /// then falls back to wait_readable / wait_writable slices).
   [[nodiscard]] virtual int fd() const { return -1; }
 
   /// Block up to `timeout_ms` for readability (or peer close).  Returns
@@ -75,6 +77,21 @@ class Connection {
   /// Human-readable endpoint label for logs ("tcp:127.0.0.1:4242", ...).
   [[nodiscard]] virtual std::string describe() const = 0;
 };
+
+/// Block up to `timeout_ms` until any of `conns` is readable or closed, or,
+/// where `want_write[i]` is set, writable. Returns false on timeout (at once
+/// for an empty set). When every connection has an fd this is one poll(2);
+/// otherwise it waits a slice of `timeout_ms` on each connection in turn
+/// (wait_writable where `want_write[i]`, else wait_readable), so one quiet
+/// connection cannot starve the others' readiness.
+bool wait_any(std::span<Connection* const> conns,
+              std::span<const char> want_write, int timeout_ms);
+
+namespace detail {
+/// One poll(2) on `fd` for `events` (POLLIN / POLLOUT): true when ready,
+/// false on timeout or EINTR; throws NetError naming `label` otherwise.
+bool poll_one(int fd, short events, int timeout_ms, std::string_view label);
+}  // namespace detail
 
 /// Wire frames over a Connection, with tx buffering + rx assembly.
 /// Not thread-safe: one MessageChannel belongs to one pumping thread.

@@ -90,12 +90,7 @@ class TcpConnection final : public Connection {
 
   bool wait_readable(int timeout_ms) override {
     if (fd_ < 0) return true;
-    pollfd pfd{};
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    const int r = ::poll(&pfd, 1, timeout_ms);
-    if (r < 0 && errno != EINTR) fail_errno("poll on " + label_);
-    return r > 0;
+    return detail::poll_one(fd_, POLLIN, timeout_ms, label_);
   }
 
   [[nodiscard]] std::string describe() const override { return label_; }
@@ -145,12 +140,7 @@ std::unique_ptr<Connection> TcpListener::accept() {
 }
 
 bool TcpListener::wait_pending(int timeout_ms) {
-  pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  const int r = ::poll(&pfd, 1, timeout_ms);
-  if (r < 0 && errno != EINTR) fail_errno("poll on listener");
-  return r > 0;
+  return detail::poll_one(fd_, POLLIN, timeout_ms, "listener");
 }
 
 std::unique_ptr<Connection> connect_tcp(const std::string& host,

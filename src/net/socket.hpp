@@ -27,9 +27,6 @@ class TcpListener {
   /// The actually-bound port (resolves ephemeral requests).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Listening fd, pollable by a Reactor for accept-readiness.
-  [[nodiscard]] int fd() const noexcept { return fd_; }
-
   /// Accept one pending connection without blocking; nullptr when none is
   /// pending.
   std::unique_ptr<Connection> accept();

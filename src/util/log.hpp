@@ -1,8 +1,8 @@
 // Minimal leveled logger, safe to call from any thread.
 //
 // Experiments and the FL simulator use this to emit progress; tests set the
-// level to Warn to keep ctest output clean.  The fhdnnd server logs from the
-// reactor thread and per-worker client threads concurrently, so the sink
+// level to Warn to keep ctest output clean.  The fhdnnd server logs from its
+// round-driver thread and per-worker client threads concurrently, so the sink
 // guarantees: the level filter is an atomic load, and every log line is
 // emitted as a single write under one lock — concurrent lines interleave
 // whole, never character by character.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace fhdnn {
@@ -31,6 +32,25 @@ std::uint64_t hash_label(std::string_view label) {
 }
 
 }  // namespace
+
+void put_rng_state(util::ByteWriter& w, const RngState& s) {
+  for (const std::uint64_t word : s.s) w.write_u64(word);
+  w.write_u8(s.has_cached_normal ? 1 : 0);
+  w.write_f64(s.cached_normal);
+}
+
+RngState get_rng_state(util::ByteReader& r) {
+  RngState s;
+  for (std::uint64_t& word : s.s) word = r.read_u64();
+  const std::uint8_t flag = r.read_u8();
+  if (flag > 1) {
+    throw util::DecodeError(util::DecodeErrorKind::kSchema, r.offset(),
+                            "rng cached-normal flag must be 0 or 1");
+  }
+  s.has_cached_normal = flag != 0;
+  s.cached_normal = r.read_f64();
+  return s;
+}
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;

@@ -18,6 +18,11 @@
 
 namespace fhdnn {
 
+namespace util {
+class ByteWriter;
+class ByteReader;
+}  // namespace util
+
 /// Full generator state: the xoshiro256** words plus the cached Box-Muller
 /// sample. Restoring it resumes the stream mid-sequence bit-exactly — the
 /// snapshot/resume path depends on this.
@@ -26,6 +31,13 @@ struct RngState {
   bool has_cached_normal = false;
   double cached_normal = 0.0;
 };
+
+/// RngState <-> bytes (util/bytes), one encoding for snapshots and wire
+/// frames: the four state words, the cached-normal flag as a u8, the cached
+/// normal as raw IEEE bits. get_rng_state rejects a flag other than 0 or 1
+/// (DecodeError kSchema).
+void put_rng_state(util::ByteWriter& w, const RngState& s);
+[[nodiscard]] RngState get_rng_state(util::ByteReader& r);
 
 /// Counter-based deterministic RNG built on splitmix64 state advancement and
 /// xoshiro256** output. Cheap to copy; copies continue independently.

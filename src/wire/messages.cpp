@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "util/bytes.hpp"
+
 namespace fhdnn::wire {
 namespace {
 
@@ -37,57 +39,10 @@ void put_update_head(ByteWriter& w, const UpdateHead& h) {
   w.write_u64(h.slot);
   w.write_u64(h.client);
   w.write_f64(h.loss);
-  put_transport_stats(w, h.stats);
+  channel::put_transport_stats(w, h.stats);
 }
 
 }  // namespace
-
-void put_rng_state(ByteWriter& w, const RngState& s) {
-  for (const std::uint64_t word : s.s) w.write_u64(word);
-  w.write_u8(s.has_cached_normal ? 1 : 0);
-  w.write_f64(s.cached_normal);
-}
-
-RngState get_rng_state(ByteReader& r) {
-  RngState s;
-  for (std::uint64_t& word : s.s) word = r.read_u64();
-  const std::uint8_t flag = r.read_u8();
-  if (flag > 1) {
-    throw DecodeError(DecodeErrorKind::kSchema, r.offset(),
-                      "rng cached-normal flag must be 0 or 1");
-  }
-  s.has_cached_normal = flag != 0;
-  s.cached_normal = r.read_f64();
-  return s;
-}
-
-void put_transport_stats(ByteWriter& w, const channel::TransportStats& s) {
-  w.write_u64(s.payload_scalars);
-  w.write_u64(s.payload_bytes);
-  w.write_u64(s.bits_on_air);
-  w.write_u64(s.bit_flips);
-  w.write_u64(s.packets_total);
-  w.write_u64(s.packets_lost);
-  w.write_u64(s.retransmissions);
-  w.write_u64(s.residual_errors);
-  w.write_f64(s.backoff_seconds);
-  w.write_f64(s.noise_power);
-}
-
-channel::TransportStats get_transport_stats(ByteReader& r) {
-  channel::TransportStats s;
-  s.payload_scalars = r.read_u64();
-  s.payload_bytes = r.read_u64();
-  s.bits_on_air = r.read_u64();
-  s.bit_flips = r.read_u64();
-  s.packets_total = r.read_u64();
-  s.packets_lost = r.read_u64();
-  s.retransmissions = r.read_u64();
-  s.residual_errors = r.read_u64();
-  s.backoff_seconds = r.read_f64();
-  s.noise_power = r.read_f64();
-  return s;
-}
 
 // ---------------------------------------------------------------------------
 // Hello / HelloAck
@@ -216,7 +171,7 @@ UpdateView UpdateMsg::from_frame(FrameView f) {
   m.slot = r.read_u64();
   m.client = r.read_u64();
   m.loss = r.read_f64();
-  m.stats = get_transport_stats(r);
+  m.stats = channel::get_transport_stats(r);
   m.update_blob = r.read_blob();
   r.finish();
   return m;

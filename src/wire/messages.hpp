@@ -35,22 +35,10 @@
 #include <vector>
 
 #include "channel/channel.hpp"  // TransportStats
-#include "util/bytes.hpp"
 #include "util/rng.hpp"         // RngState
 #include "wire/wire.hpp"
 
 namespace fhdnn::wire {
-
-/// RngState <-> payload (exact stream position: 4 state words + the cached
-/// Box-Muller normal, so a worker-side fork sequence replays bit-identically).
-void put_rng_state(util::ByteWriter& w, const RngState& s);
-[[nodiscard]] RngState get_rng_state(util::ByteReader& r);
-
-/// TransportStats <-> payload.  All ten fields travel (doubles as raw IEEE
-/// bits) so server-side accounting equals the in-process rule exactly.
-void put_transport_stats(util::ByteWriter& w,
-                         const channel::TransportStats& s);
-[[nodiscard]] channel::TransportStats get_transport_stats(util::ByteReader& r);
 
 /// Worker -> server greeting.  The server rejects version skew (the frame
 /// layer already did, for the frame header) and fingerprint mismatches —

@@ -1,19 +1,20 @@
 // Tests for the src/net transport layer: loopback pipe semantics
 // (FIFO, backpressure, EOF), MessageChannel framing over both transports,
-// TCP socket + Reactor basics, and the cross-thread behaviour the serving
-// loop depends on.
+// TCP socket basics, readiness waits over sets of connections (wait_any),
+// and the cross-thread behaviour the serving loop depends on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <optional>
+#include <memory>
 #include <string>
 #include <thread>  // fhdnn-lint: allow(raw-thread) — test harness drives both pipe ends
 #include <vector>
 
 #include "net/connection.hpp"
 #include "net/loopback.hpp"
-#include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "util/bytes.hpp"
 #include "wire/messages.hpp"
@@ -333,7 +334,7 @@ TEST(MessageChannelTest, MultiMegabyteFrameArrivesIntact) {
                          payload.begin(), payload.end()));
 }
 
-// --------------------------------------------------------------- tcp + epoll
+// --------------------------------------------------------------------- tcp
 
 TEST(Tcp, ConnectAcceptRoundTrip) {
   net::TcpListener listener("127.0.0.1", 0);
@@ -390,34 +391,107 @@ TEST(Tcp, ConnectTimesOutWhenNobodyListens) {
   EXPECT_THROW((void)net::connect_tcp("127.0.0.1", dead_port, 50), NetError);
 }
 
-TEST(Reactor, ReportsReadableAndHangup) {
+// ---------------------------------------------------------------- wait_any
+
+/// One accepted TCP connection: `client` dials, `served` is accepted.
+struct TcpPair {
+  std::unique_ptr<Connection> client;
+  std::unique_ptr<Connection> served;
+};
+
+TcpPair tcp_pair(net::TcpListener& listener) {
+  TcpPair p;
+  p.client = net::connect_tcp("127.0.0.1", listener.port(), 5000);
+  EXPECT_TRUE(listener.wait_pending(5000));
+  p.served = listener.accept();
+  EXPECT_NE(p.served, nullptr);
+  return p;
+}
+
+TEST(WaitAny, WakesWhenOnlyTheLastOfThreeSocketsIsReadable) {
   net::TcpListener listener("127.0.0.1", 0);
-  auto client = net::connect_tcp("127.0.0.1", listener.port(), 5000);
-  ASSERT_TRUE(listener.wait_pending(5000));
-  auto served = listener.accept();
-  ASSERT_NE(served, nullptr);
+  std::vector<TcpPair> pairs;
+  for (int i = 0; i < 3; ++i) pairs.push_back(tcp_pair(listener));
+  std::vector<Connection*> served;
+  for (TcpPair& p : pairs) served.push_back(p.served.get());
+  const std::vector<char> no_write(3, 0);
 
-  net::Reactor reactor;
-  reactor.add(served->fd(), /*tag=*/7, /*want_read=*/true,
-              /*want_write=*/false);
-  EXPECT_EQ(reactor.watched(), 1U);
-  EXPECT_TRUE(reactor.wait(0).empty());  // idle: nothing readable
-
-  const std::uint8_t byte = 1;
-  ASSERT_EQ(client->write_some(&byte, 1), 1U);
-  auto events = reactor.wait(5000);
-  ASSERT_EQ(events.size(), 1U);
-  EXPECT_EQ(events[0].tag, 7U);
-  EXPECT_TRUE(events[0].readable);
-
+  std::thread writer([&pairs] {  // fhdnn-lint: allow(raw-thread)
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::uint8_t byte = 1;
+    EXPECT_EQ(pairs[2].client->write_some(&byte, 1), 1U);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const bool ready = net::wait_any(served, no_write, 5000);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  writer.join();
+  EXPECT_TRUE(ready);
+  // One poll over all three sockets: a slice per socket would spend
+  // 5000 / 3 ms on each quiet one before reaching the last.
+  EXPECT_LT(waited, std::chrono::milliseconds(1500));
   std::uint8_t in = 0;
-  ASSERT_EQ(served->read_some(&in, 1), 1U);
-  client->close();
-  events = reactor.wait(5000);
-  ASSERT_EQ(events.size(), 1U);
-  EXPECT_TRUE(events[0].hangup || events[0].readable);
-  reactor.remove(served->fd());
-  EXPECT_EQ(reactor.watched(), 0U);
+  EXPECT_EQ(pairs[0].served->read_some(&in, 1), 0U);
+  EXPECT_EQ(pairs[1].served->read_some(&in, 1), 0U);
+  EXPECT_EQ(pairs[2].served->read_some(&in, 1), 1U);
+}
+
+TEST(WaitAny, WaitsForWritabilityOnlyWhereAsked) {
+  net::TcpListener listener("127.0.0.1", 0);
+  TcpPair a = tcp_pair(listener);
+  TcpPair b = tcp_pair(listener);
+  std::vector<Connection*> clients = {a.client.get(), b.client.get()};
+  // Both sockets have room to send, but nothing to read.
+  EXPECT_FALSE(net::wait_any(clients, std::vector<char>{0, 0}, 20));
+  EXPECT_TRUE(net::wait_any(clients, std::vector<char>{0, 1}, 5000));
+  EXPECT_TRUE(net::wait_any(clients, std::vector<char>{1, 0}, 5000));
+}
+
+TEST(WaitAny, PeerCloseWakesTheWait) {
+  net::TcpListener listener("127.0.0.1", 0);
+  TcpPair a = tcp_pair(listener);
+  TcpPair b = tcp_pair(listener);
+  std::vector<Connection*> served = {a.served.get(), b.served.get()};
+  const std::vector<char> no_write(2, 0);
+  EXPECT_FALSE(net::wait_any(served, no_write, 0));
+  b.client->close();
+  EXPECT_TRUE(net::wait_any(served, no_write, 5000));
+  std::uint8_t in = 0;
+  EXPECT_EQ(b.served->read_some(&in, 1), 0U);
+  EXPECT_TRUE(b.served->peer_closed());
+}
+
+TEST(WaitAny, TimesOutWhenNothingIsReady) {
+  net::TcpListener listener("127.0.0.1", 0);
+  TcpPair a = tcp_pair(listener);
+  std::vector<Connection*> served = {a.served.get()};
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(net::wait_any(served, std::vector<char>{0}, 30));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(25));
+  EXPECT_FALSE(net::wait_any({}, {}, 5000));  // empty set: false at once
+  EXPECT_THROW((void)net::wait_any(served, {}, 0), Error);
+}
+
+TEST(WaitAny, EndsWithoutAnFdWaitInSlices) {
+  auto [a1, b1] = net::make_loopback_pair();
+  auto [a2, b2] = net::make_loopback_pair();
+  std::vector<Connection*> ends = {b1.get(), b2.get()};
+  const std::vector<char> no_write(2, 0);
+  EXPECT_FALSE(net::wait_any(ends, no_write, 10));
+  const std::uint8_t byte = 7;
+  ASSERT_EQ(a2->write_some(&byte, 1), 1U);
+  // The quiet first end spends its 100 ms slice before the second is asked.
+  EXPECT_TRUE(net::wait_any(ends, no_write, 200));
+  // An empty pipe has room: asking for writability returns at once.
+  EXPECT_TRUE(net::wait_any(ends, std::vector<char>{1, 0}, 200));
+
+  // One end without an fd sends a socket down the same path.
+  net::TcpListener listener("127.0.0.1", 0);
+  TcpPair t = tcp_pair(listener);
+  std::vector<Connection*> mixed = {b1.get(), t.served.get()};
+  EXPECT_FALSE(net::wait_any(mixed, no_write, 10));
+  ASSERT_EQ(t.client->write_some(&byte, 1), 1U);
+  EXPECT_TRUE(net::wait_any(mixed, no_write, 200));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -30,6 +31,7 @@
 #include "hdc/encoder.hpp"
 #include "nn/resnet.hpp"
 #include "tensor/tensor.hpp"
+#include "util/bytes.hpp"
 #include "util/parallel.hpp"
 #include "util/snapshot.hpp"
 
@@ -415,6 +417,62 @@ TEST(KillResume, ResumeRejectsMismatchedConfig) {
   try {
     t->resume(path);
     FAIL() << "mismatched config accepted";
+  } catch (const util::DecodeError& e) {
+    EXPECT_EQ(e.kind(), util::DecodeErrorKind::kSchema);
+  }
+}
+
+TEST(KillResume, ConfigFingerprintValuesArePinned) {
+  // A fingerprint keys every snapshot and every worker handshake, so a
+  // change to its bytes orphans existing checkpoints. These values were
+  // computed before the buffer moved to util::ByteWriter.
+  auto data = make_fedhd_data();
+  EXPECT_EQ(fedhd_fixture(data, false).make({}, {})->config_fingerprint(),
+            4275913573U);
+  EXPECT_EQ(fedhd_fixture(data, true).make({}, {})->config_fingerprint(),
+            978708951U);
+}
+
+TEST(KillResume, ResumeRejectsAnRngCachedNormalFlagAboveOne) {
+  // The RNGS chunk carries has_cached_normal as a u8 that must be 0 or 1,
+  // exactly as the wire's RoundAssign does. Rewrite a valid checkpoint's
+  // flag to 2 (and the chunk CRC to match) and resume must refuse it.
+  auto data = make_fedhd_data();
+  const auto fx = fedhd_fixture(data, false);
+  const std::string path = tmp_path("rng_flag.snap");
+  remove_generations(path);
+  {
+    auto t = fx.make({}, {});
+    (void)t->round(1);
+    t->checkpoint(path);
+  }
+  std::vector<unsigned char> image = slurp(path);
+  // Header: 8-byte magic + u32 version; each chunk: 4-byte tag, u64
+  // length, u32 CRC, payload. RNGS holds four u64 words, the flag, a f64.
+  std::size_t at = 12;
+  while (at + 16 <= image.size() &&
+         std::string(image.begin() + static_cast<std::ptrdiff_t>(at),
+                     image.begin() + static_cast<std::ptrdiff_t>(at + 4)) !=
+             "RNGS") {
+    std::uint64_t len = 0;
+    std::memcpy(&len, image.data() + at + 4, sizeof(len));
+    at += 16 + static_cast<std::size_t>(len);
+  }
+  ASSERT_LE(at + 16 + 41, image.size()) << "no RNGS chunk";
+  unsigned char* payload = image.data() + at + 16;
+  ASSERT_LE(payload[32], 1);
+  payload[32] = 2;
+  const std::uint32_t crc = util::crc32(payload, 41);
+  std::memcpy(image.data() + at + 12, &crc, sizeof(crc));
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char*>(image.data()),
+             static_cast<std::streamsize>(image.size()));
+  }
+  auto t = fx.make({}, {});
+  try {
+    t->resume(path);
+    FAIL() << "cached-normal flag 2 accepted";
   } catch (const util::DecodeError& e) {
     EXPECT_EQ(e.kind(), util::DecodeErrorKind::kSchema);
   }

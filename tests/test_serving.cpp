@@ -2,7 +2,8 @@
 // a ServerRoundDriver driving a WorkerLoop over an in-process loopback pipe
 // must reproduce the in-process golden histories BIT-FOR-BIT — every
 // double, every byte counter — at 1 and 4 threads, for both trainers.
-// Plus: checkpoint/restart mid-run with a fresh worker, wire-level
+// Three workers over in-process TCP sockets match too. Plus:
+// checkpoint/restart mid-run with a fresh worker, wire-level
 // accounting equality, rejection of protocol violations, and what the
 // protocol state image (the PROT chunk every round's state blob carries)
 // holds.
@@ -23,6 +24,7 @@
 #include "fl/serving.hpp"
 #include "net/connection.hpp"
 #include "net/loopback.hpp"
+#include "net/socket.hpp"
 #include "util/bytes.hpp"
 #include "util/parallel.hpp"
 #include "util/snapshot.hpp"
@@ -65,11 +67,12 @@ void expect_same_history(const fl::TrainingHistory& a,
   }
 }
 
-/// One loopback worker serving a dedicated trainer replica on its own
-/// thread; join() after the driver shuts down (or the pipe closes).
-class LoopbackWorker {
+/// One worker serving a dedicated trainer replica over `end` (a loopback
+/// pipe or a socket) on its own thread; join() after the driver shuts down
+/// (or the connection closes).
+class WorkerThread {
  public:
-  LoopbackWorker(const std::string& proto,
+  WorkerThread(const std::string& proto,
                  std::unique_ptr<net::Connection> end)
       : wl_(workload::make_workload({proto, 3, "", 0, false, 0})),
         conn_(std::move(end)),
@@ -80,7 +83,7 @@ class LoopbackWorker {
           (void)loop.serve();
         }) {}
 
-  ~LoopbackWorker() {
+  ~WorkerThread() {
     if (thread_.joinable()) thread_.join();
   }
 
@@ -100,7 +103,7 @@ fl::TrainingHistory run_served(const std::string& proto, int threads,
   auto server = workload::make_workload(opt);
   auto [worker_end, server_end] = net::make_loopback_pair(pipe);
   fl::ServerRoundDriver driver(server->config_fingerprint(), proto);
-  LoopbackWorker worker(proto, std::move(worker_end));
+  WorkerThread worker(proto, std::move(worker_end));
   driver.add_worker(std::move(server_end));
   server->set_round_driver(&driver);
   const auto history = server->run();
@@ -135,6 +138,34 @@ TEST(Serving, FedAvgLoopbackMatchesInProcessAtEveryThreadCount) {
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_same_history(golden, run_served("fedavg", threads));
+  }
+}
+
+TEST(Serving, FedHdOverInProcessTcpMatchesInProcess) {
+  // Three workers on threads, each over its own 127.0.0.1 socket: every
+  // worker has an fd, so the driver waits in one poll(2) over all three.
+  ThreadGuard guard;
+  const auto golden = run_in_process("fedhd", 1);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    parallel::set_num_threads(threads);
+    workload::Options opt;
+    opt.protocol = "fedhd";
+    auto server = workload::make_workload(opt);
+    fl::ServerRoundDriver driver(server->config_fingerprint(), "fedhd");
+    net::TcpListener listener("127.0.0.1", 0);
+    std::vector<std::unique_ptr<WorkerThread>> workers;
+    for (int i = 0; i < 3; ++i) {
+      workers.push_back(std::make_unique<WorkerThread>(
+          "fedhd", net::connect_tcp("127.0.0.1", listener.port(), 5000)));
+      ASSERT_TRUE(listener.wait_pending(5000));
+      driver.add_worker(listener.accept());
+    }
+    server->set_round_driver(&driver);
+    const auto history = server->run();
+    driver.shutdown(static_cast<std::int64_t>(history.rounds().size()));
+    for (auto& w : workers) w->join();
+    expect_same_history(golden, history);
   }
 }
 
@@ -263,7 +294,7 @@ TEST(Serving, ServerRestartsFromCheckpointWithFreshWorker) {
     auto victim = workload::make_workload(opt);
     auto [worker_end, server_end] = net::make_loopback_pair();
     fl::ServerRoundDriver driver(victim->config_fingerprint(), "fedhd");
-    LoopbackWorker worker("fedhd", std::move(worker_end));
+    WorkerThread worker("fedhd", std::move(worker_end));
     driver.add_worker(std::move(server_end));
     victim->set_round_driver(&driver);
     (void)victim->run();
@@ -278,7 +309,7 @@ TEST(Serving, ServerRestartsFromCheckpointWithFreshWorker) {
   EXPECT_EQ(survivor->history().size(), 2U);
   auto [worker_end, server_end] = net::make_loopback_pair();
   fl::ServerRoundDriver driver(survivor->config_fingerprint(), "fedhd");
-  LoopbackWorker worker("fedhd", std::move(worker_end));
+  WorkerThread worker("fedhd", std::move(worker_end));
   driver.add_worker(std::move(server_end));
   survivor->set_round_driver(&driver);
   const auto resumed = survivor->run();

@@ -733,7 +733,7 @@ TEST(WireMessages, RngStateFlagValidated) {
   w.write_f64(0.0);
   const auto payload = w.take();
   ByteReader r(payload);
-  EXPECT_THROW((void)wire::get_rng_state(r), DecodeError);
+  EXPECT_THROW((void)get_rng_state(r), DecodeError);
 }
 
 TEST(WireMessages, RoundAssignHostileSlotCountFailsBeforeAllocating) {

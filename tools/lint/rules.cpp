@@ -31,7 +31,7 @@
 //                       tear and violate the kill-and-resume contract
 //   net-isolation       OS networking (socket/epoll/poll headers, epoll
 //                       syscalls) is confined to src/net/ behind the
-//                       Connection/Reactor seam; everything else speaks
+//                       Connection seam; everything else speaks
 //                       fhdnn::net
 #include "lint.hpp"
 
@@ -477,8 +477,8 @@ std::vector<std::unique_ptr<Rule>> default_rules() {
     auto r = std::make_unique<TokenBanRule>(
         "net-isolation",
         "OS networking primitives (socket/epoll/poll headers and epoll "
-        "syscalls) live only in src/net/, behind the Connection/Reactor "
-        "seam; everywhere else — including src/fl/ serving and the fhdnnd "
+        "syscalls) live only in src/net/, behind the Connection seam; "
+        "everywhere else — including src/fl/ serving and the fhdnnd "
         "tools — speaks fhdnn::net so the loopback transport, tests, and "
         "portability shims have exactly one integration point",
         std::vector<std::string>{"sys/socket.h", "sys/epoll.h",
@@ -488,7 +488,7 @@ std::vector<std::unique_ptr<Rule>> default_rules() {
                                  "epoll_wait", "accept4"},
         std::vector<std::string>{"src/net/"});
     r->why("touches OS networking outside src/net/; go through the "
-           "net::Connection / net::Reactor seam instead");
+           "net::Connection seam instead");
     rules.push_back(std::move(r));
   }
   rules.push_back(std::make_unique<ArenaDisciplineRule>());
