@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "util/simd.hpp"
 #include "util/workspace.hpp"
 
 namespace fhdnn::fl {
@@ -141,6 +143,7 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
   /// A pooled model instance with what its owner reuses across tasks.
   struct Worker {
     std::unique_ptr<nn::Module> model;
+    std::optional<nn::Sgd> opt;       // bound to *model, reset per client
     std::vector<Tensor*> state;       // nn::state_tensors(*model)
     Shape xb_shape;                   // evaluation chunk geometry
     Tensor xb;                        // evaluation chunk input
@@ -155,6 +158,9 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
     FHDNN_CHECK(nn::state_size(*worker->model) == state_scalars_,
                 "factory produced mismatched architectures");
     worker->model->set_input_grad_needed(false);
+    worker->opt.emplace(*worker->model,
+                        nn::Sgd::Options{config_.lr, config_.momentum,
+                                         config_.weight_decay});
     worker->state = nn::state_tensors(*worker->model);
     return worker;
   }
@@ -220,7 +226,10 @@ class FedAvgLearner final : public LocalLearner<std::vector<float>> {
     nn::copy_state(global_state_, w.state);
     nn::Module& worker = *w.model;
     worker.set_training(true);
-    nn::Sgd opt(worker, {config_.lr, config_.momentum, config_.weight_decay});
+    // A fresh optimizer's velocity is zero: resetting the pooled one gives
+    // every client the same start without a new allocation.
+    nn::Sgd& opt = *w.opt;
+    opt.reset();
     nn::CrossEntropyLoss loss_fn;
     const auto& indices = parts_[client];
     FHDNN_CHECK(!indices.empty(), "client " << client << " has no data");
@@ -296,16 +305,18 @@ class FedAvgAggregator final : public Aggregator<std::vector<float>> {
                            double weight) override {
     const double w =
         static_cast<double>(learner_.parts()[client].size()) * weight;
-    for (std::size_t i = 0; i < state.size(); ++i) {
-      aggregate_[i] += static_cast<float>(w) * state[i];
-    }
+    // aggregate_[i] += float(w) * state[i], the dispatched axpy.
+    simd::kernels().axpy_f32(aggregate_.data(), static_cast<float>(w),
+                             state.data(),
+                             static_cast<std::int64_t>(state.size()));
     weight_total_ += w;
   }
 
   void commit(std::size_t /*delivered*/) override {
     FHDNN_CHECK(weight_total_ > 0.0, "no data among participants");
     const float inv = static_cast<float>(1.0 / weight_total_);
-    for (auto& v : aggregate_) v *= inv;
+    simd::kernels().scale_f32(aggregate_.data(), aggregate_.data(), inv,
+                              static_cast<std::int64_t>(aggregate_.size()));
     nn::set_state(learner_.global_model(), aggregate_);
   }
 

@@ -60,12 +60,11 @@ const Tensor& Linear::backward(const Tensor& grad_out) {
   FHDNN_CHECKED_ASSERT(view_crc(x_) == x_crc_,
                        "Linear backward: the forward's input changed or was "
                        "freed before backward");
-  // dW = g^T x, db = sum_rows(g), dx = g W
+  // dW = g^T x, added straight into the weight's grad; db = sum_rows(g),
+  // dx = g W
+  ops::matmul_at_add_into(grad_out, x_, weight_.grad);
   util::Workspace& ws = util::tls_workspace();
   const util::Workspace::Scope scope(ws);
-  TensorView gw(ws.floats(out_ * in_), {out_, in_});
-  ops::matmul_at_into(grad_out, x_, gw);
-  ops::accumulate(weight_.grad, gw);
   TensorView gb(ws.floats(out_), {out_});
   ops::sum_rows_into(grad_out, gb);
   ops::accumulate(bias_.grad, gb);
@@ -123,19 +122,12 @@ const Tensor& Conv2d::backward(const Tensor& grad_out) {
                               << " does not match the forward input "
                               << shape_to_string(in_shape_));
   cols_ready_ = false;
-  util::Workspace& ws = util::tls_workspace();
-  const util::Workspace::Scope scope(ws);
-  TensorView gw(ws.floats(weight_.value.numel()),
-                {spec_.out_channels, spec_.in_channels, spec_.kernel,
-                 spec_.kernel});
-  TensorView gb(ws.floats(spec_.out_channels), {spec_.out_channels});
   if (input_grad_needed_) gx_.ensure_shape(in_shape_);
   TensorView gx(gx_);
   ops::conv2d_backward_from_cols_into(grad_out, cols_, weight_.value, spec_,
-                                      input_grad_needed_ ? &gx : nullptr, gw,
-                                      gb, ws);
-  ops::accumulate(weight_.grad, gw);
-  ops::accumulate(bias_.grad, gb);
+                                      input_grad_needed_ ? &gx : nullptr,
+                                      weight_.grad, bias_.grad,
+                                      util::tls_workspace());
   return input_grad_needed_ ? gx_ : no_input_grad();
 }
 

@@ -1,6 +1,7 @@
 #include "nn/optimizer.hpp"
 
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace fhdnn::nn {
 
@@ -12,18 +13,17 @@ Sgd::Sgd(Module& model, Options options)
 }
 
 void Sgd::step() {
+  const auto sgd_step = simd::kernels().sgd_step_f32;
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
-    Tensor& v = velocity_[i];
-    auto pv = p.value.data();
-    auto pg = p.grad.data();
-    auto vd = v.data();
-    for (std::size_t j = 0; j < pv.size(); ++j) {
-      const float g = pg[j] + options_.weight_decay * pv[j];
-      vd[j] = options_.momentum * vd[j] + g;
-      pv[j] -= options_.lr * vd[j];
-    }
+    sgd_step(p.value.data().data(), velocity_[i].data().data(),
+             p.grad.data().data(), p.value.numel(), options_.lr,
+             options_.momentum, options_.weight_decay);
   }
+}
+
+void Sgd::reset() {
+  for (Tensor& v : velocity_) v.zero();
 }
 
 void Sgd::zero_grad() {

@@ -22,8 +22,14 @@ class Sgd {
   /// optimizer and its parameter set must not change.
   Sgd(Module& model, Options options);
 
-  /// Apply one update using the gradients currently accumulated.
+  /// Apply one update using the gradients currently accumulated: one
+  /// dispatched kernel pass per parameter (util/simd.hpp sgd_step_f32),
+  /// the formula above with each multiply and add rounded apart.
   void step();
+
+  /// Zero the velocity: the state of a freshly constructed optimizer, so
+  /// one instance can serve a run of independent trainings.
+  void reset();
 
   /// Zero the bound parameters' gradients.
   void zero_grad();

@@ -58,10 +58,13 @@ void conv2d_forward_into(ConstTensorView x, ConstTensorView weight,
 
 /// Gradients of conv2d given upstream grad_out (N, OC, oh, ow) and the
 /// forward's im2col `cols` (as conv2d_forward_into's `cols` form left it).
-/// Overwrites every output; callers that accumulate across steps add the
-/// results into their parameter grads themselves (ops::accumulate).
-/// `grad_input` carries the input geometry; null skips the input gradient
-/// (its matmul and col2im) for a caller that never reads it.
+/// Adds the weight and bias gradients into grad_weight and grad_bias (a
+/// layer passes its Parameter::grad buffers): each element becomes g +
+/// the gradient's float chain, the bits of a separate ops::accumulate.
+/// Overwrites `grad_input`, which carries the input geometry; null skips
+/// the input gradient (its matmuls and fold) for a caller that never reads
+/// it. At stride 1 the input gradient is built one image at a time, so the
+/// workspace holds one image's columns, never the batch's.
 /// Aliasing: the grad outputs must not overlap cols, the inputs or each
 /// other.
 void conv2d_backward_from_cols_into(ConstTensorView grad_out,

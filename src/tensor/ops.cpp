@@ -239,7 +239,11 @@ void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out) {
             .rows = lanes_are_cols ? m : n, .lanes = lanes, .k = k});
 }
 
-void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out) {
+namespace {
+
+/// matmul_at_into and matmul_at_add_into: `add` picks the GEMM's store.
+void matmul_at(ConstTensorView a, ConstTensorView b, TensorView out,
+               bool add) {
   checked_entry("matmul_at", a, b, out);
   check_2d(a, "matmul_at");
   check_2d(b, "matmul_at");
@@ -256,7 +260,18 @@ void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   run_gemm(simd::kernels().gemm_axpy_f32,
            {.x = a.data(), .x_rs = 1, .x_ks = m, .p = b.data(), .p_ks = n,
             .c = out.data(), .c_rs = n, .c_ls = 1, .rows = m, .lanes = n,
-            .k = k});
+            .k = k, .add = add});
+}
+
+}  // namespace
+
+void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out) {
+  matmul_at(a, b, out, false);
+}
+
+void matmul_at_add_into(ConstTensorView a, ConstTensorView b,
+                        TensorView out) {
+  matmul_at(a, b, out, true);
 }
 
 void transpose_into(ConstTensorView a, TensorView out) {
@@ -266,11 +281,7 @@ void transpose_into(ConstTensorView a, TensorView out) {
   FHDNN_CHECK(out.ndim() == 2 && out.dim(0) == n && out.dim(1) == m,
               "transpose output shape " << out.shape_string());
   check_no_alias(out, a, "transpose");
-  const float* pa = a.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) po[j * m + i] = pa[i * n + j];
-  }
+  simd::kernels().transpose_f32(out.data(), a.data(), m, n);
 }
 
 void linear_forward_into(ConstTensorView x, ConstTensorView weight,
@@ -351,13 +362,9 @@ void sum_rows_into(ConstTensorView a, TensorView out) {
   FHDNN_CHECK(out.ndim() == 1 && out.dim(0) == c,
               "sum_rows output shape " << out.shape_string());
   check_no_alias(out, a, "sum_rows");
+  // +0.0F plus a chain from +0.0F is the chain: it is never -0.0F.
   std::fill(out.data(), out.data() + out.numel(), 0.0F);
-  const float* pa = a.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* row = pa + i * c;
-    for (std::int64_t j = 0; j < c; ++j) po[j] += row[j];
-  }
+  simd::kernels().col_sums_f32(out.data(), a.data(), n, c);
 }
 
 // relu and its backward dispatch the compare-mask select kernels

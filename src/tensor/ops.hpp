@@ -70,6 +70,12 @@ void pack_panel(const float* src, std::int64_t src_rs, std::int64_t lanes,
 /// Same per-output float chain as matmul_into.
 /// Aliasing: out must not overlap a or b (throws on overlap).
 void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out);
+/// out += a^T * b: each element becomes out + the chain matmul_at_into
+/// would store, the bits of matmul_at_into into scratch followed by
+/// accumulate (the GEMM's store-add mode, util/simd.hpp GemmArgs::add).
+/// A layer adds its weight gradient into Parameter::grad this way.
+/// Aliasing: out must not overlap a or b (throws on overlap).
+void matmul_at_add_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// Transpose of a 2-d tensor.
 /// Aliasing: out must not overlap a (throws on overlap).
@@ -90,8 +96,9 @@ void argmax_rows_into(ConstTensorView logits, std::span<std::int64_t> out);
 /// Aliasing: out may alias logits (row max is taken before any write).
 void softmax_rows_into(ConstTensorView logits, TensorView out);
 
-/// Sum over dimension 0 of a 2-d tensor -> 1-d of size cols.
-/// Zero-fills out first.
+/// Sum over dimension 0 of a 2-d tensor -> 1-d of size cols: one float
+/// chain per column from +0.0F in ascending row order, one SIMD lane per
+/// column (util/simd.hpp col_sums_f32).
 /// Aliasing: out must not overlap a (throws on overlap).
 void sum_rows_into(ConstTensorView a, TensorView out);
 

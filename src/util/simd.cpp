@@ -45,6 +45,78 @@ void relu_backward_scalar(float* out, const float* g, const float* x,
   }
 }
 
+/// The max-pool order: a beats b when it is greater, or a NaN over a
+/// number. Two NaNs, or -0.0f and +0.0f, tie.
+bool pool_beats(float a, float b) {
+  return a > b || (std::isnan(a) && !std::isnan(b));
+}
+
+// Each window in plain row-major order: the first candidate that beats
+// the best so far takes its place, so a tie keeps the earlier element.
+void maxpool2_scalar(const float* x, std::int64_t rows, std::int64_t w,
+                     std::int64_t base, float* out, std::int64_t* argmax) {
+  const std::int64_t ow = w / 2;
+  for (std::int64_t i = 0; i < rows / 2; ++i) {
+    const float* top = x + 2 * i * w;
+    for (std::int64_t j = 0; j < ow; ++j) {
+      std::int64_t best = 2 * j;
+      for (const std::int64_t at : {2 * j + 1, w + 2 * j, w + 2 * j + 1}) {
+        if (pool_beats(top[at], top[best])) best = at;
+      }
+      out[i * ow + j] = top[best];
+      argmax[i * ow + j] = base + 2 * i * w + best;
+    }
+  }
+}
+
+void add_bias_scalar(float* y, float b, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = y[i] + b;
+}
+
+void fold_taps_scalar(float* x, const float* taps, std::int64_t h,
+                      std::int64_t w, std::int64_t oh, std::int64_t ow,
+                      std::int64_t k, std::int64_t pad) {
+  std::fill(x, x + h * w, 0.0F);
+  for (std::int64_t ky = k - 1; ky >= 0; --ky) {
+    for (std::int64_t kx = k - 1; kx >= 0; --kx) {
+      const float* tap = taps + (ky * k + kx) * oh * ow;
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        const std::int64_t iy = oy + ky - pad;
+        if (iy < 0 || iy >= h) continue;
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          const std::int64_t ix = ox + kx - pad;
+          if (ix >= 0 && ix < w) x[iy * w + ix] += tap[oy * ow + ox];
+        }
+      }
+    }
+  }
+}
+
+void col_sums_scalar(float* y, const float* x, std::int64_t rows,
+                     std::int64_t cols) {
+  for (std::int64_t j = 0; j < cols; ++j) {
+    float s = 0.0F;
+    for (std::int64_t r = 0; r < rows; ++r) s += x[r * cols + j];
+    y[j] = y[j] + s;
+  }
+}
+
+void transpose_scalar(float* out, const float* x, std::int64_t rows,
+                      std::int64_t cols) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t j = 0; j < cols; ++j) out[j * rows + r] = x[r * cols + j];
+  }
+}
+
+void sgd_step_scalar(float* w, float* v, const float* g, std::int64_t n,
+                     float lr, float momentum, float weight_decay) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float gi = g[i] + weight_decay * w[i];
+    v[i] = momentum * v[i] + gi;
+    w[i] = w[i] - lr * v[i];
+  }
+}
+
 // GEMM and HD dot oracles. Lanes go eight at a time so eight independent
 // chains are in flight; each output is still its own chain in ascending
 // kk, which is all the contract fixes.
@@ -103,7 +175,8 @@ void gemm_scalar(const GemmArgs<Panel, Out>& g, double* x_sq = nullptr) {
                                      nullptr);
       }
       for (std::int64_t l = 0; l < nl; ++l) {
-        g.c[r * g.c_rs + (l0 + l) * g.c_ls] = static_cast<Out>(acc[l]);
+        Out& c = g.c[r * g.c_rs + (l0 + l) * g.c_ls];
+        c = g.add ? c + static_cast<Out>(acc[l]) : static_cast<Out>(acc[l]);
       }
     }
   }
@@ -264,6 +337,12 @@ constexpr Kernels kScalar = {
     .exact_accumulate_f32 = exact_accumulate_f32_scalar,
     .relu_f32 = relu_scalar,
     .relu_backward_f32 = relu_backward_scalar,
+    .maxpool2_f32 = maxpool2_scalar,
+    .add_bias_f32 = add_bias_scalar,
+    .fold_taps_f32 = fold_taps_scalar,
+    .col_sums_f32 = col_sums_scalar,
+    .transpose_f32 = transpose_scalar,
+    .sgd_step_f32 = sgd_step_scalar,
 };
 
 /// Overlay `tier` onto `base`: non-null tier entries win.
@@ -289,6 +368,12 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
   take(&Kernels::exact_accumulate_f32);
   take(&Kernels::relu_f32);
   take(&Kernels::relu_backward_f32);
+  take(&Kernels::maxpool2_f32);
+  take(&Kernels::add_bias_f32);
+  take(&Kernels::fold_taps_f32);
+  take(&Kernels::col_sums_f32);
+  take(&Kernels::transpose_f32);
+  take(&Kernels::sgd_step_f32);
   return out;
 }
 

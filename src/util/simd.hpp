@@ -66,7 +66,10 @@ inline constexpr std::int64_t kExactChunks = 9;
 /// or p. Every kk contributes, zeros included: 0 * Inf and 0 * NaN must
 /// give NaN as IEEE 754 says (the channel models rely on it). `Out` is the
 /// stored type: float for the matmul family, double for the HD
-/// classifier, which divides the unrounded dots by the norms.
+/// classifier, which divides the unrounded dots by the norms. With `add`
+/// set, the kernel stores c = c + Out(acc) instead of c = Out(acc): one
+/// more rounded add per element, so a gradient lands in its accumulator
+/// with the same bits as a separate y + 1.0f * x pass would give it.
 template <typename Panel, typename Out = float>
 struct GemmArgs {
   const float* x;
@@ -76,6 +79,7 @@ struct GemmArgs {
   Out* c;
   std::int64_t c_rs, c_ls;
   std::int64_t rows, lanes, k;
+  bool add = false;
 };
 
 /// One tier's kernel table. Null entries in a tier table mean "no
@@ -168,6 +172,44 @@ struct Kernels {
   /// out may alias g and/or x.
   void (*relu_backward_f32)(float* out, const float* g, const float* x,
                             std::int64_t n);
+  /// 2x2 max pooling with stride 2 over `rows` rows of `w` floats (both
+  /// even) at x, whose first element has flat index `base`: output
+  /// (i, j), at out[i * w / 2 + j], is the first maximum in row-major
+  /// order of the window at rows 2i, 2i + 1 and columns 2j, 2j + 1, with a
+  /// NaN above every number, the first of two NaNs kept and -0.0f equal to
+  /// +0.0f; argmax gets its flat index. Vector tiers take each column's
+  /// pair first and then the pair of column winners, breaking ties to the
+  /// smaller window index, which picks the same element. No aliasing.
+  void (*maxpool2_f32)(const float* x, std::int64_t rows, std::int64_t w,
+                       std::int64_t base, float* out, std::int64_t* argmax);
+
+  // ---- float pass kernels around the GEMMs (bit-identical across tiers) ----
+  /// y[i] = y[i] + b: a convolution's bias over one output plane.
+  void (*add_bias_f32)(float* y, float b, std::int64_t n);
+  /// The stride-1 col2im fold of one input channel: x (h x w) is
+  /// overwritten with +0.0f plus, in descending tap order (ky, kx), the
+  /// element taps[(ky * k + kx) * oh * ow + oy * ow + ox] of each k x k
+  /// tap plane that lands on it, oy = iy + pad - ky in [0, oh) and
+  /// ox = ix + pad - kx in [0, ow): the ascending (oy, ox) order of a walk
+  /// over the patches. Vector tiers keep a run of one input row in a
+  /// register while every tap adds into it. No aliasing.
+  void (*fold_taps_f32)(float* x, const float* taps, std::int64_t h,
+                        std::int64_t w, std::int64_t oh, std::int64_t ow,
+                        std::int64_t k, std::int64_t pad);
+  /// y[j] = y[j] + s[j], where s[j] is the column sum of the row-major
+  /// rows x cols matrix x: one float chain from +0.0f over the rows in
+  /// ascending order, one lane per column. No aliasing.
+  void (*col_sums_f32)(float* y, const float* x, std::int64_t rows,
+                       std::int64_t cols);
+  /// out = x^T for the row-major rows x cols matrix x (out is cols x
+  /// rows). No aliasing.
+  void (*transpose_f32)(float* out, const float* x, std::int64_t rows,
+                        std::int64_t cols);
+  /// One SGD step with momentum and weight decay, per element:
+  /// g' = g + weight_decay * w; v = momentum * v + g'; w = w - lr * v,
+  /// each multiply and add rounded apart. No aliasing.
+  void (*sgd_step_f32)(float* w, float* v, const float* g, std::int64_t n,
+                       float lr, float momentum, float weight_decay);
 };
 
 /// Kernel table for util::active_simd() — re-resolved on every call, so

@@ -123,6 +123,30 @@ struct DotF64 {
   }
   static void store(double* out, Vec v) { _mm512_storeu_pd(out, v); }
   static double first(Vec v) { return _mm512_cvtsd_f64(v); }
+  // Four rows of eight lanes, rounded to float, transposed into eight runs
+  // of four: unpack pairs of rows, then pairs of pairs, and store each
+  // 128-bit quarter at its lane.
+  static void store_cols4(float* out, std::int64_t ls, Vec a, Vec b, Vec c,
+                          Vec d) {
+    const __m256 ra = _mm512_maskz_cvtpd_ps(0xFF, a);
+    const __m256 rb = _mm512_maskz_cvtpd_ps(0xFF, b);
+    const __m256 rc = _mm512_maskz_cvtpd_ps(0xFF, c);
+    const __m256 rd = _mm512_maskz_cvtpd_ps(0xFF, d);
+    const __m256 ab_lo = _mm256_unpacklo_ps(ra, rb);
+    const __m256 ab_hi = _mm256_unpackhi_ps(ra, rb);
+    const __m256 cd_lo = _mm256_unpacklo_ps(rc, rd);
+    const __m256 cd_hi = _mm256_unpackhi_ps(rc, rd);
+    const __m256 q[4] = {
+        _mm256_shuffle_ps(ab_lo, cd_lo, _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm256_shuffle_ps(ab_lo, cd_lo, _MM_SHUFFLE(3, 2, 3, 2)),
+        _mm256_shuffle_ps(ab_hi, cd_hi, _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm256_shuffle_ps(ab_hi, cd_hi, _MM_SHUFFLE(3, 2, 3, 2))};
+#pragma GCC unroll 4
+    for (int l = 0; l < 4; ++l) {
+      _mm_storeu_ps(out + l * ls, _mm256_castps256_ps128(q[l]));
+      _mm_storeu_ps(out + (l + 4) * ls, _mm256_extractf128_ps(q[l], 1));
+    }
+  }
 };
 
 // The HD classifier's float panel, widened in the load: DotF64's chains
@@ -159,6 +183,7 @@ struct AxpyF32 {
     return _mm512_add_ps(acc, _mm512_mul_ps(x, p));
   }
   static void store(float* out, Vec v) { _mm512_storeu_ps(out, v); }
+  static Vec add(Vec a, Vec b) { return _mm512_add_ps(a, b); }
 };
 
 void gemm_dot_f64_avx512(const GemmArgs<double>& g) { gemm<DotF64>(g); }
@@ -318,6 +343,150 @@ void relu_backward_avx512(float* out, const float* g, const float* x,
   scalar_table().relu_backward_f32(out + i, g + i, x + i, n - i);
 }
 
+/// The first n lanes (n >= 16 selects all sixteen; n <= 0 none).
+__mmask16 lanes_below(std::int64_t n) {
+  return n >= 16 ? static_cast<__mmask16>(0xFFFF)
+                 : static_cast<__mmask16>((1U << std::max<std::int64_t>(n, 0)) -
+                                          1U);
+}
+
+/// a beats b in the max-pool order: greater, or a NaN over a number.
+/// _CMP_NLE_UQ is a > b or either NaN; the lanes where b is a NaN are
+/// masked off.
+__mmask16 pool_beats(__m512 a, __m512 b) {
+  return _mm512_mask_cmp_ps_mask(_mm512_cmp_ps_mask(b, b, _CMP_ORD_Q), a, b,
+                                 _CMP_NLE_UQ);
+}
+
+// Sixteen windows per step, as in the AVX2 kernel: each column keeps its
+// top element unless the bottom one beats it, and the right column's
+// winner takes the window when it beats the left one, or ties it from the
+// smaller window index (right top, 1, against left bottom, 2). The last
+// step of a row loads and stores through lane masks.
+void maxpool2_avx512(const float* x, std::int64_t rows, std::int64_t w,
+                     std::int64_t base, float* out, std::int64_t* argmax) {
+  const std::int64_t ow = w / 2;
+  const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                         20, 22, 24, 26, 28, 30);
+  const __m512i odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
+  const __m512i col = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i vw = _mm512_set1_epi64(w);
+  for (std::int64_t i = 0; i < rows / 2; ++i) {
+    const float* top = x + 2 * i * w;
+    const float* bot = top + w;
+    for (std::int64_t j = 0; j < ow; j += 16) {
+      const std::int64_t left = ow - j;
+      const __mmask16 m0 = lanes_below(2 * left);
+      const __mmask16 m1 = lanes_below(2 * left - 16);
+      const __m512 t0 = _mm512_maskz_loadu_ps(m0, top + 2 * j);
+      const __m512 t1 = _mm512_maskz_loadu_ps(m1, top + 2 * j + 16);
+      const __m512 b0 = _mm512_maskz_loadu_ps(m0, bot + 2 * j);
+      const __m512 b1 = _mm512_maskz_loadu_ps(m1, bot + 2 * j + 16);
+      const __m512 a = _mm512_permutex2var_ps(t0, even, t1);
+      const __m512 b = _mm512_permutex2var_ps(t0, odd, t1);
+      const __m512 c = _mm512_permutex2var_ps(b0, even, b1);
+      const __m512 d = _mm512_permutex2var_ps(b0, odd, b1);
+      const unsigned cw = pool_beats(c, a);
+      const unsigned dw = pool_beats(d, b);
+      const __m512 lft = _mm512_mask_blend_ps(static_cast<__mmask16>(cw), a, c);
+      const __m512 rgt = _mm512_mask_blend_ps(static_cast<__mmask16>(dw), b, d);
+      const unsigned rw = pool_beats(rgt, lft) |
+                          (~static_cast<unsigned>(pool_beats(lft, rgt)) & cw &
+                           ~dw);
+      const unsigned low = (rw & dw) | (~rw & cw);
+      const __mmask16 m = lanes_below(left);
+      _mm512_mask_storeu_ps(out + i * ow + j, m,
+                            _mm512_mask_blend_ps(static_cast<__mmask16>(rw),
+                                                 lft, rgt));
+      // The window's flat index, plus 1 for a right winner and w for a
+      // bottom one; eight int64 lanes per half.
+      const __m512i at = _mm512_add_epi64(
+          _mm512_set1_epi64(base + 2 * i * w + 2 * j), col);
+      for (int h = 0; h < 2; ++h) {
+        const auto bits = [h](unsigned v) {
+          return static_cast<__mmask8>(v >> (8 * h));
+        };
+        __m512i idx = _mm512_add_epi64(at, _mm512_set1_epi64(16 * h));
+        idx = _mm512_mask_add_epi64(idx, bits(rw), idx, one);
+        idx = _mm512_mask_add_epi64(idx, bits(low), idx, vw);
+        _mm512_mask_storeu_epi64(argmax + i * ow + j + 8 * h, bits(m), idx);
+      }
+    }
+  }
+}
+
+void add_bias_avx512(float* y, float b, std::int64_t n) {
+  const __m512 vb = _mm512_set1_ps(b);
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const __mmask16 m = lanes_below(n - i);
+    _mm512_mask_storeu_ps(y + i, m,
+                          _mm512_add_ps(_mm512_maskz_loadu_ps(m, y + i), vb));
+  }
+}
+
+// Sixteen columns of one input row per register: each tap that lands on
+// the row adds its shifted tap-plane row in the lanes it covers (a merge-
+// masked add leaves the other lanes' chains alone), then the run is
+// stored once.
+void fold_taps_avx512(float* x, const float* taps, std::int64_t h,
+                      std::int64_t w, std::int64_t oh, std::int64_t ow,
+                      std::int64_t k, std::int64_t pad) {
+  const std::int64_t plane = oh * ow;
+  for (std::int64_t iy = 0; iy < h; ++iy) {
+    for (std::int64_t ix0 = 0; ix0 < w; ix0 += 16) {
+      __m512 acc = _mm512_setzero_ps();
+      for (std::int64_t ky = k - 1; ky >= 0; --ky) {
+        const std::int64_t oy = iy + pad - ky;
+        if (oy < 0 || oy >= oh) continue;
+        for (std::int64_t kx = k - 1; kx >= 0; --kx) {
+          // Lane l reads ox = ox0 + l, which must lie in [0, ow), for an
+          // ix0 + l inside the row.
+          const std::int64_t ox0 = ix0 + pad - kx;
+          const auto m = static_cast<__mmask16>(
+              lanes_below(std::min(ow - ox0, w - ix0)) &
+              ~lanes_below(-ox0));
+          const float* src = taps + (ky * k + kx) * plane + oy * ow + ox0;
+          acc = _mm512_mask_add_ps(acc, m, acc, _mm512_maskz_loadu_ps(m, src));
+        }
+      }
+      _mm512_mask_storeu_ps(x + iy * w + ix0, lanes_below(w - ix0), acc);
+    }
+  }
+}
+
+// Sixteen columns per register, the rows streamed past them; a partial
+// last block loads through a mask, whose zeroed lanes are never stored.
+void col_sums_avx512(float* y, const float* x, std::int64_t rows,
+                     std::int64_t cols) {
+  for (std::int64_t j = 0; j < cols; j += 16) {
+    const __mmask16 m = lanes_below(cols - j);
+    __m512 acc = _mm512_setzero_ps();
+    for (std::int64_t r = 0; r < rows; ++r) {
+      acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(m, x + r * cols + j));
+    }
+    _mm512_mask_storeu_ps(y + j, m,
+                          _mm512_add_ps(_mm512_maskz_loadu_ps(m, y + j), acc));
+  }
+}
+
+void sgd_step_avx512(float* w, float* v, const float* g, std::int64_t n,
+                     float lr, float momentum, float weight_decay) {
+  const __m512 vlr = _mm512_set1_ps(lr);
+  const __m512 vm = _mm512_set1_ps(momentum);
+  const __m512 vwd = _mm512_set1_ps(weight_decay);
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const __mmask16 m = lanes_below(n - i);
+    const __m512 wi = _mm512_maskz_loadu_ps(m, w + i);
+    const __m512 gi = _mm512_add_ps(_mm512_maskz_loadu_ps(m, g + i),
+                                    _mm512_mul_ps(vwd, wi));
+    const __m512 vi =
+        _mm512_add_ps(_mm512_mul_ps(vm, _mm512_maskz_loadu_ps(m, v + i)), gi);
+    _mm512_mask_storeu_ps(v + i, m, vi);
+    _mm512_mask_storeu_ps(w + i, m, _mm512_sub_ps(wi, _mm512_mul_ps(vlr, vi)));
+  }
+}
+
 constexpr Kernels kAvx512 = {
     .axpy_f32 = axpy_avx512,
     .scale_f32 = scale_avx512,
@@ -335,6 +504,12 @@ constexpr Kernels kAvx512 = {
     .exact_accumulate_f32 = exact_accumulate_f32_avx512,
     .relu_f32 = relu_avx512,
     .relu_backward_f32 = relu_backward_avx512,
+    .maxpool2_f32 = maxpool2_avx512,
+    .add_bias_f32 = add_bias_avx512,
+    .fold_taps_f32 = fold_taps_avx512,
+    .col_sums_f32 = col_sums_avx512,
+    .transpose_f32 = nullptr,  // AVX2
+    .sgd_step_f32 = sgd_step_avx512,
 };
 
 }  // namespace

@@ -10,6 +10,8 @@
 //   bcast(x)               x widened to the accumulator type in every lane
 //   step(acc, x, p)        acc + x * p, multiply and add rounded apart
 //   store(out, v)          v into out[0..W), rounded to out's type
+//   add(a, b)              a + b (only where Panel is the stored type,
+//                          for GemmArgs::add's c = c + acc)
 //   first(v)               lane 0 of v (only for the row-norm chains)
 // Each TU instantiates the driver with its own traits types, which live in
 // an anonymous namespace, so every instantiation is local to that TU and
@@ -20,7 +22,11 @@
 // chain (+0.0, then step() in ascending kk); tiling only decides how many
 // chains are in flight. Partial tiles at the row and lane edges run smaller
 // instantiations and a masked panel load; they store through a small
-// buffer, as do transposed tiles (c_ls != 1).
+// buffer, as do transposed tiles (c_ls != 1) unless the tier transposes
+// four rows in registers (store_cols4). With GemmArgs::add, the
+// store reads c back and adds the tile to it: in registers where the panel
+// type is the stored type and the tile row is contiguous, else element by
+// element from the buffer.
 //
 // With Norms set (the HD classifier's gemm_dot_norm_f64), the tiles of the
 // first lane block also run one more chain per row, acc + x * x over the
@@ -30,10 +36,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 #include "util/simd.hpp"
 
 namespace fhdnn::simd::detail {
+
+/// Tiers may add store_cols4(out, ls, a, b, c, d): the W lanes of four
+/// row registers, rounded to float, stored transposed as W runs of four
+/// adjacent floats, lane l's at out + l * ls.
+template <typename T, typename Out>
+concept StoresColumns4 =
+    requires(Out* out, std::int64_t ls, typename T::Vec v) {
+      T::store_cols4(out, ls, v, v, v, v);
+    };
 
 template <typename T, int MR, int NV, bool Norms, typename Out>
 void gemm_tile(const GemmArgs<typename T::Panel, Out>& g, double* x_sq,
@@ -68,20 +84,47 @@ void gemm_tile(const GemmArgs<typename T::Panel, Out>& g, double* x_sq,
       for (int v = 0; v < NV; ++v) acc[r][v] = T::step(acc[r][v], xv, pv[v]);
     }
   }
+  // A transposed store of four whole rows (c_rs = 1, so each lane's four
+  // outputs are adjacent), when the tier can transpose them in registers.
+  [[maybe_unused]] bool cols_stored[NV] = {};
+  if constexpr (MR == 4 && StoresColumns4<T, Out>) {
+    if (g.c_rs == 1 && !g.add) {
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) {
+        const std::int64_t lane = l0 + v * T::W;
+        if (l0 + nl - lane < T::W) continue;
+        T::store_cols4(g.c + r0 + lane * g.c_ls, g.c_ls, acc[0][v], acc[1][v],
+                       acc[2][v], acc[3][v]);
+        cols_stored[v] = true;
+      }
+    }
+  }
 #pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
 #pragma GCC unroll 8
     for (int v = 0; v < NV; ++v) {
+      if constexpr (MR == 4 && StoresColumns4<T, Out>) {
+        if (cols_stored[v]) continue;
+      }
       const std::int64_t lane = l0 + v * T::W;
       const std::int64_t n = std::min<std::int64_t>(T::W, l0 + nl - lane);
       Out* out = g.c + (r0 + r) * g.c_rs + lane * g.c_ls;
       if (g.c_ls == 1 && n == T::W) {
-        T::store(out, acc[r][v]);
-        continue;
+        if (!g.add) {
+          T::store(out, acc[r][v]);
+          continue;
+        }
+        if constexpr (std::is_same_v<typename T::Panel, Out>) {
+          T::store(out, T::add(T::load(out), acc[r][v]));
+          continue;
+        }
       }
       Out staged[T::W];
       T::store(staged, acc[r][v]);
-      for (std::int64_t l = 0; l < n; ++l) out[l * g.c_ls] = staged[l];
+      for (std::int64_t l = 0; l < n; ++l) {
+        Out& c = out[l * g.c_ls];
+        c = g.add ? c + staged[l] : staged[l];
+      }
     }
     if constexpr (Norms) x_sq[r0 + r] = T::first(norm[r]);
   }

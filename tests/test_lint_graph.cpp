@@ -455,6 +455,88 @@ TEST(TestOnlyApi, PerfbenchIsReadButNeverReported) {
       << diags.front().path << ": " << diags.front().rule;
 }
 
+namespace {
+
+// A dispatch table in the shape of simd::Kernels: a function-pointer field
+// per kernel, a tier table filling every field through designated
+// initializers, and an overlay naming each field through a member pointer.
+const Sources kKernelTable = {
+    {"src/util/simd.hpp",
+     "#pragma once\n"
+     "namespace fhdnn::simd {\n"
+     "struct Kernels {\n"
+     "  void (*scale_f32)(float* out, const float* x, float a,\n"
+     "                    std::int64_t n);\n"
+     "};\n"
+     "const Kernels& kernels();\n"
+     "}  // namespace fhdnn::simd\n"},
+    {"src/util/simd.cpp",
+     "#include \"util/simd.hpp\"\n"
+     "namespace fhdnn::simd {\n"
+     "void scale_scalar(float* out, const float* x, float a,\n"
+     "                  std::int64_t n) {\n"
+     "  for (std::int64_t i = 0; i < n; ++i) out[i] = x[i] * a;\n"
+     "}\n"
+     "constexpr Kernels kScalar = {\n"
+     "    .scale_f32 = scale_scalar,\n"
+     "};\n"
+     "Kernels overlay(const Kernels& base, const Kernels* tier) {\n"
+     "  Kernels out = base;\n"
+     "  const auto take = [&](auto Kernels::*entry) {\n"
+     "    if (tier->*entry != nullptr) out.*entry = tier->*entry;\n"
+     "  };\n"
+     "  take(&Kernels::scale_f32);\n"
+     "  return out;\n"
+     "}\n"
+     "const Kernels& kernels() { return kScalar; }\n"
+     "}  // namespace fhdnn::simd\n"},
+    {"src/util/bytes.cpp",
+     "#include \"util/simd.hpp\"\n"
+     "bool have_kernels() { return &fhdnn::simd::kernels() != nullptr; }\n"},
+};
+
+}  // namespace
+
+TEST(TestOnlyApi, KernelFieldReadOnlyByTestsIsViolation) {
+  const auto diags =
+      run(with(kKernelTable, "tests/test_simd.cpp",
+               "#include \"util/simd.hpp\"\n"
+               "void check(float* v) {\n"
+               "  fhdnn::simd::kernels().scale_f32(v, v, 2.0F, 4);\n"
+               "}\n"));
+  ASSERT_EQ(count_rule(diags, "test-only-api"), 1);
+  const auto* d = find_rule(diags, "test-only-api");
+  EXPECT_EQ(d->path, "src/util/simd.hpp");
+  EXPECT_EQ(d->line, 4);
+  EXPECT_NE(d->message.find("'scale_f32'"), std::string::npos);
+}
+
+TEST(TestOnlyApi, KernelFieldReadThroughTheTableInSrcIsClean) {
+  const auto diags =
+      run(with(kKernelTable, "src/tensor/ops.cpp",
+               "#include \"util/simd.hpp\"\n"
+               "void scale_into(float* out, const float* x, float a) {\n"
+               "  fhdnn::simd::kernels().scale_f32(out, x, a, 4);\n"
+               "}\n"));
+  EXPECT_EQ(count_rule(diags, "test-only-api"), 0);
+}
+
+TEST(TestOnlyApi, KernelFieldNamedOnlyInInitializersIsViolation) {
+  // A second tier's table and the overlay's member pointer name the field
+  // too; neither calls it.
+  const auto diags =
+      run(with(kKernelTable, "src/util/simd_avx2.cpp",
+               "#include \"util/simd.hpp\"\n"
+               "namespace fhdnn::simd::detail {\n"
+               "constexpr Kernels kAvx2 = {\n"
+               "    .scale_f32 = nullptr,\n"
+               "};\n"
+               "}  // namespace fhdnn::simd::detail\n"));
+  ASSERT_EQ(count_rule(diags, "test-only-api"), 1);
+  EXPECT_NE(find_rule(diags, "test-only-api")->message.find("'scale_f32'"),
+            std::string::npos);
+}
+
 // ---- --json schema -------------------------------------------------------
 
 TEST(LintJson, SchemaAndEscaping) {

@@ -22,7 +22,12 @@
 //   test-only-api         functions declared in a src/ header whose name
 //                         nothing outside tests/ uses: no other src/ code,
 //                         and nothing under tools/, bench/, examples/ or
-//                         perfbench/, references it, as a call or not
+//                         perfbench/, references it, as a call or not;
+//                         likewise function-pointer fields `(*name)(` (the
+//                         simd::Kernels table), where neither a designated
+//                         initializer `.name = ...` nor a qualified
+//                         `Type::name` (the dispatcher's member pointers)
+//                         counts as a use
 #include "graph.hpp"
 
 #include <algorithm>
@@ -542,24 +547,28 @@ class TestOnlyApiRule : public GraphRule {
 
   void check(const Program& p, GraphDiagnostics& diags) const override {
     // One pass over every file outside tests/: an identifier is either the
-    // declarator of a function declaration or definition, or a use of the
-    // name. Names link unqualified, so a same-named function elsewhere can
-    // hide a finding but never invent one.
-    std::set<std::string, std::less<>> used;
+    // declarator of a function (or function-pointer field) declaration or
+    // definition, or a use of the name. Names link unqualified, so a
+    // same-named function elsewhere can hide a finding but never invent
+    // one. A field's uses leave out the tier tables' designated
+    // initializers and the overlay's member pointers, which name every
+    // field whether or not anything calls it.
+    Uses uses;
     std::vector<Declaration> declared;
     for (std::size_t i = 0; i < p.files.size(); ++i) {
       if (p.repo_paths[i].starts_with("tests/")) continue;
       const bool api =
           p.repo_paths[i].starts_with("src/") && p.files[i].is_header();
-      scan_file(p, i, api, used, declared);
+      scan_file(p, i, api, uses, declared);
     }
     for (const Declaration& d : declared) {
-      if (used.contains(d.name)) continue;
+      if ((d.field ? uses.field : uses.any).contains(d.name)) continue;
       diags.report(name(), d.file, d.line,
                    "'" + d.name +
-                       "' is declared in a src/ header but only tests/ "
-                       "reference it; delete it with its tests, or mark a "
-                       "deliberate test seam allow(test-only-api)");
+                       "' is declared in a src/ header but only tests/ " +
+                       (d.field ? "read it" : "reference it") +
+                       "; delete it with its tests, or mark a deliberate "
+                       "test seam allow(test-only-api)");
     }
   }
 
@@ -568,11 +577,49 @@ class TestOnlyApiRule : public GraphRule {
     std::size_t file;
     int line;
     std::string name;
+    bool field;  // a function-pointer field, `(*name)(`
   };
 
+  struct Uses {
+    std::set<std::string, std::less<>> any;    // every non-declarator
+    std::set<std::string, std::less<>> field;  // less initializers and
+                                               // `Type::name`
+  };
+
+  /// True when the identifier at `at` (`len` long) declares a function-
+  /// pointer field or variable: `(*name)(`, with the `(` of `(*` the only
+  /// open parenthesis (a parameter's `(*cb)(` sits inside its function's).
+  static bool field_declarator(const SourceFile& f, Pos at, std::size_t len,
+                               int depth) {
+    Pos star, open;
+    if (depth != 1 || !char_before(f, at.line, at.col, star) ||
+        char_at(f, star) != '*' ||
+        !char_before(f, star.line, star.col, open) || char_at(f, open) != '(') {
+      return false;
+    }
+    Pos after{at.line, at.col + len};
+    if (!skip_space(f, after) || char_at(f, after) != ')') return false;
+    ++after.col;
+    return skip_space(f, after) && char_at(f, after) == '(';
+  }
+
+  /// True for `.name = ...` (a designated initializer or a field
+  /// assignment) and for `Type::name`: mentions of a field that call
+  /// nothing.
+  static bool field_plumbing(const SourceFile& f, Pos at, std::size_t len) {
+    Pos q;
+    if (!char_before(f, at.line, at.col, q)) return false;
+    const std::string& line = f.code[q.line];
+    if (line[q.col] == ':') return q.col > 0 && line[q.col - 1] == ':';
+    if (line[q.col] != '.') return false;
+    Pos after{at.line, at.col + len};
+    if (!skip_space(f, after) || char_at(f, after) != '=') return false;
+    ++after.col;
+    return !skip_space(f, after) || char_at(f, after) != '=';
+  }
+
   static void scan_file(const Program& p, std::size_t i, bool api,
-                        std::set<std::string, std::less<>>& used,
-                        std::vector<Declaration>& declared) {
+                        Uses& uses, std::vector<Declaration>& declared) {
     const SourceFile& f = p.files[i];
     // Function bodies of this file, in source order: a declarator inside
     // one is a local variable, not API.
@@ -581,30 +628,48 @@ class TestOnlyApiRule : public GraphRule {
       if (fn.file == i) bodies.emplace_back(fn.body_begin, fn.body_end);
     }
     std::size_t next_body = 0;
+    const auto in_body = [&](Pos here) {
+      while (next_body < bodies.size() &&
+             !before(here, bodies[next_body].second)) {
+        ++next_body;
+      }
+      return next_body < bodies.size() &&
+             !before(here, bodies[next_body].first);
+    };
+    int depth = 0;  // open parentheses, directives aside
     for (std::size_t l = 0; l < f.code.size(); ++l) {
       const std::string& code = f.code[l];
       const bool directive = trim(code).starts_with("#");
       for (std::size_t c = 0; c < code.size(); ++c) {
         const std::string_view tok = ident_at(code, c);
-        if (tok.empty()) continue;
+        if (tok.empty()) {
+          if (!directive) depth += (code[c] == '(') - (code[c] == ')');
+          continue;
+        }
         const Pos here{l, c};
         c += tok.size() - 1;
+        if (!directive && field_declarator(f, here, tok.size(), depth)) {
+          if (api && !in_body(here)) {
+            declared.push_back(
+                {i, static_cast<int>(l) + 1, std::string(tok), true});
+          }
+          continue;
+        }
         Pos after{l, here.col + tok.size()};
         const bool called =
             !directive && skip_space(f, after) && char_at(f, after) == '(';
         if (!called || !declarator(f, l, here.col)) {
-          if (!used.contains(tok)) used.emplace(tok);
+          if (!uses.any.contains(tok)) uses.any.emplace(tok);
+          if (!field_plumbing(f, here, tok.size()) &&
+              !uses.field.contains(tok)) {
+            uses.field.emplace(tok);
+          }
           continue;
         }
         if (!api || paren_keyword(tok)) continue;
-        while (next_body < bodies.size() &&
-               !before(here, bodies[next_body].second)) {
-          ++next_body;
-        }
-        const bool in_body = next_body < bodies.size() &&
-                             !before(here, bodies[next_body].first);
-        if (!in_body) {
-          declared.push_back({i, static_cast<int>(l) + 1, std::string(tok)});
+        if (!in_body(here)) {
+          declared.push_back(
+              {i, static_cast<int>(l) + 1, std::string(tok), false});
         }
       }
     }
