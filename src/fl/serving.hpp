@@ -25,7 +25,7 @@
 // Bit-identity across deployments follows from the engine's determinism
 // contract (DESIGN.md §6): every client draws only from named forks of the
 // round stream, updates are installed per slot, and the reduction is serial
-// in slot order on the server — so run histories through loopback pipes,
+// in slot order on the server — so run histories through socket pairs,
 // TCP sockets, or the in-process LocalRoundDriver are byte-for-byte equal.
 // Worker scheduling, collection order, and thread counts cannot matter.
 //
@@ -33,8 +33,8 @@
 // until the round's updates are in (or round_timeout_ms passes without
 // progress). Between passes over the workers it waits in net::wait_any for
 // any worker to become readable, or writable while its send queue is
-// non-empty: one poll(2) when every worker is a socket, round-robin
-// Connection::wait_writable / wait_readable slices otherwise (loopback).
+// non-empty: one poll(2) over the workers' sockets, TCP in fhdnnd and
+// AF_UNIX pairs in the tests alike.
 // Timeouts are accumulated wait-slice milliseconds of waits that brought
 // no progress — the driver never reads a wall clock, keeping src/fl/
 // inside the sim-clock lint contract.

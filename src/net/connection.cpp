@@ -50,27 +50,14 @@ bool wait_any(std::span<Connection* const> conns,
               "wait_any: " << want_write.size() << " write flags for "
                            << conns.size() << " connections");
   if (conns.empty()) return false;
-  const bool pollable = std::all_of(conns.begin(), conns.end(),
-                                    [](Connection* c) { return c->fd() >= 0; });
-  if (pollable) {
-    std::vector<pollfd> fds(conns.size());
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      fds[i].fd = conns[i]->fd();
-      fds[i].events =
-          static_cast<short>(POLLIN | (want_write[i] ? POLLOUT : 0));
-    }
-    return poll_fds(fds.data(), fds.size(), timeout_ms, "a connection set");
-  }
-  // A connection without an fd: round-robin a short wait over the set so
-  // one quiet connection cannot starve the others' readiness.
-  const int per = std::max(1, timeout_ms / static_cast<int>(conns.size()));
+  std::vector<pollfd> fds(conns.size());
   for (std::size_t i = 0; i < conns.size(); ++i) {
-    if (want_write[i] ? conns[i]->wait_writable(per)
-                      : conns[i]->wait_readable(per)) {
-      return true;
-    }
+    fds[i].fd = conns[i]->fd();
+    FHDNN_CHECK(fds[i].fd >= 0,
+                "wait_any: " << conns[i]->describe() << " has no fd");
+    fds[i].events = static_cast<short>(POLLIN | (want_write[i] ? POLLOUT : 0));
   }
-  return false;
+  return poll_fds(fds.data(), fds.size(), timeout_ms, "a connection set");
 }
 
 void MessageChannel::send(const wire::Frame& frame) {

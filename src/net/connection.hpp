@@ -1,11 +1,12 @@
 // Byte-stream connections and frame pumping for the fhdnnd serving seam.
 //
-// `Connection` is the seam both transports implement: non-blocking TCP
-// sockets (src/net/socket.*) and the deterministic in-process loopback pipe
-// (src/net/loopback.*, used by tests and the single-process integration
-// path).  All reads and writes are non-blocking; `wait_readable`,
-// `wait_writable` and `wait_any` (readiness of a set of connections) are
-// the only blocking calls, and they always take a timeout.
+// `Connection` is the seam the transport implements: non-blocking stream
+// sockets (src/net/socket.*), TCP between processes and connected AF_UNIX
+// pairs inside one (tests).  Every connection has a pollable fd, so the
+// tests wait through the same poll(2) as fhdnnd.  All reads and writes are
+// non-blocking; `wait_readable`, `wait_writable` and `wait_any` (readiness
+// of a set of connections) are the only blocking calls, and they always
+// take a timeout.
 //
 // `MessageChannel` layers wire framing on a Connection with explicit
 // read/write buffering, and moves each frame's bytes once on either side:
@@ -61,9 +62,8 @@ class Connection {
   /// Close this end; further reads/writes fail or report peer_closed.
   virtual void close() = 0;
 
-  /// Pollable file descriptor, or -1 (loopback pipes have no fd; wait_any
-  /// then falls back to wait_readable / wait_writable slices).
-  [[nodiscard]] virtual int fd() const { return -1; }
+  /// Pollable file descriptor; -1 once closed.
+  [[nodiscard]] virtual int fd() const = 0;
 
   /// Block up to `timeout_ms` for readability (or peer close).  Returns
   /// true when bytes are available or the peer closed, false on timeout.
@@ -71,7 +71,7 @@ class Connection {
 
   /// Block up to `timeout_ms` until write_some can accept bytes (or the
   /// connection failed).  Returns false on timeout.  The default polls
-  /// fd(); a connection without one reports writable at once.
+  /// fd(); a closed connection reports writable at once (its write throws).
   virtual bool wait_writable(int timeout_ms);
 
   /// Human-readable endpoint label for logs ("tcp:127.0.0.1:4242", ...).
@@ -79,11 +79,10 @@ class Connection {
 };
 
 /// Block up to `timeout_ms` until any of `conns` is readable or closed, or,
-/// where `want_write[i]` is set, writable. Returns false on timeout (at once
-/// for an empty set). When every connection has an fd this is one poll(2);
-/// otherwise it waits a slice of `timeout_ms` on each connection in turn
-/// (wait_writable where `want_write[i]`, else wait_readable), so one quiet
-/// connection cannot starve the others' readiness.
+/// where `want_write[i]` is set, writable, in one poll(2) over their fds.
+/// Returns false on timeout (at once for an empty set).  Every connection
+/// must be open: poll(2) skips a negative fd and would sleep the whole
+/// timeout.
 bool wait_any(std::span<Connection* const> conns,
               std::span<const char> want_write, int timeout_ms);
 

@@ -37,17 +37,16 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
-class TcpConnection final : public Connection {
+/// A non-blocking stream socket: TCP from the listener and connect_tcp,
+/// AF_UNIX from make_socket_pair.
+class SocketConnection final : public Connection {
  public:
-  TcpConnection(int fd, std::string label)
+  SocketConnection(int fd, std::string label)
       : fd_(fd), label_(std::move(label)) {
     set_nonblocking(fd_);
-    const int one = 1;
-    // Frames are latency-sensitive and already batched; disable Nagle.
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
 
-  ~TcpConnection() override { TcpConnection::close(); }
+  ~SocketConnection() override { SocketConnection::close(); }
 
   std::size_t read_some(std::uint8_t* out, std::size_t len) override {
     if (fd_ < 0) return 0;
@@ -101,6 +100,15 @@ class TcpConnection final : public Connection {
   bool eof_ = false;
 };
 
+/// A connection over the TCP socket `fd`.  Frames are latency-sensitive
+/// and already batched, so Nagle is off.
+std::unique_ptr<Connection> tcp_connection(int fd, std::string label) {
+  auto conn = std::make_unique<SocketConnection>(fd, std::move(label));
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return conn;
+}
+
 }  // namespace
 
 TcpListener::TcpListener(const std::string& host, std::uint16_t port) {
@@ -135,8 +143,7 @@ std::unique_ptr<Connection> TcpListener::accept() {
     }
     fail_errno("accept");
   }
-  return std::make_unique<TcpConnection>(
-      client, "tcp:accepted#" + std::to_string(client));
+  return tcp_connection(client, "tcp:accepted#" + std::to_string(client));
 }
 
 bool TcpListener::wait_pending(int timeout_ms) {
@@ -158,7 +165,7 @@ std::unique_ptr<Connection> connect_tcp(const std::string& host,
     sockaddr_in addr = make_addr(host, port);
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) == 0) {
-      return std::make_unique<TcpConnection>(fd, label);
+      return tcp_connection(fd, label);
     }
     ::close(fd);
     if (errno != ECONNREFUSED && errno != ENETUNREACH && errno != ETIMEDOUT &&
@@ -172,6 +179,29 @@ std::unique_ptr<Connection> connect_tcp(const std::string& host,
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
+}
+
+std::pair<std::unique_ptr<Connection>, std::unique_ptr<Connection>>
+make_socket_pair(std::size_t send_buffer_bytes) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    fail_errno("socketpair");
+  }
+  // Each end owns its fd from here on, so a failure below closes both.
+  auto first = std::make_unique<SocketConnection>(
+      fds[0], "unix:pair#" + std::to_string(fds[0]));
+  auto second = std::make_unique<SocketConnection>(
+      fds[1], "unix:pair#" + std::to_string(fds[1]));
+  if (send_buffer_bytes > 0) {
+    const int bytes = static_cast<int>(send_buffer_bytes);
+    for (const int fd : fds) {
+      if (::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)) !=
+          0) {
+        fail_errno("setsockopt(SO_SNDBUF)");
+      }
+    }
+  }
+  return {std::move(first), std::move(second)};
 }
 
 }  // namespace fhdnn::net

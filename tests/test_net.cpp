@@ -1,7 +1,7 @@
-// Tests for the src/net transport layer: loopback pipe semantics
-// (FIFO, backpressure, EOF), MessageChannel framing over both transports,
-// TCP socket basics, readiness waits over sets of connections (wait_any),
-// and the cross-thread behaviour the serving loop depends on.
+// Tests for the src/net transport layer: socket pair semantics (FIFO,
+// backpressure, EOF), MessageChannel framing, TCP socket basics, readiness
+// waits over sets of connections (wait_any), and the cross-thread
+// behaviour the serving loop depends on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,11 +10,10 @@
 #include <optional>
 #include <memory>
 #include <string>
-#include <thread>  // fhdnn-lint: allow(raw-thread) — test harness drives both pipe ends
+#include <thread>  // fhdnn-lint: allow(raw-thread) — test harness drives both socket ends
 #include <vector>
 
 #include "net/connection.hpp"
-#include "net/loopback.hpp"
 #include "net/socket.hpp"
 #include "util/bytes.hpp"
 #include "wire/messages.hpp"
@@ -34,10 +33,48 @@ wire::Frame hello_frame(std::uint32_t fp) {
   return m.to_frame();
 }
 
-// ---------------------------------------------------------------- loopback
+/// A frame of 64 KiB of payload, well over the ~4.4 KiB the kernel lets a
+/// small-buffered socket pair hold in flight.
+wire::Frame big_frame(std::uint8_t seed) {
+  std::vector<std::uint8_t> payload(64 * 1024);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 131 + seed);
+  }
+  return {wire::MsgType::kUpdate, std::move(payload)};
+}
 
-TEST(Loopback, BytesFlowBothWaysFifo) {
-  auto [a, b] = net::make_loopback_pair();
+/// Writes `chunk`-sized pieces into `conn` until write_some returns 0 (the
+/// peer's buffer is full) and returns the bytes accepted.
+std::size_t fill(Connection& conn, std::size_t chunk = 512) {
+  const std::vector<std::uint8_t> out(chunk, 0xAB);
+  std::size_t sent = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const std::size_t n = conn.write_some(out.data(), out.size());
+    if (n == 0) break;
+    sent += n;
+  }
+  return sent;
+}
+
+/// Reads from `conn` until `want` bytes arrived or nothing more is readable.
+std::size_t drain(Connection& conn, std::size_t want) {
+  std::vector<std::uint8_t> in(4096);
+  std::size_t got = 0;
+  while (got < want) {
+    const std::size_t n =
+        conn.read_some(in.data(), std::min(in.size(), want - got));
+    if (n == 0) break;
+    got += n;
+  }
+  return got;
+}
+
+// ------------------------------------------------------------- socket pair
+
+TEST(SocketPair, BytesFlowBothWaysFifo) {
+  auto [a, b] = net::make_socket_pair();
+  EXPECT_GE(a->fd(), 0);
+  EXPECT_GE(b->fd(), 0);
   const std::uint8_t out[4] = {1, 2, 3, 4};
   EXPECT_EQ(a->write_some(out, 4), 4U);
   std::uint8_t in[4] = {};
@@ -48,36 +85,44 @@ TEST(Loopback, BytesFlowBothWaysFifo) {
   EXPECT_EQ(in[0], 3);
   EXPECT_EQ(in[1], 4);
   EXPECT_EQ(b->read_some(in, 4), 0U);  // drained
+  EXPECT_FALSE(b->peer_closed());      // empty, not closed
   EXPECT_EQ(b->write_some(out, 1), 1U);
   EXPECT_EQ(a->read_some(in, 4), 1U);
 }
 
-TEST(Loopback, BackpressureAtCapacity) {
-  net::LoopbackOptions opt;
-  opt.capacity_bytes = 8;
-  auto [a, b] = net::make_loopback_pair(opt);
-  const std::vector<std::uint8_t> out(16, 0xAB);
-  EXPECT_EQ(a->write_some(out.data(), 16), 8U);   // capacity cap
-  EXPECT_EQ(a->write_some(out.data(), 1), 0U);    // full: backpressure
-  std::uint8_t in[8];
-  EXPECT_EQ(b->read_some(in, 3), 3U);             // drain a little
-  EXPECT_EQ(a->write_some(out.data(), 16), 3U);   // freed space accepted
+TEST(SocketPair, BackpressureAtTheRequestedBuffer) {
+  // The kernel floors SO_SNDBUF, so a tiny request still takes a few KiB;
+  // a larger request takes more.
+  auto [a, b] = net::make_socket_pair(16);
+  const std::size_t small = fill(*a);
+  EXPECT_GT(small, 0U);
+  EXPECT_LT(small, 16U * 1024U);
+  const std::uint8_t byte = 1;
+  EXPECT_EQ(a->write_some(&byte, 1), 0U);  // full: backpressure
+  EXPECT_EQ(drain(*b, small), small);      // drain it all
+  EXPECT_GT(a->write_some(&byte, 1), 0U);  // freed space accepted
+
+  auto [c, d] = net::make_socket_pair(64 * 1024);
+  EXPECT_GT(fill(*c), small);
 }
 
-TEST(Loopback, CloseGivesEofAfterDrain) {
-  auto [a, b] = net::make_loopback_pair();
+TEST(SocketPair, CloseGivesEofAfterDrain) {
+  auto [a, b] = net::make_socket_pair();
   const std::uint8_t out[2] = {7, 8};
   ASSERT_EQ(a->write_some(out, 2), 2U);
   a->close();
+  EXPECT_EQ(a->fd(), -1);
   EXPECT_FALSE(b->peer_closed());  // buffered bytes still readable
   std::uint8_t in[4];
   EXPECT_EQ(b->read_some(in, 4), 2U);
+  // A socket learns of the close when a read returns 0.
+  EXPECT_EQ(b->read_some(in, 4), 0U);
   EXPECT_TRUE(b->peer_closed());
   EXPECT_THROW((void)b->write_some(out, 1), NetError);
 }
 
-TEST(Loopback, WaitReadableSeesCrossThreadWrites) {
-  auto [a, b] = net::make_loopback_pair();
+TEST(SocketPair, WaitReadableSeesCrossThreadWrites) {
+  auto [a, b] = net::make_socket_pair();
   EXPECT_FALSE(b->wait_readable(1));  // nothing yet
   std::thread writer([&a] {  // fhdnn-lint: allow(raw-thread)
     const std::uint8_t byte = 42;
@@ -90,33 +135,25 @@ TEST(Loopback, WaitReadableSeesCrossThreadWrites) {
   EXPECT_EQ(in, 42);
 }
 
-TEST(Loopback, WaitWritableSeesCrossThreadDrain) {
-  net::LoopbackOptions opt;
-  opt.capacity_bytes = 8;
-  auto [a, b] = net::make_loopback_pair(opt);
-  EXPECT_TRUE(a->wait_writable(0));  // empty pipe: room at once
-  const std::vector<std::uint8_t> out(8, 0x5A);
-  ASSERT_EQ(a->write_some(out.data(), out.size()), 8U);
+TEST(SocketPair, WaitWritableSeesCrossThreadDrain) {
+  auto [a, b] = net::make_socket_pair(16);
+  EXPECT_TRUE(a->wait_writable(0));  // empty socket: room at once
+  const std::size_t sent = fill(*a);
+  ASSERT_GT(sent, 0U);
   EXPECT_FALSE(a->wait_writable(1));  // full: times out
-  std::thread reader([&b] {  // fhdnn-lint: allow(raw-thread)
-    std::uint8_t in[3];
-    (void)b->read_some(in, sizeof(in));
+  std::thread reader([&b, sent] {  // fhdnn-lint: allow(raw-thread)
+    EXPECT_EQ(drain(*b, sent), sent);
   });
   EXPECT_TRUE(a->wait_writable(5000));
   reader.join();
-  EXPECT_EQ(a->write_some(out.data(), out.size()), 3U);
-}
-
-TEST(Loopback, HasNoFd) {
-  auto [a, b] = net::make_loopback_pair();
-  EXPECT_EQ(a->fd(), -1);
-  EXPECT_EQ(b->fd(), -1);
+  const std::uint8_t byte = 1;
+  EXPECT_GT(a->write_some(&byte, 1), 0U);
 }
 
 // --------------------------------------------------------- message channel
 
-TEST(MessageChannelTest, FramesRoundTripOverLoopback) {
-  auto [a, b] = net::make_loopback_pair();
+TEST(MessageChannelTest, FramesRoundTripOverASocketPair) {
+  auto [a, b] = net::make_socket_pair();
   MessageChannel tx(*a);
   MessageChannel rx(*b);
   tx.send(hello_frame(0x11111111));
@@ -134,34 +171,32 @@ TEST(MessageChannelTest, FramesRoundTripOverLoopback) {
 }
 
 TEST(MessageChannelTest, BackpressureQueuesAndFlushDrains) {
-  net::LoopbackOptions opt;
-  opt.capacity_bytes = 32;  // smaller than one frame
-  auto [a, b] = net::make_loopback_pair(opt);
+  auto [a, b] = net::make_socket_pair(16);  // holds far less than one frame
   MessageChannel tx(*a);
   MessageChannel rx(*b);
-  tx.send(hello_frame(0xDEADBEEF));
+  const wire::Frame sent = big_frame(0xDB);
+  tx.send(sent);
   EXPECT_GT(tx.tx_pending(), 0U);  // only part fit
   // Drain by alternating reads with flushes.
   std::optional<wire::Frame> got;
-  for (int i = 0; i < 64 && !got; ++i) {
+  for (int i = 0; i < 10000 && !got; ++i) {
     (void)tx.flush();
     got = rx.poll();
   }
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(wire::HelloMsg::from_frame(*got).config_fingerprint, 0xDEADBEEFU);
+  EXPECT_EQ(got->type, sent.type);
+  EXPECT_EQ(got->payload, sent.payload);
   EXPECT_EQ(tx.tx_pending(), 0U);
 }
 
 TEST(MessageChannelTest, SendQueuesExactlyTheEncodedFrameBytes) {
-  // A pipe smaller than one frame keeps the tx buffer non-empty, so every
-  // later send appends behind bytes still queued.
-  net::LoopbackOptions opt;
-  opt.capacity_bytes = 16;
-  auto [a, b] = net::make_loopback_pair(opt);
+  // A socket that holds less than one frame keeps the tx buffer non-empty,
+  // so every later send appends behind bytes still queued.
+  auto [a, b] = net::make_socket_pair(16);
   MessageChannel tx(*a);
   std::vector<std::uint8_t> want;
-  for (std::uint32_t i = 1; i <= 3; ++i) {
-    const wire::Frame f = hello_frame(0x01010101U * i);
+  for (std::uint8_t i = 1; i <= 3; ++i) {
+    const wire::Frame f = big_frame(i);
     tx.send(f);
     const std::vector<std::uint8_t> bytes =
         wire::encode_frame(f.type, f.payload);
@@ -170,8 +205,8 @@ TEST(MessageChannelTest, SendQueuesExactlyTheEncodedFrameBytes) {
   }
   EXPECT_EQ(tx.bytes_sent(), want.size());
   std::vector<std::uint8_t> got;
-  std::uint8_t buf[16];
-  for (int i = 0; i < 1000 && got.size() < want.size(); ++i) {
+  std::uint8_t buf[4096];
+  for (int i = 0; i < 10000 && got.size() < want.size(); ++i) {
     (void)tx.flush();
     const std::size_t n = b->read_some(buf, sizeof(buf));
     got.insert(got.end(), buf, buf + n);
@@ -198,6 +233,7 @@ class OneBytePerWait final : public Connection {
   }
   [[nodiscard]] bool peer_closed() const override { return false; }
   void close() override {}
+  [[nodiscard]] int fd() const override { return -1; }  // never waited on
   bool wait_readable(int) override {
     ++waits;
     armed_ = true;
@@ -227,7 +263,7 @@ TEST(MessageChannelTest, RecvChargesOnlyWaitsWithoutProgress) {
 }
 
 TEST(MessageChannelTest, FrameViewLastsUntilTheNextPump) {
-  auto [a, b] = net::make_loopback_pair();
+  auto [a, b] = net::make_socket_pair();
   MessageChannel tx(*a);
   MessageChannel rx(*b);
   tx.send(hello_frame(0x0A0A0A0A));
@@ -250,15 +286,13 @@ TEST(MessageChannelTest, FrameViewLastsUntilTheNextPump) {
 }
 
 TEST(MessageChannelTest, SendWithQueuesTheEncodedBytesOrNothing) {
-  net::LoopbackOptions opt;
-  opt.capacity_bytes = 16;  // keeps earlier frames queued behind
-  auto [a, b] = net::make_loopback_pair(opt);
+  auto [a, b] = net::make_socket_pair(16);  // keeps earlier frames queued
   MessageChannel tx(*a);
   wire::RoundAssignMsg assign;
   assign.round_index = 4;
   assign.n_participants = 2;
   assign.slots = {{1, 7}};
-  assign.state_blob = std::vector<std::uint8_t>(3000, 0xEE);
+  assign.state_blob = std::vector<std::uint8_t>(64 * 1024, 0xEE);
   tx.send(hello_frame(1));
   tx.send_with([&](std::vector<std::uint8_t>& out) {
     wire::append_round_assign(out, assign, assign.state_blob);
@@ -276,7 +310,7 @@ TEST(MessageChannelTest, SendWithQueuesTheEncodedBytesOrNothing) {
   want.insert(want.end(), second.begin(), second.end());
   EXPECT_EQ(tx.bytes_sent(), want.size());
   std::vector<std::uint8_t> got;
-  std::uint8_t buf[16];
+  std::uint8_t buf[4096];
   for (int i = 0; i < 10000 && got.size() < want.size(); ++i) {
     (void)tx.flush();
     const std::size_t n = b->read_some(buf, sizeof(buf));
@@ -287,13 +321,13 @@ TEST(MessageChannelTest, SendWithQueuesTheEncodedBytesOrNothing) {
 }
 
 TEST(MessageChannelTest, RecvTimesOut) {
-  auto [a, b] = net::make_loopback_pair();
+  auto [a, b] = net::make_socket_pair();
   MessageChannel rx(*b);
   EXPECT_THROW((void)rx.recv(10), NetError);
 }
 
 TEST(MessageChannelTest, PeerCloseMidFrameThrows) {
-  auto [a, b] = net::make_loopback_pair();
+  auto [a, b] = net::make_socket_pair();
   const auto bytes = wire::encode_frame(wire::MsgType::kHello, {1, 2, 3});
   ASSERT_EQ(a->write_some(bytes.data(), bytes.size() - 1), bytes.size() - 1);
   a->close();
@@ -302,7 +336,7 @@ TEST(MessageChannelTest, PeerCloseMidFrameThrows) {
 }
 
 TEST(MessageChannelTest, CorruptStreamSurfacesDecodeError) {
-  auto [a, b] = net::make_loopback_pair();
+  auto [a, b] = net::make_socket_pair();
   auto bytes = wire::encode_frame(wire::MsgType::kHello, {1, 2, 3});
   bytes[0] = 'Z';
   ASSERT_EQ(a->write_some(bytes.data(), bytes.size()), bytes.size());
@@ -313,9 +347,7 @@ TEST(MessageChannelTest, CorruptStreamSurfacesDecodeError) {
 TEST(MessageChannelTest, MultiMegabyteFrameArrivesIntact) {
   // A frame larger than any single read crosses in many pieces into one
   // buffer; the view covers all of it.
-  net::LoopbackOptions opt;
-  opt.capacity_bytes = 64 * 1024;
-  auto [a, b] = net::make_loopback_pair(opt);
+  auto [a, b] = net::make_socket_pair(64 * 1024);
   MessageChannel tx(*a);
   MessageChannel rx(*b);
   std::vector<std::uint8_t> payload(3 * 1024 * 1024 + 5);
@@ -472,26 +504,19 @@ TEST(WaitAny, TimesOutWhenNothingIsReady) {
   EXPECT_THROW((void)net::wait_any(served, {}, 0), Error);
 }
 
-TEST(WaitAny, EndsWithoutAnFdWaitInSlices) {
-  auto [a1, b1] = net::make_loopback_pair();
-  auto [a2, b2] = net::make_loopback_pair();
+TEST(WaitAny, RejectsAConnectionWithoutAnFd) {
+  // poll(2) skips a negative fd and would sleep the whole timeout, so a
+  // closed end is refused at once instead.
+  auto [a1, b1] = net::make_socket_pair();
+  auto [a2, b2] = net::make_socket_pair();
   std::vector<Connection*> ends = {b1.get(), b2.get()};
   const std::vector<char> no_write(2, 0);
   EXPECT_FALSE(net::wait_any(ends, no_write, 10));
-  const std::uint8_t byte = 7;
-  ASSERT_EQ(a2->write_some(&byte, 1), 1U);
-  // The quiet first end spends its 100 ms slice before the second is asked.
-  EXPECT_TRUE(net::wait_any(ends, no_write, 200));
-  // An empty pipe has room: asking for writability returns at once.
-  EXPECT_TRUE(net::wait_any(ends, std::vector<char>{1, 0}, 200));
-
-  // One end without an fd sends a socket down the same path.
-  net::TcpListener listener("127.0.0.1", 0);
-  TcpPair t = tcp_pair(listener);
-  std::vector<Connection*> mixed = {b1.get(), t.served.get()};
-  EXPECT_FALSE(net::wait_any(mixed, no_write, 10));
-  ASSERT_EQ(t.client->write_some(&byte, 1), 1U);
-  EXPECT_TRUE(net::wait_any(mixed, no_write, 200));
+  b1->close();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)net::wait_any(ends, no_write, 5000), Error);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000));
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
-// Loopback integration tests for the fhdnnd serving seam (fl/serving.hpp):
-// a ServerRoundDriver driving a WorkerLoop over an in-process loopback pipe
-// must reproduce the in-process golden histories BIT-FOR-BIT — every
-// double, every byte counter — at 1 and 4 threads, for both trainers.
-// Three workers over in-process TCP sockets match too. Plus:
-// checkpoint/restart mid-run with a fresh worker, wire-level
-// accounting equality, rejection of protocol violations, and what the
-// protocol state image (the PROT chunk every round's state blob carries)
-// holds.
+// In-process integration tests for the fhdnnd serving seam
+// (fl/serving.hpp): a ServerRoundDriver driving a WorkerLoop over an
+// AF_UNIX socket pair must reproduce the in-process golden histories
+// BIT-FOR-BIT — every double, every byte counter — at 1 and 4 threads, for
+// both trainers. Three workers over in-process TCP sockets match too. Every
+// end is a socket, so the driver waits in the same poll(2) as fhdnnd.
+// Plus: checkpoint/restart mid-run with a fresh worker, wire-level
+// accounting equality, rejection of protocol violations, a worker lost
+// mid-round, and what the protocol state image (the PROT chunk every
+// round's state blob carries) holds.
 //
 // This test runs under TSan in CI (the `serving` job): the worker thread
-// and the server thread pump opposite ends of the same pipe concurrently.
+// and the server thread pump opposite ends of the same socket concurrently.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +24,6 @@
 #include "fl/fedhd.hpp"
 #include "fl/serving.hpp"
 #include "net/connection.hpp"
-#include "net/loopback.hpp"
 #include "net/socket.hpp"
 #include "util/bytes.hpp"
 #include "util/parallel.hpp"
@@ -67,9 +67,9 @@ void expect_same_history(const fl::TrainingHistory& a,
   }
 }
 
-/// One worker serving a dedicated trainer replica over `end` (a loopback
-/// pipe or a socket) on its own thread; join() after the driver shuts down
-/// (or the connection closes).
+/// One worker serving a dedicated trainer replica over `end` (one end of a
+/// socket pair, or a TCP socket) on its own thread; join() after the driver
+/// shuts down (or the connection closes).
 class WorkerThread {
  public:
   WorkerThread(const std::string& proto,
@@ -96,12 +96,12 @@ class WorkerThread {
 };
 
 fl::TrainingHistory run_served(const std::string& proto, int threads,
-                               net::LoopbackOptions pipe = {}) {
+                               std::size_t send_buffer_bytes = 0) {
   parallel::set_num_threads(threads);
   workload::Options opt;
   opt.protocol = proto;
   auto server = workload::make_workload(opt);
-  auto [worker_end, server_end] = net::make_loopback_pair(pipe);
+  auto [worker_end, server_end] = net::make_socket_pair(send_buffer_bytes);
   fl::ServerRoundDriver driver(server->config_fingerprint(), proto);
   WorkerThread worker(proto, std::move(worker_end));
   driver.add_worker(std::move(server_end));
@@ -170,16 +170,15 @@ TEST(Serving, FedHdOverInProcessTcpMatchesInProcess) {
 }
 
 TEST(Serving, FedHdThroughPipesSmallerThanAFrameMatchesInProcess) {
-  // Every RoundAssign and Update is larger than the 4 KiB pipe, so each
-  // crosses in pieces, and each side waits for the other to drain it
-  // (wait_writable) in both directions.
+  // Every RoundAssign and Update is larger than the at most 8064 bytes a
+  // socket pair asked for a 4 KiB buffer holds in flight, so each crosses
+  // in pieces, and each side waits for the other to drain it (wait_writable)
+  // in both directions.
   ThreadGuard guard;
   const auto golden = run_in_process("fedhd", 1);
-  net::LoopbackOptions pipe;
-  pipe.capacity_bytes = 4096;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_same_history(golden, run_served("fedhd", threads, pipe));
+    expect_same_history(golden, run_served("fedhd", threads, 4096));
   }
 }
 
@@ -212,7 +211,7 @@ TEST(Serving, WorkerShipsEachBatchBeforeTrainingTheNext) {
   // update while slot 1 has not trained yet.
   ThreadGuard guard;
   parallel::set_num_threads(1);
-  auto [worker_end, server_end] = net::make_loopback_pair();
+  auto [worker_end, server_end] = net::make_socket_pair();
   OrderProtocol protocol;
   std::thread worker([&protocol, end = worker_end.get()] {  // fhdnn-lint: allow(raw-thread)
     fl::WorkerLoop loop(*end, protocol, 5, "order");
@@ -286,13 +285,13 @@ TEST(Serving, ServerRestartsFromCheckpointWithFreshWorker) {
   opt.protocol = "fedhd";
   opt.checkpoint_path = path;
 
-  // First server life: a checkpointing run over a loopback worker. Boundary
+  // First server life: a checkpointing run over a socket pair worker. Boundary
   // snapshots rotate through <path> / <path>.prev, so afterwards .prev
   // holds the round-2 boundary image — exactly what survives a server
   // killed while committing the round-3 snapshot.
   {
     auto victim = workload::make_workload(opt);
-    auto [worker_end, server_end] = net::make_loopback_pair();
+    auto [worker_end, server_end] = net::make_socket_pair();
     fl::ServerRoundDriver driver(victim->config_fingerprint(), "fedhd");
     WorkerThread worker("fedhd", std::move(worker_end));
     driver.add_worker(std::move(server_end));
@@ -307,7 +306,7 @@ TEST(Serving, ServerRestartsFromCheckpointWithFreshWorker) {
   auto survivor = workload::make_workload(opt);
   survivor->resume(path + ".prev");
   EXPECT_EQ(survivor->history().size(), 2U);
-  auto [worker_end, server_end] = net::make_loopback_pair();
+  auto [worker_end, server_end] = net::make_socket_pair();
   fl::ServerRoundDriver driver(survivor->config_fingerprint(), "fedhd");
   WorkerThread worker("fedhd", std::move(worker_end));
   driver.add_worker(std::move(server_end));
@@ -324,7 +323,7 @@ TEST(Serving, HandshakeRejectsFingerprintMismatch) {
   workload::Options opt;
   opt.protocol = "fedhd";
   auto server = workload::make_workload(opt);
-  auto [worker_end, server_end] = net::make_loopback_pair();
+  auto [worker_end, server_end] = net::make_socket_pair();
   fl::ServerRoundDriver driver(server->config_fingerprint(), "fedhd");
 
   std::thread bad([&worker_end] {  // fhdnn-lint: allow(raw-thread)
@@ -352,7 +351,7 @@ TEST(Serving, DriveRejectsUpdateForWrongRound) {
   workload::Options opt;
   opt.protocol = "fedhd";
   auto server = workload::make_workload(opt);
-  auto [worker_end, server_end] = net::make_loopback_pair();
+  auto [worker_end, server_end] = net::make_socket_pair();
   const std::uint32_t fp = server->config_fingerprint();
   fl::ServerRoundDriver driver(fp, "fedhd");
 
@@ -379,13 +378,55 @@ TEST(Serving, DriveRejectsUpdateForWrongRound) {
       while (!chan.flush()) {
       }
     } catch (const Error&) {
-      // Server tore the pipe down on rejection — also a pass.
+      // Server tore the connection down on rejection — also a pass.
     }
   });
   (void)driver.add_worker(std::move(server_end));
   server->set_round_driver(&driver);
   EXPECT_THROW((void)server->round(1), net::NetError);
   malicious.join();
+}
+
+TEST(Serving, WorkerLostMidRoundThrowsNetError) {
+  // A worker that handshakes, takes its RoundAssign and then closes owes
+  // every update of the round: drive() sees the close in its poll(2) and
+  // throws, naming the updates still outstanding.
+  ThreadGuard guard;
+  parallel::set_num_threads(1);
+  workload::Options opt;
+  opt.protocol = "fedhd";
+  auto server = workload::make_workload(opt);
+  auto [worker_end, server_end] = net::make_socket_pair();
+  const std::uint32_t fp = server->config_fingerprint();
+  fl::ServerRoundDriver driver(fp, "fedhd");
+
+  std::thread lost([&worker_end, fp] {  // fhdnn-lint: allow(raw-thread)
+    try {
+      net::MessageChannel chan(*worker_end);
+      wire::HelloMsg hello;
+      hello.protocol = "fedhd";
+      hello.config_fingerprint = fp;
+      chan.send(hello.to_frame());
+      while (!chan.flush()) worker_end->wait_writable(10);
+      (void)wire::HelloAckMsg::from_frame(chan.recv(10000));
+      const auto assign = wire::RoundAssignMsg::from_frame(chan.recv(30000));
+      EXPECT_FALSE(assign.slots.empty());
+    } catch (const Error& e) {
+      ADD_FAILURE() << "worker: " << e.what();
+    }
+    worker_end->close();
+  });
+  (void)driver.add_worker(std::move(server_end));
+  server->set_round_driver(&driver);
+  try {
+    (void)server->round(1);
+    ADD_FAILURE() << "a round whose only worker left completed";
+  } catch (const net::NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("updates outstanding"),
+              std::string::npos)
+        << e.what();
+  }
+  lost.join();
 }
 
 // ------------------------------------------------------- protocol state

@@ -479,7 +479,7 @@ std::vector<std::unique_ptr<Rule>> default_rules() {
         "OS networking primitives (socket/epoll/poll headers and epoll "
         "syscalls) live only in src/net/, behind the Connection seam; "
         "everywhere else — including src/fl/ serving and the fhdnnd "
-        "tools — speaks fhdnn::net so the loopback transport, tests, and "
+        "tools — speaks fhdnn::net so TCP, the tests' socket pairs, and "
         "portability shims have exactly one integration point",
         std::vector<std::string>{"sys/socket.h", "sys/epoll.h",
                                  "netinet/in.h", "netinet/tcp.h",
